@@ -26,8 +26,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .charroots import negative_roots_at_kappa, _profile_min_over_positive
-from .dirichlet import zeta
+from .dirichlet import _zeta, zeta
 from .model import ModelParams, feedback_holds
 from .numerics import Bracket, PowerSeries, solve_bracketed
 
@@ -117,8 +119,14 @@ def Phi(tau: float, frame: SpeedFrame) -> float:
     """
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    lam, nu = frame.lam, frame.nu
-    return (nu - lam) / (nu * math.exp(-lam * tau) - lam * math.exp(-nu * tau))
+    return _phi(tau, frame.lam, frame.nu)
+
+
+def _phi(tau, lam, nu):
+    """Unchecked Phi from the roots; numpy for array tau, else math
+    (several times faster in the scalar root searches)."""
+    xp = np if isinstance(tau, np.ndarray) else math
+    return (nu - lam) / (nu * xp.exp(-lam * tau) - lam * xp.exp(-nu * tau))
 
 
 def tau_of_c(P: float, c: float, tol: float = 1e-13) -> float:
@@ -143,18 +151,19 @@ def tau_hat(P: float) -> float:
     return math.log(P / (P - 1.0))
 
 
-def _monotone_boundary_lhs(tau: float, c: float) -> float:
+def _monotone_boundary_lhs(tau, c):
     """Left side of the T(c) defining equation, conditioned via h = c tau.
 
     With X = h^2 (c^2 + 4) + 4 the exponent (sqrt(X) - c h)/2 is
     rewritten as 2 (h^2 + 1)/(sqrt(X) + c h) to avoid cancellation at
-    large c.
+    large c. Array-valued when tau is an array.
     """
+    xp = np if isinstance(tau, np.ndarray) else math
     h = c * tau
     X = h * h * (c * c + 4.0) + 4.0
-    sX = math.sqrt(X)
+    sX = xp.sqrt(X)
     expo = 2.0 * (h * h + 1.0) / (sX + c * h)
-    return math.e * h * h / (2.0 + sX) * math.exp(expo)
+    return math.e * h * h / (2.0 + sX) * xp.exp(expo)
 
 
 def T_of_c(P: float, c: float, tol: float = 1e-13) -> float:
@@ -393,19 +402,23 @@ def verify_inclusion(P_grid: Sequence[float] = (1.1, 2.0, 4.8999, 10.0),
     t_lo, t_hi = tau_range
     taus = [t_lo * (t_hi / t_lo) ** (i / (n_tau_grid - 1))
             for i in range(n_tau_grid)]
-    min_margin = math.inf
-    argmin = (taus[0], cs[0])
     cs_ineq = [c_lo * (c_hi / c_lo) ** (i / (n_tau_grid - 1))
                for i in range(n_tau_grid)]
-    for t in taus:
-        for c in cs_ineq:
-            m = inclusion_inequality_margin(t, c)
-            if m < min_margin:
-                min_margin = m
-                argmin = (t, c)
-            if m <= 0.0:
-                violations.append(
-                    f"separation inequality non-positive at tau={t}, c={c}")
+    frames = [SpeedFrame(c) for c in cs_ineq]
+    c_row = np.array(cs_ineq)
+    lam = np.array([f.lam for f in frames])
+    nu = np.array([f.nu for f in frames])
+    # blocks of about 10 tau rows keep the expression's temporaries small
+    margins = np.vstack([
+        _monotone_boundary_lhs(t, c_row) - (1.0 - _phi(t, lam, nu))
+        for t in np.array_split(np.array(taus)[:, None],
+                                max(1, n_tau_grid // 10))])
+    i, j = np.unravel_index(np.argmin(margins), margins.shape)
+    min_margin = float(margins[i, j])
+    argmin = (taus[i], cs_ineq[j])
+    for i, j in np.argwhere(margins <= 0.0):
+        violations.append(f"separation inequality non-positive at "
+                          f"tau={taus[i]}, c={cs_ineq[j]}")
 
     return SweepReport(P_values=tuple(P_grid),
                        min_boundary_margin=min_boundary,
@@ -463,25 +476,26 @@ def region_report(params: ModelParams, c: float | None = None) -> RegionReport:
                         tau_hat=th, T_star=ts, tau_star=tau_star())
 
 
-def region_grid(tau_values: Sequence[float], p_values: Sequence[float],
-                threads: int = 1) -> list[tuple[float, float, bool]]:
+def region_grid(tau_values: Sequence[float],
+                p_values: Sequence[float]) -> list[tuple[float, float, bool]]:
     """(tau, ln ln p, flag) rows over a (tau, p) grid.
 
     The flag marks points satisfying both nm-wave criteria: p inside the
-    admissible window and zeta > ln p. The window test is cheap and
-    short-circuits the zeta evaluation.
+    admissible window and zeta > ln p. The window test is cheap and runs
+    per point; zeta is evaluated once, as an array, over the points that
+    pass it.
     """
     from .heteroclinic import p_window
-    from .util import parallel_map
 
-    points = [(t, p) for t in tau_values for p in p_values]
-
-    def one(point):
-        t, p = point
-        params = ModelParams(p=p, tau=t)
-        flag = False
-        if p_window(params):
-            flag = zeta(params) > params.kappa
-        return (t, math.log(math.log(p)), flag)
-
-    return parallel_map(one, points, threads)
+    rows, inside = [], []
+    for t in tau_values:
+        for p in p_values:
+            params = ModelParams(p=p, tau=t)
+            if p_window(params):
+                inside.append((len(rows), p, t, params.kappa))
+            rows.append((t, math.log(params.kappa), False))
+    if inside:
+        idx, p, t, kappa = (np.array(col) for col in zip(*inside))
+        for i in idx[_zeta(p, t) > kappa]:
+            rows[i] = rows[i][:2] + (True,)
+    return rows

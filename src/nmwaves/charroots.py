@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .model import ModelParams
 from .numerics import Bracket, solve_bracketed
 
@@ -84,21 +86,29 @@ def char_value(kind: CharKind, z: float, params: ModelParams,
     raise ValueError(f"unknown kind {kind}")
 
 
-def mu_root(params: ModelParams, tol: float = 1e-12) -> float:
-    """Unique positive root of z + 1 - p e^{-z tau}.
+def _mu(p, tau):
+    """Positive root of z + 1 - p e^{-z tau} for arrays of (p > 1, tau >= 0).
 
-    The function is strictly increasing (derivative 1 + p tau e^{-z tau})
-    and changes sign on [0, p], so bisection always succeeds; a few
-    Newton steps polish the root to machine precision, which the series
-    recurrence depends on.
+    Newton from z = 0: the function is increasing and concave, so the
+    iterates rise monotonically to the root and need no bracket. Each
+    step advances z tau by about one until p e^{-z tau} is near 1.
     """
-    p, tau = params.p, params.tau
-    f = lambda z: z + 1.0 - p * math.exp(-z * tau)
-    z = solve_bracketed(f, Bracket(0.0, p), tol=tol * (1.0 + p))
-    for _ in range(4):
-        e = p * math.exp(-z * tau)
-        z -= (z + 1.0 - e) / (1.0 + tau * e)
+    p = np.asarray(p, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    z = np.zeros(np.broadcast(p, tau).shape)
+    for _ in range(1000):  # ln p <= 710 linear steps, then a few more
+        e = p * np.exp(-z * tau)
+        step = (z + 1.0 - e) / (1.0 + tau * e)
+        z = z - step
+        if np.all(np.abs(step) <= 1e-15 * (1.0 + z)):
+            break
     return z
+
+
+def mu_root(params: ModelParams) -> float:
+    """Unique positive root of z + 1 - p e^{-z tau}, to machine precision
+    (the series recurrence depends on it)."""
+    return float(_mu(params.p, params.tau))
 
 
 def _profile_min_over_positive(params: ModelParams, c: float) -> tuple[float, float]:

@@ -179,12 +179,11 @@ def _cmd_heteroclinic(args) -> int:
 
 def _cmd_atlas(args) -> int:
     from .atlas import region_grid
-    from .util import resolve_threads
 
     started = time.time()
     taus = _parse_range(args.tau)
     ps = _parse_range(args.p)
-    rows = region_grid(taus, ps, threads=resolve_threads(args.threads))
+    rows = region_grid(taus, ps)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("tau,lnlnp,flag\n")
         for tau, lnlnp, flag in rows:
@@ -288,8 +287,7 @@ def _cmd_verify(args) -> int:
     from .verify import run_suite
 
     started = time.time()
-    ok, margins = run_suite(args.suite, grid=args.grid,
-                            threads=args.threads)
+    ok, margins = run_suite(args.suite, grid=args.grid)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             fh.write("check,margin,threshold,status\n")
@@ -310,8 +308,6 @@ def build_parser() -> CliParser:
                        description="Delayed reaction-diffusion wavefront "
                                    "analysis for the Nicholson blowflies "
                                    "equation")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for sweeps (NW_THREADS overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     a = sub.add_parser("analyze", help="scalar analysis at one (p, tau)")

@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .charroots import mu_root
+import numpy as np
+
+from .charroots import _mu, mu_root
 from .model import ModelParams, birth
 from .numerics import (PowerSeries, golden_section_max, integrate_adaptive,
                        lower_incomplete_gamma)
@@ -73,10 +75,15 @@ def coefficients(params: ModelParams, n_coeffs: int,
     return qb
 
 
+def _qbar2(p, tau, mu):
+    """qbar_2 = -p e^{-2 mu tau} / chi(2 mu) for arrays of (p, tau, mu)."""
+    e2 = p * np.exp(-2.0 * mu * tau)
+    return -e2 / (2.0 * mu + 1.0 - e2)
+
+
 def qbar2_closed_form(params: ModelParams) -> float:
     """qbar_2 = -p e^{-2 mu tau} / chi(2 mu), always negative."""
-    mu = mu_root(params)
-    return -params.p * math.exp(-2.0 * mu * params.tau) / _chi(2.0 * mu, params)
+    return float(_qbar2(params.p, params.tau, mu_root(params)))
 
 
 def qbar3_closed_form(params: ModelParams) -> float:
@@ -209,6 +216,18 @@ def horizon(expansion: DirichletExpansion, eps: float) -> float:
                           expansion.qbar2, eps)
 
 
+def _zeta(p, tau):
+    """Peak lower bound zeta for arrays of (p, tau); see ``zeta``."""
+    mu = _mu(p, tau)
+    qb2 = _qbar2(p, tau, mu)
+    m = 1.0 / mu
+    emt = np.exp(-mu * tau)
+    g = lower_incomplete_gamma
+    return ((1.0 + qb2) * np.exp(-tau)
+            + p * m * (g(1.0, m + 1.0) - g(emt, m + 1.0)
+                       + qb2 * (g(1.0, m + 2.0) - g(emt, m + 2.0))))
+
+
 def zeta(params: ModelParams) -> float:
     """Peak lower bound for the heteroclinic, incomplete-gamma closed form.
 
@@ -221,14 +240,7 @@ def zeta(params: ModelParams) -> float:
     where G is the lower incomplete gamma function with argument order
     (limit, exponent).
     """
-    mu = mu_root(params)
-    qb2 = qbar2_closed_form(params)
-    m = 1.0 / mu
-    emt = math.exp(-mu * params.tau)
-    g = lower_incomplete_gamma
-    return ((1.0 + qb2) * math.exp(-params.tau)
-            + params.p * m * (g(1.0, m + 1.0) - g(emt, m + 1.0)
-                              + qb2 * (g(1.0, m + 2.0) - g(emt, m + 2.0))))
+    return float(_zeta(params.p, params.tau))
 
 
 def zeta_by_quadrature(params: ModelParams, tol: float = 1e-12) -> float:

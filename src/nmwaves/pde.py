@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .model import ModelParams
 
@@ -229,6 +228,8 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
     front.append((0.0, _first_crossing(x, u, level)))
 
     if config.scheme is Scheme.CRANK_NICOLSON:
+        from scipy.linalg import solve_banded  # slow import, needed only here
+
         r = dt / (2.0 * dx2)
         m = n - 2  # interior unknowns
         ab = np.zeros((3, m))

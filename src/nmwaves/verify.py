@@ -18,7 +18,7 @@ def _check(name: str, margin: float, threshold: float = 0.0) -> Check:
     return (name, margin, threshold, margin > threshold)
 
 
-def _suite_regions(grid: int | None, threads: int | None) -> list[Check]:
+def _suite_regions(grid: int | None) -> list[Check]:
     from .atlas import (MembershipInconsistency, certificate_coefficient,
                         certificate_quadratic_discriminant,
                         certificate_series, certificate_value, membership,
@@ -85,7 +85,7 @@ def _suite_regions(grid: int | None, threads: int | None) -> list[Check]:
     return checks
 
 
-def _suite_series(grid: int | None, threads: int | None) -> list[Check]:
+def _suite_series(grid: int | None) -> list[Check]:
     from .dirichlet import (build, qbar2_closed_form, qbar3_closed_form, zeta,
                             zeta_by_quadrature)
 
@@ -133,7 +133,7 @@ def _suite_series(grid: int | None, threads: int | None) -> list[Check]:
     return checks
 
 
-def _suite_model(grid: int | None, threads: int | None) -> list[Check]:
+def _suite_model(grid: int | None) -> list[Check]:
     checks: list[Check] = []
     params = ModelParams(p=365.0, tau=0.07)
 
@@ -176,8 +176,8 @@ def _suite_model(grid: int | None, threads: int | None) -> list[Check]:
     return checks
 
 
-def run_suite(name: str, grid: int | None = None,
-              threads: int | None = None) -> tuple[bool, list[Check]]:
+def run_suite(name: str,
+              grid: int | None = None) -> tuple[bool, list[Check]]:
     suites = {
         "regions": _suite_regions,
         "series": _suite_series,
@@ -185,5 +185,5 @@ def run_suite(name: str, grid: int | None = None,
     }
     if name not in suites:
         raise ValueError(f"unknown suite {name!r}")
-    checks = suites[name](grid, threads)
+    checks = suites[name](grid)
     return all(passed for _, _, _, passed in checks), checks

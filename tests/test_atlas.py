@@ -9,6 +9,8 @@ from nmwaves.atlas import (Phi, SpeedFrame, T_of_c, T_star,
                            nm_necessary, proposition_hypotheses, region_grid,
                            region_report, tau_hat, tau_of_c, tau_star,
                            verify_inclusion)
+from nmwaves.dirichlet import zeta
+from nmwaves.heteroclinic import p_window
 from nmwaves.model import ModelParams
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
@@ -295,6 +297,10 @@ def test_region_grid_nonempty_and_inside_necessary():
     taus = [0.05 + 0.03 * i / 19 for i in range(20)]
     ps = [10.0 * (1000.0 / 10.0) ** (i / 19) for i in range(20)]
     rows = region_grid(taus, ps)
+    # the array route agrees with the scalar criteria point by point
+    points = [ModelParams(p=p, tau=t) for t in taus for p in ps]
+    assert [(t, flag) for t, _, flag in rows] == [
+        (q.tau, p_window(q) and zeta(q) > q.kappa) for q in points]
     hits = [(t, ll) for t, ll, flag in rows if flag]
     assert hits  # the admissible region is nonempty at this resolution
     for t, ll in hits:

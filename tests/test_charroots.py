@@ -52,6 +52,16 @@ def test_mu_example_values():
     chi = lambda z: char_value(CharKind.AT_ZERO_DDE, z, params)
     assert abs(chi(mu)) <= 1e-9
     assert chi(mu - 1e-6) < 0.0 < chi(mu + 1e-6)
+    # residual at machine level over the domain, including a large-delay
+    # point where a bracketed secant search stalls far from the root
+    ps = [1.001 * (1e6 / 1.001) ** (i / 24) for i in range(25)]
+    taus = [0.0] + [0.01 * 5000.0 ** (j / 24) for j in range(25)]
+    points = [(p, tau) for p in ps for tau in taus]
+    points.append((123.28981721696316, 38.47163985465645))
+    for p, tau in points:
+        mu = mu_root(ModelParams(p=p, tau=tau))
+        assert abs(mu + 1.0 - p * math.exp(-mu * tau)) <= 1e-12 * (1.0 + mu), \
+            (p, tau, mu)
 
 
 def test_mu_no_delay():

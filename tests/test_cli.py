@@ -216,11 +216,10 @@ def test_usage_exit_code():
     assert proc.returncode == 64
 
 
-def test_threads_env_override(tmp_path, monkeypatch):
-    from nmwaves.util import resolve_threads
-
-    monkeypatch.setenv("NW_THREADS", "3")
-    assert resolve_threads(8) == 3
-    monkeypatch.delenv("NW_THREADS")
-    assert resolve_threads(8) == 8
-    assert resolve_threads(None) >= 1
+def test_import_leaves_scipy_linalg_unloaded():
+    # only the Crank-Nicolson scheme needs scipy.linalg, whose import
+    # would otherwise dominate the start-up of every command
+    code = "import sys, nmwaves; print('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -36,6 +36,10 @@ def test_gamma_against_mpmath():
         want = float(mp.gammainc(s, 0, z))
         got = lower_incomplete_gamma(z, s)
         assert abs(got - want) <= 1e-12 * (1.0 + abs(want)), (z, s)
+    # one array call gives the elementwise scalar values
+    zs, ss = zip(*cases)
+    together = lower_incomplete_gamma(list(zs), list(ss))
+    assert list(together) == [lower_incomplete_gamma(z, s) for z, s in cases]
 
 
 def test_gamma_monotone_in_limit():
