@@ -29,7 +29,7 @@ import numpy as np
 
 from .charroots import _mu, mu_root
 from .model import ModelParams, birth
-from .numerics import (PowerSeries, golden_section_max, integrate_adaptive,
+from .numerics import (golden_section_max, integrate_adaptive,
                        lower_incomplete_gamma)
 
 
@@ -52,6 +52,8 @@ def coefficients(params: ModelParams, n_coeffs: int,
     With v_j = qbar_j e^{-j mu tau}, the coefficient of order n+1 in
     p * V * exp(-V) (whose linear part drops out because the order-n+1
     slot of V is still zero) divided by chi((n+1) mu) gives qbar_{n+1}.
+    The coefficients b_k of exp(-V) depend only on v_1..v_k, so each is
+    computed once, from (k+1) b_{k+1} = sum_j j a_j b_{k+1-j} with a = -v.
     """
     if n_coeffs < 2:
         raise ValueError("need at least two coefficients")
@@ -59,14 +61,21 @@ def coefficients(params: ModelParams, n_coeffs: int,
     mu = mu_root(params)
     emt = math.exp(-mu * tau)
     qb = [1.0]
+    v = [0.0]   # coefficients of V: v_0 = 0, then v_1..v_n
+    b = [1.0]   # coefficients of exp(-V)
     for n in range(1, n_coeffs):
-        # V holds v_1..v_n with a zero placeholder at order n+1
-        v = [0.0] * (n + 2)
+        v.append(qb[n - 1] * emt ** n)
+        acc = 0.0
         for j in range(1, n + 1):
-            v[j] = qb[j - 1] * emt ** j
-        series_v = PowerSeries(v)
-        w = series_v * (-series_v).exp()
-        q_next = p * w[n + 1] / _chi((n + 1) * mu, params)
+            acc += j * -v[j] * b[n - j]
+        b.append(acc / n)
+        # order n+1 of V exp(-V), summed (zero terms skipped) as the
+        # truncated series product sums it
+        w = 0.0
+        for i in range(1, n + 1):
+            if v[i] != 0.0:
+                w += v[i] * b[n + 1 - i]
+        q_next = p * w / _chi((n + 1) * mu, params)
         if abs(q_next) > overflow_bound:
             raise CoefficientOverflow(
                 f"|qbar_{n + 1}| = {abs(q_next):.3e} exceeds {overflow_bound:.0e}",

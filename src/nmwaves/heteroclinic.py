@@ -7,7 +7,11 @@ whole-step stage times and on half-nodes for the two middle stages, where
 a cubic Hermite interpolant built from stored (u, u') keeps the scheme at
 fourth order. The history on [t0 - tau, t0] is seeded from the series
 expansion, which represents the exact solution there, so no derivative
-discontinuities propagate from the handoff.
+discontinuities propagate from the handoff. Within one delay interval
+every delayed value is already known, so each Runge-Kutta step is an
+affine map u_{n+1} = R u_n + g_n (the method of steps taken literally):
+the birth terms of a whole interval are evaluated as arrays and only the
+scalar recurrence runs node by node.
 
 Also here: level-crossing extraction (crossings of ln p), the discrete
 sign-change count used to detect slow oscillation, and the combined
@@ -30,7 +34,7 @@ from .numerics import hermite_cubic, hermite_cubic_deriv
 
 
 class BlowUpError(RuntimeError):
-    """The integration left the physical range (|u| > 1e6)."""
+    """The integration left the physical range (|u| > 1e6 or not finite)."""
 
 
 class InconclusiveTail(RuntimeError):
@@ -61,20 +65,27 @@ class Trajectory:
 
     def interpolate(self, t: float) -> float:
         """Cubic Hermite evaluation anywhere inside the sample range."""
-        i = self._segment(t)
-        return hermite_cubic(self.t[i], self.t[i + 1], self.u[i], self.u[i + 1],
-                             self.du[i], self.du[i + 1], t)
+        self._check_range(t)
+        return self._hermite(hermite_cubic, t)
 
     def interpolate_deriv(self, t: float) -> float:
-        i = self._segment(t)
-        return hermite_cubic_deriv(self.t[i], self.t[i + 1], self.u[i],
-                                   self.u[i + 1], self.du[i], self.du[i + 1], t)
+        self._check_range(t)
+        return self._hermite(hermite_cubic_deriv, t)
 
-    def _segment(self, t: float) -> int:
+    def _check_range(self, t: float) -> None:
         if t < self.t[0] or t > self.t[-1]:
             raise ValueError(f"t = {t} outside sampled range")
-        i = int((t - self.t[0]) / self.h)
-        return min(max(i, 0), len(self.t) - 2)
+
+    def _hermite(self, kernel, t):
+        # the Hermite kernel on the segment of each t, elementwise
+        i = ((t - self.t[0]) / self.h).astype(np.int64)
+        i = np.maximum(np.minimum(i, len(self.t) - 2), 0)
+        return kernel(*self._segments(i), t)
+
+    def _segments(self, i):
+        """(t, u, u') at both ends of the sample segments i."""
+        return (self.t[i], self.t[i + 1], self.u[i], self.u[i + 1],
+                self.du[i], self.du[i + 1])
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,9 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
 
     The handoff t0 = min(0, horizon - 0.5/mu) keeps a safety margin
     inside the certified horizon; the history on [t0 - tau, t0] is
-    evaluated from the series directly.
+    evaluated from the series directly. Raises BlowUpError at the first
+    node where |u| > 1e6 or u is not finite, an overflowing birth term
+    included.
     """
     if K < 20:
         raise ValueError(f"need at least 20 steps per delay interval, got {K}")
@@ -134,41 +147,44 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     n_steps = int(math.ceil((t_end - t0) / h - 1e-12))
     n_total = K + n_steps + 1  # history nodes + integrated nodes
     t = np.empty(n_total)
+    t[:K + 1] = t0 - tau + np.arange(K + 1) * h
+    t[K + 1:] = t0 + np.arange(1, n_steps + 1) * h
     u = np.empty(n_total)
     du = np.empty(n_total)
     for i in range(K + 1):
-        ti = t0 - tau + i * h
-        t[i] = ti
-        u[i] = expansion.evaluate(ti)
-        du[i] = expansion.derivative(ti)
+        u[i] = expansion.evaluate(t[i])
+        du[i] = expansion.derivative(t[i])
 
-    exp_ = math.exp
-    f = lambda x: p * x * exp_(-x)
-
-    def delayed_half(j):
-        # value at t[j] + h/2 via Hermite on [t[j], t[j+1]]
-        um, up = u[j], u[j + 1]
-        dm, dp_ = du[j], du[j + 1]
-        return 0.5 * (um + up) + 0.125 * h * (dm - dp_)
-
-    for n in range(K, K + n_steps):
-        un = u[n]
-        d0 = u[n - K]          # u(t_n - tau)
-        dh = delayed_half(n - K)   # u(t_n + h/2 - tau)
-        d1 = u[n - K + 1]      # u(t_n + h - tau)
-        fb0 = f(d0)
-        fbh = f(dh)
-        fb1 = f(d1)
-        k1 = -un + fb0
-        k2 = -(un + 0.5 * h * k1) + fbh
-        k3 = -(un + 0.5 * h * k2) + fbh
-        k4 = -(un + h * k3) + fb1
-        u_next = un + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if abs(u_next) > 1e6:
-            raise BlowUpError(f"|u| exceeded 1e6 at t = {t[n] + h}")
-        u[n + 1] = u_next
-        t[n + 1] = t0 + (n + 1 - K) * h
-        du[n + 1] = -u_next + fb1
+    # Within one delay interval the delayed terms F0 = f(u(t_n - tau)),
+    # Fh = f(u(t_n + h/2 - tau)) and F1 = f(u(t_n + h - tau)) are known, so
+    # each RK4 step is affine in u: u_{n+1} = R u_n + g_n.
+    R = 1.0 - h + h * h / 2.0 - h ** 3 / 6.0 + h ** 4 / 24.0
+    c0 = h / 6.0 * (1.0 - h + h * h / 2.0 - h ** 3 / 4.0)
+    ch = h / 6.0 * (4.0 - 2.0 * h + h * h / 2.0)
+    c1 = h / 6.0
+    fu = np.empty(n_total)  # f(u) at each node, filled one delay ahead
+    with np.errstate(over="ignore", invalid="ignore"):
+        fu[:K + 1] = p * u[:K + 1] * np.exp(-u[:K + 1])
+        for n in range(K, K + n_steps, K):
+            m = min(K, K + n_steps - n)
+            j = n - K  # delayed node of the block's first step
+            # delayed half-node values from the Hermite cubic on [t_j, t_j+1]
+            dh = (0.5 * (u[j:j + m] + u[j + 1:j + m + 1])
+                  + 0.125 * h * (du[j:j + m] - du[j + 1:j + m + 1]))
+            F1 = fu[j + 1:j + m + 1]
+            g = c0 * fu[j:j + m] + ch * (p * dh * np.exp(-dh)) + c1 * F1
+            un = float(u[n])
+            block = []
+            for gn in g.tolist():
+                un = R * un + gn
+                if not abs(un) <= 1e6:  # also catches inf and nan
+                    raise BlowUpError(
+                        f"|u| exceeded 1e6 at t = {t[n + 1 + len(block)]}")
+                block.append(un)
+            new = u[n + 1:n + m + 1]
+            new[:] = block
+            du[n + 1:n + m + 1] = F1 - new
+            fu[n + 1:n + m + 1] = p * new * np.exp(-new)
 
     provenance = {
         "mu": expansion.mu,
@@ -182,40 +198,61 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
                       provenance=provenance)
 
 
-def _refine_crossing(traj: Trajectory, i: int, level: float) -> tuple[float, int]:
-    """Bisection on the Hermite interpolant within sample segment i."""
-    a, b = traj.t[i], traj.t[i + 1]
-    fa = traj.u[i] - level
+def _level_tol(level: float) -> float:
+    """Deviation from a level that is rounding noise, not a departure."""
+    return 1e-12 * (1.0 + abs(level))
+
+
+def _bisect(g, a: np.ndarray, b: np.ndarray, ga: np.ndarray) -> np.ndarray:
+    """Up to 80 lockstep bisection steps for sign changes of g on [a, b].
+
+    ga holds g(a); the bracket keeps the end where g has the sign of ga.
+    Once every midpoint rounds onto an end of its bracket, the step after
+    is the last one that can change a bracket, so the loop stops there.
+    """
     for _ in range(80):
         m = 0.5 * (a + b)
-        fm = traj.interpolate(m) - level
-        if fa * fm <= 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    tc = 0.5 * (a + b)
-    slope = traj.interpolate_deriv(tc)
-    return tc, (1 if slope >= 0.0 else -1)
+        done = bool(np.all((m == a) | (m == b)))
+        gm = g(m)
+        left = ga * gm <= 0.0
+        b = np.where(left, m, b)
+        a = np.where(left, a, m)
+        ga = np.where(left, ga, gm)
+        if done:
+            break
+    return 0.5 * (a + b)
 
 
 def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     """Crossings of the level (default ln p) with tail classification.
 
-    Raises InconclusiveTail when the run is too short to establish either
-    a settling monotone tail or persistent oscillation.
+    A sign change of u - level counts only when one side of it deviates
+    from the level by more than rounding noise. Raises InconclusiveTail
+    when the run is too short to establish either a settling monotone
+    tail or persistent oscillation.
     """
     params = traj.params
     if level is None:
         level = params.kappa
     tau = params.tau
-    s = traj.u - level
-    found: list[tuple[float, int]] = []
-    for i in range(len(s) - 1):
-        if s[i] == 0.0:
-            if 0 < i and s[i - 1] * s[i + 1] < 0.0:
-                found.append((float(traj.t[i]), 1 if s[i + 1] > 0 else -1))
-        elif s[i] * s[i + 1] < 0.0:
-            found.append(_refine_crossing(traj, i, level))
+    t, u, du = traj.t, traj.u, traj.du
+    s = u - level
+    sg = np.sign(s)
+    big = np.abs(s) > _level_tol(level)
+    # sign changes between neighbouring nodes, refined on the interpolant
+    strict = np.flatnonzero((sg[:-1] * sg[1:] < 0.0) & (big[:-1] | big[1:]))
+    seg = traj._segments(strict)
+    tc = _bisect(lambda m: hermite_cubic(*seg, m) - level,
+                 seg[0], seg[1], s[strict])
+    slope = hermite_cubic_deriv(*seg, tc)
+    # interior nodes exactly on the level between opposite signs
+    touch = 1 + np.flatnonzero((sg[1:-1] == 0.0) & (sg[:-2] * sg[2:] < 0.0)
+                               & (big[:-2] | big[2:]))
+    order = np.argsort(np.concatenate((strict, touch)), kind="stable")
+    times = np.concatenate((tc, t[touch]))[order]
+    ups = np.concatenate((slope >= 0.0, s[touch + 1] > 0.0))[order]
+    found = [(tc_, 1 if up else -1)
+             for tc_, up in zip(times.tolist(), ups.tolist())]
 
     gaps = tuple(b[0] - a[0] for a, b in zip(found[:-1], found[1:]))
     anomalies = [f"crossing gap {g:.6g} <= tau" for g in gaps if g <= tau]
@@ -228,26 +265,19 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
 
     # first interior maximum: first + -> - sign change of u'
     first_max = None
-    for i in range(len(traj.du) - 1):
-        if traj.du[i] > 0.0 and traj.du[i + 1] < 0.0:
-            a, b = traj.t[i], traj.t[i + 1]
-            for _ in range(80):
-                m = 0.5 * (a + b)
-                if traj.interpolate_deriv(m) > 0.0:
-                    a = m
-                else:
-                    b = m
-            tm = 0.5 * (a + b)
-            first_max = (tm, traj.interpolate(tm))
-            break
+    peaks = np.flatnonzero((du[:-1] > 0.0) & (du[1:] < 0.0))
+    if peaks.size:
+        seg = traj._segments(peaks[:1])
+        tm = _bisect(lambda m: hermite_cubic_deriv(*seg, m),
+                     seg[0], seg[1], seg[4])
+        first_max = (float(tm[0]), float(hermite_cubic(*seg, tm)[0]))
 
-    i_max = int(np.argmax(traj.u))
-    global_max = float(traj.u[i_max])
-    if 0 < i_max < len(traj.u) - 1:
-        lo = traj.t[i_max] - traj.h
-        hi = traj.t[i_max] + traj.h
-        for tt in np.linspace(lo, hi, 41):
-            global_max = max(global_max, traj.interpolate(float(tt)))
+    i_max = int(np.argmax(u))
+    global_max = float(u[i_max])
+    if 0 < i_max < len(u) - 1:
+        tt = np.linspace(t[i_max] - traj.h, t[i_max] + traj.h, 41)
+        global_max = max(global_max,
+                         float(np.max(traj._hermite(hermite_cubic, tt))))
 
     tail = _classify_tail(traj, found, level)
     return CrossingReport(level=level, crossings=tuple(found), gaps=gaps,
@@ -261,7 +291,7 @@ def _classify_tail(traj: Trajectory, found, level: float) -> TrajectoryTail:
     window = traj.t >= t_end - 2.0 * tau
     tail_u = traj.u[window]
     dev_end = abs(float(traj.u[-1]) - level)
-    scale = 1e-12 * (1.0 + abs(level))
+    scale = _level_tol(level)
     diffs = np.diff(tail_u)
     monotone = bool(np.all(diffs >= -scale) or np.all(diffs <= scale))
 
@@ -281,7 +311,7 @@ def _classify_tail(traj: Trajectory, found, level: float) -> TrajectoryTail:
     # no crossings: a monotone approach with shrinking deviation is a tail
     i_ref = int(0.75 * (len(traj.u) - 1))
     dev_ref = abs(float(traj.u[i_ref]) - level)
-    if monotone and dev_end < dev_ref:
+    if monotone and (dev_end < dev_ref or dev_end < 1e-6):
         return TrajectoryTail.MONOTONE_TAIL
     raise InconclusiveTail(
         f"no crossings and no trend by t_end = {t_end}")

@@ -12,6 +12,7 @@ from nmwaves.dirichlet import (CoefficientOverflow, build, coefficients,
                                zeta, zeta_by_quadrature)
 from nmwaves.charroots import mu_root
 from nmwaves.model import ModelParams, birth
+from nmwaves.numerics import PowerSeries
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
 
@@ -70,6 +71,29 @@ def test_coefficients_against_multinomial_oracle():
     want = _multinomial_qbar(EXAMPLE, 6)
     for g, w in zip(got, want):
         assert abs(g - w) <= 1e-13 * (1.0 + abs(w))
+
+
+def _power_series_qbar(params: ModelParams, n_coeffs: int) -> list[float]:
+    """Reference recurrence that rebuilds V exp(-V) at every order."""
+    mu = mu_root(params)
+    chi = lambda z: z + 1.0 - params.p * math.exp(-z * params.tau)
+    emt = math.exp(-mu * params.tau)
+    qb = [1.0]
+    for n in range(1, n_coeffs):
+        v = [0.0] * (n + 2)
+        for j in range(1, n + 1):
+            v[j] = qb[j - 1] * emt ** j
+        series_v = PowerSeries(v)
+        w = series_v * (-series_v).exp()
+        qb.append(params.p * w[n + 1] / chi((n + 1) * mu))
+    return qb
+
+
+def test_coefficients_equal_power_series_rebuild():
+    # the incremental exp(-V) sums the same products in the same order
+    for p, tau in itertools.product((3.0, 365.0, 5e4), (0.02, 0.3, 4.0)):
+        params = ModelParams(p=p, tau=tau)
+        assert coefficients(params, 40) == _power_series_qbar(params, 40), (p, tau)
 
 
 def test_sign_alternation_first_twenty():

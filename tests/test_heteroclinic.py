@@ -1,13 +1,14 @@
 """Tests for the method-of-steps integrator and shape diagnostics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nmwaves.dirichlet import build, zeta
-from nmwaves.heteroclinic import (Trajectory, TrajectoryTail, crossings,
-                                  integrate, nm_verdict, p_window,
+from nmwaves.heteroclinic import (BlowUpError, Trajectory, TrajectoryTail,
+                                  crossings, integrate, nm_verdict, p_window,
                                   sign_change_count)
 from nmwaves.model import ModelParams
 
@@ -27,7 +28,7 @@ def test_example_shape():
     z = zeta(EXAMPLE)
     assert report.global_max > z > lnp
     assert report.tail_class is TrajectoryTail.MONOTONE_TAIL
-    assert len(report.crossings) >= 1
+    assert len(report.crossings) == 1
     assert report.crossings[0][1] == 1
     assert abs(float(traj.u[-1]) - lnp) <= 1e-6
     assert report.anomalies == ()
@@ -91,6 +92,105 @@ def test_oscillating_case():
     assert signs[0] == 1
     for a, b in zip(signs[:-1], signs[1:]):
         assert a != b
+
+
+def _scalar_rk4(expansion, K=64):
+    """Reference integrator: one RK4 step per node, scalar arithmetic.
+
+    Same grid, history and half-node Hermite values as ``integrate``, with
+    the stages formed one by one instead of as the affine recurrence.
+    """
+    params = expansion.params
+    p, tau = params.p, params.tau
+    t0 = min(0.0, expansion.horizon - 0.5 / expansion.mu)
+    t_end = t0 + max(10.0, 20.0 * tau, 5.0)
+    h = tau / K
+    n_steps = int(math.ceil((t_end - t0) / h - 1e-12))
+    t = [t0 - tau + i * h for i in range(K + 1)]
+    u = [expansion.evaluate(ti) for ti in t]
+    du = [expansion.derivative(ti) for ti in t]
+    f = lambda x: p * x * math.exp(-x)
+    for n in range(K, K + n_steps):
+        j = n - K
+        dh = 0.5 * (u[j] + u[j + 1]) + 0.125 * h * (du[j] - du[j + 1])
+        fb0, fbh, fb1 = f(u[j]), f(dh), f(u[j + 1])
+        un = u[n]
+        k1 = -un + fb0
+        k2 = -(un + 0.5 * h * k1) + fbh
+        k3 = -(un + 0.5 * h * k2) + fbh
+        k4 = -(un + h * k3) + fb1
+        u.append(un + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        t.append(t0 + (n + 1 - K) * h)
+        du.append(-u[-1] + fb1)
+    return np.array(t), np.array(u)
+
+
+@pytest.mark.parametrize("p, tau", [(365.0, 0.07), (2.0, 0.1), (365.0, 0.2),
+                                    (50.0, 1.0), (1000.0, 5.0)])
+def test_affine_recurrence_matches_scalar_rk4(p, tau):
+    expansion = build(ModelParams(p=p, tau=tau))
+    traj = integrate(expansion)
+    t_ref, u_ref = _scalar_rk4(expansion)
+    assert np.array_equal(traj.t, t_ref)
+    scale = max(1.0, float(np.max(np.abs(u_ref))))
+    assert np.max(np.abs(traj.u - u_ref)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("p, tau", [(28283.22052526588, 18.846158543278428),
+                                    (16700.719092785555, 26.037402816997748)])
+def test_leaving_the_range_is_a_blow_up(p, tau):
+    # the first point overflows the birth term once u turns negative
+    expansion = build(ModelParams(p=p, tau=tau))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowUpError, match=r"at t = \d"):
+            integrate(expansion)
+
+
+@pytest.mark.parametrize("p, tau", [(math.e, 3.0), (365.0, 0.01),
+                                    (2.358739755381671, 49.83123707204897)])
+def test_converged_tail_without_crossings_is_monotone(p, tau):
+    # the tail reaches ln p to rounding level: its deviation stops shrinking;
+    # in the last case its rounding-level maximum sits next to the last node
+    verdict = nm_verdict(ModelParams(p=p, tau=tau))
+    assert verdict.tail_class is TrajectoryTail.MONOTONE_TAIL
+    assert verdict.crossing_count == 0
+
+
+def _scalar_refine(traj, i, level):
+    """Reference crossing: 80 scalar bisection steps in sample segment i."""
+    a, b = traj.t[i], traj.t[i + 1]
+    fa = traj.u[i] - level
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        fm = traj.interpolate(m) - level
+        if fa * fm <= 0.0:
+            b = m
+        else:
+            a, fa = m, fm
+    return 0.5 * (a + b)
+
+
+@pytest.mark.parametrize("p, tau", [(365.0, 0.2), (1000.0, 5.0)])
+def test_lockstep_crossings_match_scalar_bisection(p, tau):
+    params = ModelParams(p=p, tau=tau)
+    traj = integrate(build(params))
+    report = crossings(traj)
+    s = traj.u - params.kappa
+    idx = np.flatnonzero(s[:-1] * s[1:] < 0.0)
+    assert [tc for tc, _ in report.crossings] == [
+        _scalar_refine(traj, i, params.kappa) for i in idx]
+
+
+def test_rounding_level_sign_changes_are_not_crossings():
+    params = ModelParams(p=math.e ** 3, tau=0.5)
+    h = 0.5 / 32
+    t = np.arange(0.0, 16.0, h)
+    u = 3.0 + 1e-15 * np.where(np.arange(len(t)) % 2 == 0, 1.0, -1.0)
+    traj = Trajectory(t=t, u=u, du=np.zeros_like(t), t0=0.0, h=h,
+                      params=params, provenance={})
+    report = crossings(traj, level=3.0)
+    assert report.crossings == ()
 
 
 def test_fourth_order_self_convergence():
