@@ -233,49 +233,42 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    from .diagnostics import classify_profile, estimate_speed, front_position
+    from .diagnostics import (classify_profile, diagnose, diagnostics_to_dict,
+                              front_position)
     from .model import ModelParams
-    from .pde import read_snapshots_csv
+    from .pde import SpacetimeRecord, read_snapshots_csv, tracking_level
 
     started = time.time()
     params = ModelParams(p=args.p, tau=args.tau)
     x, snaps = read_snapshots_csv(args.infile)
     if not snaps:
         raise ValueError(f"no snapshots in {args.infile}")
-    level = 0.5 * params.kappa
-    times, positions = [], []
+    level = tracking_level(params)
+    track = []
     if args.front:
         with open(args.front, "r", encoding="utf-8") as fh:
             fh.readline()
             for line in fh:
                 cells = line.strip().split(",")
                 if len(cells) == 2:
-                    times.append(float(cells[0]))
-                    positions.append(float(cells[1]))
+                    track.append((float(cells[0]), float(cells[1])))
     else:
         for t, u in snaps:
-            times.append(t)
             try:
-                positions.append(front_position(x, u, level))
+                track.append((t, front_position(x, u, level)))
             except ValueError:
-                positions.append(math.nan)
-    payload: dict = {"tracking_level": level}
+                track.append((t, math.nan))
+    record = SpacetimeRecord(x=x, snapshots=snaps, front_track=track,
+                             history=[], config=None)
     try:
-        est = estimate_speed(times, positions)
-        t_last, u_last = snaps[-1]
-        xi = x - est.slope * t_last
-        shape = classify_profile(xi, u_last, params, speed=est.speed)
-        payload.update({
-            "speed": est.speed, "speed_stderr": est.stderr,
-            "direction": est.direction, "shape": shape.value,
-            "overshoot": float(max(u_last)) - params.kappa,
-        })
+        payload = diagnostics_to_dict(diagnose(record, params))
     except ValueError as exc:
-        t_last, u_last = snaps[-1]
-        shape = classify_profile(x, u_last, params)
-        payload.update({"speed": None, "speed_error": str(exc),
-                        "shape": shape.value,
-                        "overshoot": float(max(u_last)) - params.kappa})
+        # no speed fit: classify the last snapshot in the lab frame
+        u_last = snaps[-1][1]
+        payload = {"tracking_level": level, "speed": None,
+                   "speed_error": str(exc),
+                   "shape": classify_profile(x, u_last, params).value,
+                   "overshoot": float(max(u_last)) - params.kappa}
     _write_json(args.out, payload)
     if args.out:
         _manifest("diagnose", {"in": args.infile, "p": args.p, "tau": args.tau},
@@ -301,6 +294,15 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(f"{status:4s}  {name}: margin {margin:.6g} "
                          f"(threshold {threshold:.6g})\n")
     return 0 if ok else 2
+
+
+def _domain_errors() -> tuple[type[Exception], ...]:
+    """Exceptions that report an input outside what the methods handle."""
+    from .dirichlet import CoefficientOverflow
+    from .heteroclinic import BlowUpError, InconclusiveTail
+
+    return (ValueError, FileNotFoundError, OverflowError, BlowUpError,
+            InconclusiveTail, CoefficientOverflow)
 
 
 def build_parser() -> CliParser:
@@ -381,7 +383,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except _domain_errors() as exc:  # evaluated only once something raised
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

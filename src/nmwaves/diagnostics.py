@@ -13,15 +13,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .model import ModelParams
-from .numerics import fit_line
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .pde import SpacetimeRecord
+from .numerics import crossing_points, fit_line, is_monotone, level_crossings
+from .pde import SpacetimeRecord, tracking_level
 
 
 class ProfileShape(Enum):
@@ -53,18 +51,13 @@ class FrontDiagnostics:
 def front_position(x: Sequence[float], u: Sequence[float], level: float) -> float:
     """First x (scanning left to right) where u crosses the level.
 
-    Linear interpolation between the bracketing grid points. Raises if
-    the snapshot never crosses.
+    Linear interpolation between the bracketing grid points
+    (numerics.crossing_points). Raises if the snapshot never crosses.
     """
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    s = u - level
-    for i in range(len(s) - 1):
-        if s[i] == 0.0:
-            return float(x[i])
-        if s[i] * s[i + 1] < 0.0:
-            return float(x[i] + (x[i + 1] - x[i]) * s[i] / (s[i] - s[i + 1]))
-    raise ValueError(f"snapshot never crosses level {level}")
+    points = crossing_points(x, u, level)
+    if not points:
+        raise ValueError(f"snapshot never crosses level {level}")
+    return points[0]
 
 
 def estimate_speed(times: Sequence[float], positions: Sequence[float],
@@ -90,15 +83,6 @@ def estimate_speed(times: Sequence[float], positions: Sequence[float],
     direction = -1 if slope < 0.0 else 1
     return SpeedEstimate(speed=abs(slope), stderr=err, direction=direction,
                          slope=slope)
-
-
-def _kappa_crossings(xi: np.ndarray, u: np.ndarray, kappa: float) -> list[float]:
-    s = u - kappa
-    out = []
-    for i in range(len(s) - 1):
-        if s[i] * s[i + 1] < 0.0:
-            out.append(float(xi[i] + (xi[i + 1] - xi[i]) * s[i] / (s[i] - s[i + 1])))
-    return out
 
 
 def classify_profile(xi: Sequence[float], u: Sequence[float],
@@ -127,20 +111,17 @@ def classify_profile(xi: Sequence[float], u: Sequence[float],
     scale = float(np.max(np.abs(u))) + 1.0
     tol = 1e-9 * scale
 
-    d = np.diff(u)
-    if np.all(d >= -tol) or np.all(d <= tol):
+    if is_monotone(u, tol):
         return ProfileShape.MONOTONE
 
-    crossings = _kappa_crossings(xi, u, kappa)
+    crossings = crossing_points(xi, u, kappa)
     xi_last_quarter = xi[0] + 0.75 * (xi[-1] - xi[0])
     late = [c for c in crossings if c >= xi_last_quarter]
     if len(late) >= 2:
         return ProfileShape.OSCILLATING
 
     has_peak = float(np.max(u)) > kappa + tol
-    tail = u[xi >= xi_last_quarter]
-    dtail = np.diff(tail)
-    tail_monotone = bool(np.all(dtail >= -tol) or np.all(dtail <= tol))
+    tail_monotone = is_monotone(u[xi >= xi_last_quarter], tol)
     gaps_ok = True
     if speed is not None and len(crossings) >= 2:
         min_gap = params.tau * speed
@@ -151,12 +132,13 @@ def classify_profile(xi: Sequence[float], u: Sequence[float],
     return ProfileShape.INCONCLUSIVE
 
 
-def diagnose(record: "SpacetimeRecord",
+def diagnose(record: SpacetimeRecord,
              params: ModelParams | None = None) -> FrontDiagnostics:
     """Full diagnostics from a simulation record.
 
     Speed from the tracked front positions; the comoving profile is the
     last snapshot shifted by the fitted motion, xi = x - slope * t.
+    params defaults to record.config.params.
     """
     if params is None:
         params = record.config.params
@@ -167,9 +149,8 @@ def diagnose(record: "SpacetimeRecord",
     xi = record.x - est.slope * t_last
     shape = classify_profile(xi, u_last, params, speed=est.speed)
     overshoot = float(np.max(u_last)) - params.kappa
-    n_crossings = len(_kappa_crossings(np.asarray(xi), np.asarray(u_last),
-                                       params.kappa))
-    return FrontDiagnostics(speed=est, level=0.5 * params.kappa,
+    n_crossings = len(level_crossings(u_last, params.kappa))
+    return FrontDiagnostics(speed=est, level=tracking_level(params),
                             profile_xi=np.asarray(xi),
                             profile_u=np.asarray(u_last, dtype=float),
                             shape=shape, overshoot=overshoot,

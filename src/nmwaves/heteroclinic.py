@@ -30,7 +30,8 @@ import numpy as np
 
 from .dirichlet import DirichletExpansion, zeta
 from .model import ModelParams
-from .numerics import hermite_cubic, hermite_cubic_deriv
+from .numerics import (hermite_cubic, hermite_cubic_deriv, is_monotone,
+                       level_crossings, level_tol)
 
 
 class BlowUpError(RuntimeError):
@@ -198,11 +199,6 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
                       provenance=provenance)
 
 
-def _level_tol(level: float) -> float:
-    """Deviation from a level that is rounding noise, not a departure."""
-    return 1e-12 * (1.0 + abs(level))
-
-
 def _bisect(g, a: np.ndarray, b: np.ndarray, ga: np.ndarray) -> np.ndarray:
     """Up to 80 lockstep bisection steps for sign changes of g on [a, b].
 
@@ -226,10 +222,10 @@ def _bisect(g, a: np.ndarray, b: np.ndarray, ga: np.ndarray) -> np.ndarray:
 def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     """Crossings of the level (default ln p) with tail classification.
 
-    A sign change of u - level counts only when one side of it deviates
-    from the level by more than rounding noise. Raises InconclusiveTail
-    when the run is too short to establish either a settling monotone
-    tail or persistent oscillation.
+    The nodes are searched with numerics.level_crossings, so sign changes
+    at rounding level are not crossings. Raises InconclusiveTail when the
+    run is too short to establish either a settling monotone tail or
+    persistent oscillation.
     """
     params = traj.params
     if level is None:
@@ -237,20 +233,17 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     tau = params.tau
     t, u, du = traj.t, traj.u, traj.du
     s = u - level
-    sg = np.sign(s)
-    big = np.abs(s) > _level_tol(level)
-    # sign changes between neighbouring nodes, refined on the interpolant
-    strict = np.flatnonzero((sg[:-1] * sg[1:] < 0.0) & (big[:-1] | big[1:]))
-    seg = traj._segments(strict)
+    idx = np.array(level_crossings(u, level), dtype=np.int64)
+    # a node on the level is its own crossing; sign changes between
+    # neighbouring nodes are refined on the interpolant
+    strict = s[idx] != 0.0
+    seg = traj._segments(idx[strict])
     tc = _bisect(lambda m: hermite_cubic(*seg, m) - level,
-                 seg[0], seg[1], s[strict])
-    slope = hermite_cubic_deriv(*seg, tc)
-    # interior nodes exactly on the level between opposite signs
-    touch = 1 + np.flatnonzero((sg[1:-1] == 0.0) & (sg[:-2] * sg[2:] < 0.0)
-                               & (big[:-2] | big[2:]))
-    order = np.argsort(np.concatenate((strict, touch)), kind="stable")
-    times = np.concatenate((tc, t[touch]))[order]
-    ups = np.concatenate((slope >= 0.0, s[touch + 1] > 0.0))[order]
+                 seg[0], seg[1], s[idx[strict]])
+    times = t[idx]
+    times[strict] = tc
+    ups = s[idx + 1] > 0.0
+    ups[strict] = hermite_cubic_deriv(*seg, tc) >= 0.0
     found = [(tc_, 1 if up else -1)
              for tc_, up in zip(times.tolist(), ups.tolist())]
 
@@ -291,9 +284,7 @@ def _classify_tail(traj: Trajectory, found, level: float) -> TrajectoryTail:
     window = traj.t >= t_end - 2.0 * tau
     tail_u = traj.u[window]
     dev_end = abs(float(traj.u[-1]) - level)
-    scale = _level_tol(level)
-    diffs = np.diff(tail_u)
-    monotone = bool(np.all(diffs >= -scale) or np.all(diffs <= scale))
+    monotone = is_monotone(tail_u, level_tol(level))
 
     if found:
         t_last = found[-1][0]

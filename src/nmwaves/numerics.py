@@ -3,10 +3,11 @@
 Provides the low-level machinery the rest of the package is built on:
 bracketed scalar root finding, adaptive Simpson quadrature, the lower
 incomplete gamma function (array-valued), truncated power-series
-arithmetic, cubic Hermite interpolation and straight-line least squares.
+arithmetic, level crossings and monotonicity of samples, cubic Hermite
+interpolation and straight-line least squares.
 
-All routines are pure functions of their inputs. Tolerances default to
-1e-12 and are configurable per call.
+All routines are pure functions of their inputs. Solver tolerances
+default to 1e-12 and are configurable per call.
 """
 
 from __future__ import annotations
@@ -274,14 +275,52 @@ class PowerSeries:
         return PowerSeries(b)
 
 
-def series_mul(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Product of two series of equal truncation order."""
-    return a * b
+# ---------------------------------------------------------------------------
+# level crossings and monotonicity of samples
+# ---------------------------------------------------------------------------
+
+def level_tol(level: float) -> float:
+    """Deviation from a level that is rounding noise, not a departure."""
+    return 1e-12 * (1.0 + abs(level))
 
 
-def series_exp(a: PowerSeries) -> PowerSeries:
-    """Exponential of a series with zero constant term."""
-    return a.exp()
+def level_crossings(u, level: float) -> list[int]:
+    """Indices i where the samples u cross the level, in order.
+
+    Either u - level changes sign strictly from u[i] to u[i+1], or u[i]
+    is an interior sample exactly on the level between samples of
+    opposite sign (a touch that crosses). A sign change counts only when
+    one side deviates from the level by more than level_tol(level).
+    """
+    s = np.asarray(u, dtype=float) - level
+    tol = level_tol(level)
+    found = []
+    # every crossing has s[i] s[i+1] <= 0; a plain loop over these few
+    # candidates is cheaper than further array passes
+    for i in np.nonzero(s[:-1] * s[1:] <= 0.0)[0].tolist():
+        a, b = float(s[i]), float(s[i + 1])
+        if a == 0.0 and i > 0:
+            a = float(s[i - 1])
+        if (a < 0.0 < b or b < 0.0 < a) and max(abs(a), abs(b)) > tol:
+            found.append(i)
+    return found
+
+
+def crossing_points(x, u, level: float) -> list[float]:
+    """Abscissae of level_crossings(u, level), linear in x between samples."""
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    out = []
+    for i in level_crossings(u, level):
+        a, b = u[i] - level, u[i + 1] - level
+        out.append(float(x[i] + (x[i + 1] - x[i]) * a / (a - b)))
+    return out
+
+
+def is_monotone(u, tol: float) -> bool:
+    """Whether successive samples never fall, or never rise, by more than tol."""
+    d = np.diff(u)
+    return bool(np.all(d >= -tol) or np.all(d <= tol))
 
 
 # ---------------------------------------------------------------------------

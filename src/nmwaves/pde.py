@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams
+from .numerics import crossing_points
 
 
 class Scheme(Enum):
@@ -185,19 +186,15 @@ class SpacetimeRecord:
     metadata: dict = field(default_factory=dict)
 
 
-def _tracking_level(params: ModelParams) -> float:
+def tracking_level(params: ModelParams) -> float:
+    """Level whose first crossing is the front position."""
     # half the equilibrium: far from both the overshoot and the tail
     return 0.5 * params.kappa
 
 
 def _first_crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:
-    s = u - level
-    idx = np.nonzero(s[:-1] * s[1:] <= 0.0)[0]
-    for i in idx:
-        if s[i] == s[i + 1]:
-            continue
-        return float(x[i] + (x[i + 1] - x[i]) * s[i] / (s[i] - s[i + 1]))
-    return math.nan
+    points = crossing_points(x, u, level)
+    return points[0] if points else math.nan
 
 
 def simulate(config: SimConfig) -> SpacetimeRecord:
@@ -213,7 +210,7 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
     if abs(n_steps * dt - config.t_end) > 1e-9 * (1.0 + config.t_end):
         n_steps = int(math.ceil(config.t_end / dt - 1e-12))
     snap_steps = {round(ts / dt): ts for ts in config.snapshot_times}
-    level = _tracking_level(params)
+    level = tracking_level(params)
 
     u0 = config.initial_values(x)
     ring: list[np.ndarray] = [u0.copy() for _ in range(K + 1)]
@@ -240,48 +237,36 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
         bc_vec[0] = config.bc.u_lo / dx2
         bc_vec[-1] = config.bc.u_hi / dx2
 
-        for step in range(1, n_steps + 1):
-            d_now = ring[0]
-            d_next = ring[1]
+        def interior_step(u, d_now, d_next):
             # explicit half: full Laplacian of u^n (boundary values live in u)
             lap = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx2
             # implicit half moves its boundary contribution to the right side
             rhs = (u[1:-1] + 0.5 * dt * (lap - u[1:-1]) + 0.5 * dt * bc_vec
                    + 0.5 * dt * (fbirth(d_now[1:-1]) + fbirth(d_next[1:-1])))
-            sol = solve_banded((1, 1), ab, rhs)
-            u_new = u.copy()
-            u_new[1:-1] = sol
-            u_new[0] = config.bc.u_lo
-            u_new[-1] = config.bc.u_hi
-            _advance(ring, u_new)
-            u = u_new
-            t_now = step * dt
-            front.append((t_now, _first_crossing(x, u, level)))
-            if step in snap_steps:
-                snapshots.append((snap_steps[step], u.copy()))
+            return solve_banded((1, 1), ab, rhs)
     else:
-        for step in range(1, n_steps + 1):
-            d_now = ring[0]
-            d_half = 0.5 * (ring[0] + ring[1])
+        def rhs_interior(v, d):
+            lap = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx2
+            return lap - v[1:-1] + fbirth(d[1:-1])
 
-            def rhs_interior(v, d):
-                lap = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx2
-                return lap - v[1:-1] + fbirth(d[1:-1])
-
+        def interior_step(u, d_now, d_next):
+            d_half = 0.5 * (d_now + d_next)
             u_star = u.copy()
             u_star[1:-1] = u[1:-1] + 0.5 * dt * rhs_interior(u, d_now)
             u_star[0] = config.bc.u_lo
             u_star[-1] = config.bc.u_hi
-            u_new = u.copy()
-            u_new[1:-1] = u[1:-1] + dt * rhs_interior(u_star, d_half)
-            u_new[0] = config.bc.u_lo
-            u_new[-1] = config.bc.u_hi
-            _advance(ring, u_new)
-            u = u_new
-            t_now = step * dt
-            front.append((t_now, _first_crossing(x, u, level)))
-            if step in snap_steps:
-                snapshots.append((snap_steps[step], u.copy()))
+            return u[1:-1] + dt * rhs_interior(u_star, d_half)
+
+    for step in range(1, n_steps + 1):
+        u_new = u.copy()
+        u_new[1:-1] = interior_step(u, ring[0], ring[1])
+        u_new[0] = config.bc.u_lo
+        u_new[-1] = config.bc.u_hi
+        _advance(ring, u_new)
+        u = u_new
+        front.append((step * dt, _first_crossing(x, u, level)))
+        if step in snap_steps:
+            snapshots.append((snap_steps[step], u.copy()))
 
     if not np.all(np.isfinite(u)):
         raise FloatingPointError("simulation produced non-finite values")

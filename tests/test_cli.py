@@ -5,6 +5,8 @@ import math
 import subprocess
 import sys
 
+import pytest
+
 from nmwaves.cli import main
 
 
@@ -136,6 +138,18 @@ def test_simulate_and_diagnose_roundtrip(tmp_path):
     payload = json.loads(diag.read_text())
     assert payload["direction"] == -1
     assert payload["speed"] > 20.0
+    # the command reports what the library computes from the same record
+    from nmwaves.diagnostics import diagnose, diagnostics_to_dict
+    from nmwaves.pde import config_from_dict, simulate
+    record = simulate(config_from_dict(cfg))
+    assert payload == diagnostics_to_dict(diagnose(record))
+
+    # six snapshots are too few for a speed fit: the shape is still given
+    assert run_cli("diagnose", "--in", str(snaps), "--p", "365",
+                   "--tau", "0.07", "--out", str(diag)) == 0
+    payload = json.loads(diag.read_text())
+    assert payload["speed"] is None and "speed_error" in payload
+    assert payload["tracking_level"] == 0.5 * math.log(365.0)
 
 
 def test_simulate_preset_path(tmp_path):
@@ -203,6 +217,17 @@ def test_analyze_small_amplitude_with_speed(tmp_path):
 
 def test_domain_error_exit_code():
     assert run_cli("analyze", "--p", "0.5", "--tau", "0.1") == 1
+
+
+@pytest.mark.parametrize("p, tau", [
+    ("16700.719092785555", "26.037402816997748"),   # BlowUpError
+    ("636650.0078004306", "0.6583807767438601"),    # InconclusiveTail
+    ("365", "1e-5"),                                # OverflowError in p_window
+])
+def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
+    assert run_cli("analyze", "--p", p, "--tau", tau) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_exit_code():

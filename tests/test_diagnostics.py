@@ -135,3 +135,31 @@ def test_diagnostics_json(tmp_path):
     ppath = tmp_path / "profile.csv"
     write_profile_csv(diag, str(ppath))
     assert ppath.read_text().splitlines()[0] == "xi,u"
+
+
+def test_one_crossing_rule_across_modules():
+    # every zero of this wave sits exactly on a node: an interior node on
+    # ln p between opposite signs is a crossing for the heteroclinic
+    # classifier, the front tracker and the profile diagnostics alike
+    from nmwaves.heteroclinic import Trajectory, TrajectoryTail, crossings
+    from nmwaves.numerics import crossing_points
+    from nmwaves.pde import SpacetimeRecord
+
+    x = 0.5 * np.arange(200)
+    wave = np.array([0.0, 0.5, 1.0, 0.5, 0.0, -0.5, -1.0, -0.5])
+    u = LNP + np.tile(wave, 25)
+    traj = Trajectory(t=x, u=u, du=np.gradient(u, 0.5), t0=0.0, h=0.5,
+                      params=PARAMS, provenance={})
+    report = crossings(traj)
+    assert [t for t, _ in report.crossings] == list(x[4:-1:4])
+    assert report.tail_class is TrajectoryTail.OSCILLATING
+    assert crossing_points(x, u, LNP) == list(x[4:-1:4])
+    assert front_position(x, u, LNP) == 2.0  # node 0 is no crossing
+
+    assert classify_profile(x, u, PARAMS) is ProfileShape.OSCILLATING
+    track = [(0.1 * k, 5.0 - 0.1 * k) for k in range(11)]
+    record = SpacetimeRecord(x=x, snapshots=[(1.0, u)], front_track=track,
+                             history=[], config=None)
+    diag = diagnose(record, PARAMS)
+    assert diag.crossings_of_kappa == 49
+    assert diag.shape is ProfileShape.OSCILLATING

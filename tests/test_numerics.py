@@ -8,10 +8,11 @@ import mpmath as mp
 import pytest
 
 from nmwaves.numerics import (Bracket, NoSignChange, PowerSeries,
-                              QuadratureError, fit_line, golden_section_max,
-                              hermite_cubic, hermite_cubic_deriv,
-                              integrate_adaptive, lower_incomplete_gamma,
-                              series_exp, series_mul, solve_bracketed)
+                              QuadratureError, crossing_points, fit_line,
+                              golden_section_max, hermite_cubic,
+                              hermite_cubic_deriv, integrate_adaptive,
+                              is_monotone, level_crossings,
+                              lower_incomplete_gamma, solve_bracketed)
 
 mp.mp.dps = 30
 
@@ -129,31 +130,61 @@ def test_integrate_depth_limit_carries_estimate():
     assert abs(info.value.estimate - (math.e - 1.0)) <= 1e-6
 
 
+@pytest.mark.parametrize("u, want", [
+    ([1.0, 2.0, 4.0, 5.0], [1]),                  # strict sign change
+    ([5.0, 4.0, 2.0, 1.0], [1]),                  # downward
+    ([1.0, 2.0, 3.0, 4.0, 5.0], [2]),             # touch between opposite signs
+    ([1.0, 3.0, 1.0, 4.0], [2]),                  # touch that does not cross
+    ([2.0, 3.0, 3.0, 4.0], []),                   # plateau on the level
+    ([3.0 + 1e-15, 3.0 - 1e-15, 3.0 + 1e-15], []),  # rounding-level changes
+    ([3.0 - 1e-15, 3.0, 3.0 + 1e-15], []),
+    ([1.0, 2.0, 3.0], []),                        # zero on the last node
+    ([3.0, 4.0, 5.0], []),                        # zero on the first node
+    ([2.0, 4.0, 2.0, 4.0], [0, 1, 2]),
+])
+def test_level_crossings_rule(u, want):
+    assert level_crossings(u, 3.0) == want
+
+
+def test_crossing_points_interpolate_linearly():
+    x = [0.0, 1.0, 2.0, 3.0, 4.0]
+    assert crossing_points(x, [1.0, 2.0, 3.0, 4.0, 5.0], 3.0) == [2.0]
+    assert crossing_points(x, [1.0, 2.0, 4.0, 5.0, 5.0], 3.0) == [1.5]
+    assert crossing_points(x, [5.0, 5.0, 1.0, 1.0, 5.0], 3.0) == [1.5, 3.5]
+    assert crossing_points(x, [1.0, 1.0, 1.0, 1.0, 1.0], 3.0) == []
+
+
+def test_is_monotone_tolerance():
+    assert is_monotone([0.0, 1.0, 1.0 - 1e-10, 2.0], 1e-9)
+    assert is_monotone([2.0, 1.0, 1.0 + 1e-10, 0.0], 1e-9)
+    assert not is_monotone([0.0, 1.0, 1.0 - 1e-8, 2.0], 1e-9)
+
+
 def test_series_exp_of_x():
     s = PowerSeries([0.0, 1.0, 0.0, 0.0])
-    assert series_exp(s).coeffs == (1.0, 1.0, 0.5, 1.0 / 6.0)
+    assert s.exp().coeffs == (1.0, 1.0, 0.5, 1.0 / 6.0)
 
 
 def test_series_mul():
     a = PowerSeries([1.0, 1.0, 0.0])
     b = PowerSeries([1.0, -1.0, 0.0])
-    assert series_mul(a, b).coeffs == (1.0, 0.0, -1.0)
+    assert (a * b).coeffs == (1.0, 0.0, -1.0)
 
 
 def test_series_order_mismatch():
     with pytest.raises(ValueError):
-        series_mul(PowerSeries([1.0, 2.0]), PowerSeries([1.0, 2.0, 3.0]))
+        PowerSeries([1.0, 2.0]) * PowerSeries([1.0, 2.0, 3.0])
 
 
 def test_series_exp_requires_zero_constant():
     with pytest.raises(ValueError):
-        series_exp(PowerSeries([0.5, 1.0]))
+        PowerSeries([0.5, 1.0]).exp()
 
 
 def test_series_exp_inverse():
     rng = random.Random(3)
     a = PowerSeries([0.0] + [rng.uniform(-1, 1) for _ in range(8)])
-    prod = series_exp(a) * series_exp(-a)
+    prod = a.exp() * (-a).exp()
     assert abs(prod[0] - 1.0) <= 1e-12
     for c in prod.coeffs[1:]:
         assert abs(c) <= 1e-12
@@ -183,7 +214,7 @@ def test_series_reproduces_multinomial_sums():
     # u e^{-u} with u = w + qb2 w^2: compare against direct composition sums
     qb2 = -0.0506
     u = PowerSeries([0.0, 1.0, qb2, 0.0, 0.0])
-    prod = u * series_exp(-u)
+    prod = u * (-u).exp()
     coeffs = {1: 1.0, 2: qb2}
     for m in range(1, 5):
         want = _composition_coefficient(coeffs, m)
@@ -194,7 +225,7 @@ def test_series_multinomial_higher_order():
     rng = random.Random(11)
     cs = {j: rng.uniform(-0.5, 0.5) for j in range(1, 7)}
     u = PowerSeries([0.0] + [cs[j] for j in range(1, 7)])
-    prod = u * series_exp(-u)
+    prod = u * (-u).exp()
     for m in range(1, 7):
         want = _composition_coefficient(cs, m)
         assert abs(prod[m] - want) <= 1e-13, m
