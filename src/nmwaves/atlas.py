@@ -28,10 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .charroots import negative_roots_at_kappa, _profile_min_over_positive
+from .charroots import (_profile_min_over_positive, negative_root_exists,
+                        negative_roots_at_kappa)
 from .dirichlet import _zeta, zeta
 from .model import ModelParams, feedback_holds
-from .numerics import Bracket, PowerSeries, solve_bracketed
+from .numerics import (Bracket, PowerSeries, bisect_lockstep,
+                       solve_bracketed)
 
 
 class MembershipInconsistency(RuntimeError):
@@ -58,12 +60,19 @@ class SpeedFrame:
 
     @property
     def lam(self) -> float:
-        # c(c - sqrt(c^2+4))/2 rewritten to avoid cancellation at large c
-        return -2.0 * self.c / (self.c + math.sqrt(self.c * self.c + 4.0))
+        return _speed_roots(self.c)[0]
 
     @property
     def nu(self) -> float:
-        return 0.5 * self.c * (self.c + math.sqrt(self.c * self.c + 4.0))
+        return _speed_roots(self.c)[1]
+
+
+def _speed_roots(c):
+    """(lam, nu) of SpeedFrame(c); numpy for array c, else math."""
+    xp = np if isinstance(c, np.ndarray) else math
+    s = c + xp.sqrt(c * c + 4.0)
+    # c(c - sqrt(c^2+4))/2 rewritten to avoid cancellation at large c
+    return -2.0 * c / s, 0.5 * c * s
 
 
 def tau_star() -> float:
@@ -129,19 +138,49 @@ def _phi(tau, lam, nu):
     return (nu - lam) / (nu * xp.exp(-lam * tau) - lam * xp.exp(-nu * tau))
 
 
-def tau_of_c(P: float, c: float, tol: float = 1e-13) -> float:
-    """Unique positive root of Phi(tau, c) = 1 - 1/P (requires P > 1)."""
-    if not P > 1.0:
+def tau_of_c(P, c, tol: float = 1e-13):
+    """Unique positive root of Phi(tau, c) = 1 - 1/P (requires P > 1).
+
+    Float P and c give a float found by solve_bracketed to ``tol``. Numpy
+    arrays broadcast, and all their lanes are bisected in lockstep to
+    rounding level.
+    """
+    if not np.all(P > 1.0):
         raise ValueError(f"the threshold 1 - 1/P needs P > 1, got {P}")
-    frame = SpeedFrame(c)
+    if not np.all(c > 0.0):
+        raise ValueError(f"speed must be positive, got {c}")
+    lam, nu = _speed_roots(c)
     target = 1.0 - 1.0 / P
-    g = lambda t: Phi(t, frame) - target
-    hi = 1.0
-    while g(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError("Phi failed to fall below the threshold")
-    return solve_bracketed(g, Bracket(0.0, hi), tol=tol * (1.0 + hi))
+    return _boundary_roots(lambda t: target - _phi(t, lam, nu),
+                           np.broadcast(P, c).shape,
+                           "Phi failed to fall below the threshold", tol)
+
+
+def _boundary_roots(g, shape, message, tol):
+    """Root in tau > 0 of g, increasing from g(0) < 0, per lane of shape.
+
+    The bracket [0, hi] doubles hi from 1 until g(hi) >= 0 (RuntimeError
+    with ``message`` past 1e9). One lane (shape ()) is solved by
+    solve_bracketed to ``tol`` (1 + hi); arrays double their brackets per
+    lane and are bisected in lockstep to rounding level.
+    """
+    if shape == ():
+        hi = 1.0
+        while g(hi) < 0.0:
+            hi *= 2.0
+            if hi > 1e9:
+                raise RuntimeError(message)
+        return solve_bracketed(g, Bracket(0.0, hi), tol=tol * (1.0 + hi))
+    hi = np.ones(shape)
+    while True:
+        short = g(hi) < 0.0
+        if not short.any():
+            break
+        hi = np.where(short, 2.0 * hi, hi)
+        if np.any(hi > 1e9):
+            raise RuntimeError(message)
+    lo = np.zeros(hi.shape)
+    return bisect_lockstep(g, lo, hi, g(lo))
 
 
 def tau_hat(P: float) -> float:
@@ -166,22 +205,21 @@ def _monotone_boundary_lhs(tau, c):
     return math.e * h * h / (2.0 + sX) * xp.exp(expo)
 
 
-def T_of_c(P: float, c: float, tol: float = 1e-13) -> float:
+def T_of_c(P, c, tol: float = 1e-13):
     """Unique positive root in tau of the monotone-tail boundary equation.
 
     The left side increases strictly from 0, so bisection on the sign
-    change against 1/P always succeeds (requires P > 0).
+    change against 1/P always succeeds (requires P > 0). Float P and c
+    give a float found by solve_bracketed to ``tol``. Numpy arrays
+    broadcast, and all their lanes are bisected in lockstep to rounding
+    level.
     """
-    if not P > 0.0:
+    if not np.all(P > 0.0):
         raise ValueError(f"the boundary needs P > 0, got {P}")
     target = 1.0 / P
-    g = lambda t: _monotone_boundary_lhs(t, c) - target
-    hi = 1.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-        if hi > 1e9:
-            raise RuntimeError("boundary left side failed to reach 1/P")
-    return solve_bracketed(g, Bracket(0.0, hi), tol=tol * (1.0 + hi))
+    return _boundary_roots(lambda t: _monotone_boundary_lhs(t, c) - target,
+                           np.broadcast(P, c).shape,
+                           "boundary left side failed to reach 1/P", tol)
 
 
 def T_star(P: float, tol: float = 1e-14) -> float:
@@ -189,14 +227,15 @@ def T_star(P: float, tol: float = 1e-14) -> float:
     if not P > 0.0:
         raise ValueError(f"T_star needs P > 0, got {P}")
     g = lambda t: P * math.e * t * math.exp(t) - 1.0
-    hi = 1.0
-    while g(hi) < 0.0:
-        hi *= 2.0
-    return solve_bracketed(g, Bracket(0.0, hi), tol=tol * (1.0 + hi))
+    return _boundary_roots(g, (), "P e T e^T failed to reach 1", tol)
+
+
+# width of the strip around T(c) where the boundary comparison decides
+MEMBERSHIP_BAND = 1e-6
 
 
 def membership(params: ModelParams, c: float,
-               band: float = 1e-6) -> tuple[bool, bool]:
+               band: float = MEMBERSHIP_BAND) -> tuple[bool, bool]:
     """(in the monotone-tail region, in the slow-oscillation region).
 
     The first flag is computed two independent ways: a direct negative
@@ -217,21 +256,50 @@ def membership(params: ModelParams, c: float,
                 f"P = {P} <= 0 must always give a negative root")
     else:
         T_c = T_of_c(P, c)
-        by_boundary = tau <= T_c
-        if abs(tau - T_c) <= band:
-            in_dm = by_boundary
-        else:
-            if by_roots != by_boundary:
-                raise MembershipInconsistency(
-                    f"root search says {by_roots}, boundary says {by_boundary} "
-                    f"at (tau={tau}, c={c}, T(c)={T_c})")
-            in_dm = by_roots
-
-    if P <= 1.0:
-        in_ds = True
-    else:
-        in_ds = Phi(tau, SpeedFrame(c)) >= 1.0 - 1.0 / P
+        in_dm, disagree = _monotone_flag(tau, T_c, by_roots, band)
+        if disagree:
+            raise MembershipInconsistency(
+                f"root search says {by_roots}, boundary says {in_dm} "
+                f"at (tau={tau}, c={c}, T(c)={T_c})")
+    in_ds = P <= 1.0 or _below_tau_of_c(P, tau, c)
     return in_dm, in_ds
+
+
+def _monotone_flag(tau, T_c, by_roots, band):
+    """(tau <= T(c), whether the root search disagrees off the band)."""
+    by_boundary = tau <= T_c
+    return by_boundary, (abs(tau - T_c) > band) & (by_roots != by_boundary)
+
+
+def _below_tau_of_c(P, tau, c):
+    """Phi(tau, c) >= 1 - 1/P, the slow-oscillation test for P > 1."""
+    return _phi(tau, *_speed_roots(c)) >= 1.0 - 1.0 / P
+
+
+def membership_grid(p: float, taus: Sequence[float],
+                    cs: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """``membership`` over the grid taus x cs at one p, as arrays.
+
+    Returns (in_dm, in_ds, disagree), each of shape (len(taus), len(cs)).
+    The root search is the array kernel charroots.negative_root_exists and
+    T(c) is solved once per column. disagree marks the points where the two
+    ways disagree off the boundary band, where ``membership`` raises
+    MembershipInconsistency; in_dm follows the boundary comparison there.
+    """
+    P = ModelParams(p=p, tau=0.0).P
+    tau = np.asarray(taus, dtype=float)[:, None]
+    c = np.asarray(cs, dtype=float)[None, :]
+    by_roots = negative_root_exists(p, tau, c)
+    if P <= 0.0:
+        in_dm, disagree = np.ones(by_roots.shape, dtype=bool), ~by_roots
+    else:
+        in_dm, disagree = _monotone_flag(tau, T_of_c(P, c), by_roots,
+                                         MEMBERSHIP_BAND)
+    if P <= 1.0:
+        in_ds = np.ones(by_roots.shape, dtype=bool)
+    else:
+        in_ds = _below_tau_of_c(P, tau, c)
+    return in_dm, in_ds, disagree
 
 
 @dataclass(frozen=True)
@@ -379,20 +447,23 @@ def verify_inclusion(P_grid: Sequence[float] = (1.1, 2.0, 4.8999, 10.0),
     rows: list[tuple[float, float, float, float]] = []
     c_lo, c_hi = c_range
     cs = [c_lo * (c_hi / c_lo) ** (i / (n_c - 1)) for i in range(n_c)]
+    # every (P, c) lane and the c_hi limit lanes in one array solve per curve
+    P_col = np.array(P_grid, dtype=float)[:, None]
+    c_row = np.array(cs + [c_hi])
+    T_all = T_of_c(P_col, c_row).tolist()
+    tau_all = tau_of_c(P_col, c_row).tolist()
     min_boundary = math.inf
     limit_errors = []
-    for P in P_grid:
-        for c in cs:
-            T_c = T_of_c(P, c)
-            tau_c = tau_of_c(P, c)
+    for P, T_P, tau_P in zip(P_grid, T_all, tau_all):
+        for c, T_c, tau_c in zip(cs, T_P, tau_P):
             rows.append((P, c, T_c, tau_c))
             margin = tau_c - T_c
             min_boundary = min(min_boundary, margin)
             if margin <= 0.0:
                 violations.append(
                     f"T(c) >= tau(c) at P={P}, c={c}: {T_c} vs {tau_c}")
-        err_tau = abs(tau_of_c(P, c_hi) - tau_hat(P))
-        err_T = abs(T_of_c(P, c_hi) - T_star(P))
+        err_tau = abs(tau_P[-1] - tau_hat(P))
+        err_T = abs(T_P[-1] - T_star(P))
         limit_errors.append((P, err_tau, err_T))
         if err_tau > limit_tol:
             violations.append(f"tau(c) limit off by {err_tau} at P={P}")
@@ -404,10 +475,8 @@ def verify_inclusion(P_grid: Sequence[float] = (1.1, 2.0, 4.8999, 10.0),
             for i in range(n_tau_grid)]
     cs_ineq = [c_lo * (c_hi / c_lo) ** (i / (n_tau_grid - 1))
                for i in range(n_tau_grid)]
-    frames = [SpeedFrame(c) for c in cs_ineq]
     c_row = np.array(cs_ineq)
-    lam = np.array([f.lam for f in frames])
-    nu = np.array([f.nu for f in frames])
+    lam, nu = _speed_roots(c_row)
     # blocks of about 10 tau rows keep the expression's temporaries small
     margins = np.vstack([
         _monotone_boundary_lhs(t, c_row) - (1.0 - _phi(t, lam, nu))

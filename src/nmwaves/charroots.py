@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams
-from .numerics import Bracket, solve_bracketed
+from .numerics import Bracket, bisect_lockstep, solve_bracketed
 
 
 class CharKind(Enum):
@@ -179,36 +179,63 @@ def linear_spreading_speed(params: ModelParams, beta: float,
     return solve_bracketed(F, Bracket(0.0, c_hi), tol=tol * (1.0 + c_hi))
 
 
-def _safe_exp(x: float) -> float:
+def _safe_exp(x):
+    """e^x, infinite from x = 709 on; numpy for array x, else math."""
+    if isinstance(x, np.ndarray):
+        return np.where(x < 709.0, np.exp(np.minimum(x, 709.0)), np.inf)
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _certified_window(P: float, c: float, h: float) -> float:
-    """Left edge z_lo below which P e^{-zh} dominates z^2 - cz - 1.
+def _chi(z, P, c, h):
+    """z^2 - cz - 1 - P e^{-zh}, with h = c tau."""
+    return z * z - c * z - 1.0 - P * _safe_exp(-z * h)
+
+
+def _dchi(z, P, c, h):
+    """The z-derivative 2z - c + P h e^{-zh} of _chi."""
+    return 2.0 * z - c + P * h * _safe_exp(-z * h)
+
+
+def _window_edge_holds(z_lo, P, c, h):
+    """Whether z_lo (<= -2 max(1, c)) certifies a window edge for P > 0.
 
     Uses the monotonicity of (c - 2z)/(z^2 - cz - 1) on the region where
     the denominator is positive: once the log-derivative of the quadratic
     falls below h and the exponential term exceeds the quadratic at the
     edge, domination (hence constant negative sign of the characteristic
-    function) persists for every z below the edge. The smallest certified
-    edge found by doubling keeps the exponent arguments moderate.
+    function) persists for every z below the edge. Numpy for array z_lo,
+    else math.
     """
+    xp = np if isinstance(z_lo, np.ndarray) else math
     # the quadratic's negative root lies in (-1, 0), so any edge below -2
     # keeps its value positive and the log comparisons well defined
+    square = z_lo * z_lo
+    quad = square - c * z_lo - 1.0
+    dominated = -z_lo * h > xp.log(quad) - math.log(P)
+    return xp.isfinite(square) & dominated & ((c - 2.0 * z_lo) / quad < h)
+
+
+def _certified_window(P: float, c: float, h: float) -> float:
+    """Left edge z_lo below which P e^{-zh} dominates z^2 - cz - 1.
+
+    The smallest edge -2 max(1, c) 2^k certified by _window_edge_holds
+    keeps the exponent arguments moderate.
+    """
     z_lo = -2.0 * max(1.0, c)
     for _ in range(400):
-        if math.isfinite(z_lo * z_lo):
-            quad = z_lo * z_lo - c * z_lo - 1.0
-            log_slope = (c - 2.0 * z_lo) / quad
-            dominated = -z_lo * h > math.log(quad) - math.log(P)
-            if dominated and log_slope < h:
-                return z_lo
+        if _window_edge_holds(z_lo, P, c, h):
+            return z_lo
         z_lo *= 2.0
     raise BracketingError(f"window certification failed (P={P}, c={c})")
 
 
+# relative depth (scaled by 1 + |P| + c^2) below zero at which a hump
+# maximum still counts as a double root
+TANGENCY_TOL = 1e-9
+
+
 def negative_roots_at_kappa(params: ModelParams, c: float,
-                            tangency_tol: float = 1e-9) -> RootReport:
+                            tangency_tol: float = TANGENCY_TOL) -> RootReport:
     """All real negative roots of z^2 - cz - 1 - P e^{-zc tau}.
 
     The root count is 0, 1 or 2:
@@ -235,8 +262,8 @@ def negative_roots_at_kappa(params: ModelParams, c: float,
         z = 0.5 * (c - math.sqrt(c * c + 4.0 * (1.0 + params.P)))
         return RootReport(kind, (z,), (z - 1.0, 0.0))
 
-    chi = lambda z: z * z - c * z - 1.0 - P * _safe_exp(-z * h)
-    dchi = lambda z: 2.0 * z - c + P * h * _safe_exp(-z * h)
+    chi = lambda z: _chi(z, P, c, h)
+    dchi = lambda z: _dchi(z, P, c, h)
 
     def polish(z):
         # bisection tolerances scale with the window; Newton steps bring
@@ -291,11 +318,62 @@ def negative_roots_at_kappa(params: ModelParams, c: float,
     if not roots and crit:
         # tangency: the hump maximum touching zero counts as a double root
         z_m = max(crit, key=chi)
-        scale = 1.0 + abs(P) + c * c
-        if z_m < 0.0 and chi(z_m) >= -tangency_tol * scale:
+        if z_m < 0.0 and _touches_zero(chi(z_m), P, c, tangency_tol):
             roots = [z_m, z_m]
 
     return RootReport(kind, tuple(sorted(roots)), (z_lo, 0.0))
+
+
+def _touches_zero(chi_max, P, c, tangency_tol):
+    """Whether a hump maximum chi_max counts as reaching zero."""
+    return chi_max >= -tangency_tol * (1.0 + abs(P) + c * c)
+
+
+def negative_root_exists(p: float, tau, c) -> np.ndarray:
+    """Whether z^2 - cz - 1 - P e^{-zc tau} has a real negative root.
+
+    The array counterpart of ``len(negative_roots_at_kappa(...).real_roots)
+    > 0`` at one p > 1 for broadcast arrays of tau >= 0 and c > 0. P <= 0
+    or tau = 0 always gives a root. Otherwise the function is concave left
+    of the zero z_dd of its second derivative and convex right of it, and
+    negative at both ends of the negative axis, so a root exists exactly
+    when its maximum there reaches zero. That maximum is the zero of chi'
+    on the concave side; inside the certified window of the scalar search
+    it is found for all lanes by one lockstep bisection, and the scalar
+    tangency rule decides.
+    """
+    P = ModelParams(p=p, tau=0.0).P
+    tau, c = np.broadcast_arrays(np.asarray(tau, dtype=float),
+                                 np.asarray(c, dtype=float))
+    if not (np.all(c > 0.0) and np.all(tau >= 0.0)):
+        raise ValueError("speeds must be positive and delays >= 0")
+    exists = np.ones(tau.shape, dtype=bool)
+    if P <= 0.0:
+        return exists
+    lanes = tau != 0.0
+    c = c[lanes]
+    h = c * tau[lanes]
+    with np.errstate(over="ignore", divide="ignore"):
+        z_lo = -2.0 * np.maximum(1.0, c)
+        pending = np.ones(c.shape, dtype=bool)
+        for _ in range(400):
+            pending &= ~_window_edge_holds(z_lo, P, c, h)
+            if not pending.any():
+                break
+            z_lo = np.where(pending, 2.0 * z_lo, z_lo)
+        else:
+            raise BracketingError(f"window certification failed (P={P})")
+        z_dd = np.log(P * h * h / 2.0) / h
+        right = np.minimum(z_dd, 0.0)
+        d_lo = _dchi(z_lo, P, c, h)
+        hump = (z_lo < right) & (d_lo > 0.0) & (_dchi(right, P, c, h) < 0.0)
+        c, h = c[hump], h[hump]
+        z_m = bisect_lockstep(lambda z: _dchi(z, P, c, h),
+                              z_lo[hump], right[hump], d_lo[hump])
+        found = np.zeros(hump.shape, dtype=bool)
+        found[hump] = _touches_zero(_chi(z_m, P, c, h), P, c, TANGENCY_TOL)
+    exists[lanes] = found
+    return exists
 
 
 def classify_tail(params: ModelParams, c: float) -> TailClass:

@@ -40,6 +40,18 @@ def _parse_range(text: str) -> list[float]:
     return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
 
+def _grid_size(text: str) -> int:
+    """--grid value: an integer >= 2, since grids span both ends of a range."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 2:
+        raise argparse.ArgumentTypeError(
+            f"grid must be an integer >= 2, got {text!r}")
+    return n
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
@@ -193,18 +205,22 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_boundaries(args) -> int:
+    import numpy as np
+
     from .atlas import T_of_c, T_star, tau_hat, tau_of_c
 
     started = time.time()
     P = args.P
     cs = _parse_range(args.c)
+    c_arr = np.array(cs)
+    nan = [math.nan] * len(cs)
     th = tau_hat(P) if P > 1.0 else math.nan
     ts = T_star(P) if P > 0.0 else math.nan
+    T_cs = T_of_c(P, c_arr).tolist() if P > 0.0 else nan
+    tau_cs = tau_of_c(P, c_arr).tolist() if P > 1.0 else nan
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         fh.write("c,T_of_c,tau_of_c,tau_hat,T_star\n")
-        for c in cs:
-            T_c = T_of_c(P, c) if P > 0.0 else math.nan
-            tau_c = tau_of_c(P, c) if P > 1.0 else math.nan
+        for c, T_c, tau_c in zip(cs, T_cs, tau_cs):
             fh.write(f"{c!r},{T_c!r},{tau_c!r},{th!r},{ts!r}\n")
     _manifest("boundaries", {"P": P, "c": args.c}, [args.out], started)
     return 0
@@ -370,7 +386,7 @@ def build_parser() -> CliParser:
     v = sub.add_parser("verify", help="certified sweeps and property suites")
     v.add_argument("--suite", choices=["regions", "series", "model"],
                    required=True)
-    v.add_argument("--grid", type=int, default=None,
+    v.add_argument("--grid", type=_grid_size, default=None,
                    help="override sweep grid resolution")
     v.add_argument("--out", default=None, help="margins CSV")
     v.set_defaults(func=_cmd_verify)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .dirichlet import DirichletExpansion, zeta
 from .model import ModelParams
-from .numerics import (hermite_cubic, hermite_cubic_deriv, is_monotone,
-                       level_crossings, level_tol)
+from .numerics import (bisect_lockstep, hermite_cubic, hermite_cubic_deriv,
+                       is_monotone, level_crossings, level_tol)
 
 
 class BlowUpError(RuntimeError):
@@ -199,26 +199,6 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
                       provenance=provenance)
 
 
-def _bisect(g, a: np.ndarray, b: np.ndarray, ga: np.ndarray) -> np.ndarray:
-    """Up to 80 lockstep bisection steps for sign changes of g on [a, b].
-
-    ga holds g(a); the bracket keeps the end where g has the sign of ga.
-    Once every midpoint rounds onto an end of its bracket, the step after
-    is the last one that can change a bracket, so the loop stops there.
-    """
-    for _ in range(80):
-        m = 0.5 * (a + b)
-        done = bool(np.all((m == a) | (m == b)))
-        gm = g(m)
-        left = ga * gm <= 0.0
-        b = np.where(left, m, b)
-        a = np.where(left, a, m)
-        ga = np.where(left, ga, gm)
-        if done:
-            break
-    return 0.5 * (a + b)
-
-
 def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     """Crossings of the level (default ln p) with tail classification.
 
@@ -238,8 +218,8 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     # neighbouring nodes are refined on the interpolant
     strict = s[idx] != 0.0
     seg = traj._segments(idx[strict])
-    tc = _bisect(lambda m: hermite_cubic(*seg, m) - level,
-                 seg[0], seg[1], s[idx[strict]])
+    tc = bisect_lockstep(lambda m: hermite_cubic(*seg, m) - level,
+                         seg[0], seg[1], s[idx[strict]])
     times = t[idx]
     times[strict] = tc
     ups = s[idx + 1] > 0.0
@@ -256,13 +236,18 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
             anomalies.append("consecutive crossings with equal slope sign")
             break
 
-    # first interior maximum: first + -> - sign change of u'
+    # first interior maximum: first + -> - sign change of u', inside a
+    # segment or at a node where u' is exactly 0
     first_max = None
     peaks = np.flatnonzero((du[:-1] > 0.0) & (du[1:] < 0.0))
-    if peaks.size:
+    on_node = 1 + np.flatnonzero((du[:-2] > 0.0) & (du[1:-1] == 0.0)
+                                 & (du[2:] < 0.0))
+    if on_node.size and not (peaks.size and peaks[0] < on_node[0]):
+        first_max = (float(t[on_node[0]]), float(u[on_node[0]]))
+    elif peaks.size:
         seg = traj._segments(peaks[:1])
-        tm = _bisect(lambda m: hermite_cubic_deriv(*seg, m),
-                     seg[0], seg[1], seg[4])
+        tm = bisect_lockstep(lambda m: hermite_cubic_deriv(*seg, m),
+                             seg[0], seg[1], seg[4])
         first_max = (float(tm[0]), float(hermite_cubic(*seg, tm)[0]))
 
     i_max = int(np.argmax(u))

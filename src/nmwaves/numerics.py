@@ -1,10 +1,11 @@
 """Shared numerical kernels.
 
 Provides the low-level machinery the rest of the package is built on:
-bracketed scalar root finding, adaptive Simpson quadrature, the lower
-incomplete gamma function (array-valued), truncated power-series
-arithmetic, level crossings and monotonicity of samples, cubic Hermite
-interpolation and straight-line least squares.
+bracketed root finding (scalar, and lockstep bisection over arrays),
+adaptive Simpson quadrature, the lower incomplete gamma function
+(array-valued), truncated power-series arithmetic, level crossings and
+monotonicity of samples, cubic Hermite interpolation and straight-line
+least squares.
 
 All routines are pure functions of their inputs. Solver tolerances
 default to 1e-12 and are configurable per call.
@@ -103,6 +104,29 @@ def solve_bracketed(f: Callable[[float], float], bracket: Bracket,
     # midpoint of the final bracket is the certified answer
     r = 0.5 * (lo + hi)
     return r
+
+
+def bisect_lockstep(g: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
+                    b: np.ndarray, ga: np.ndarray) -> np.ndarray:
+    """Sign changes of g on the brackets [a, b], bisected in lockstep.
+
+    The array counterpart of solve_bracketed: g is evaluated on all
+    midpoints at once. ga holds g(a); each bracket keeps the end where g
+    has the sign of ga. Once every midpoint rounds onto an end of its
+    bracket, the step after is the last one that can change a bracket, so
+    the loop stops there, after at most 80 steps.
+    """
+    for _ in range(80):
+        m = 0.5 * (a + b)
+        done = bool(np.all((m == a) | (m == b)))
+        gm = g(m)
+        left = ga * gm <= 0.0
+        b = np.where(left, m, b)
+        a = np.where(left, a, m)
+        ga = np.where(left, ga, gm)
+        if done:
+            break
+    return 0.5 * (a + b)
 
 
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,

@@ -19,10 +19,10 @@ def _check(name: str, margin: float, threshold: float = 0.0) -> Check:
 
 
 def _suite_regions(grid: int | None) -> list[Check]:
-    from .atlas import (MembershipInconsistency, certificate_coefficient,
+    from .atlas import (certificate_coefficient,
                         certificate_quadratic_discriminant,
-                        certificate_series, certificate_value, membership,
-                        verify_inclusion)
+                        certificate_series, certificate_value,
+                        membership_grid, verify_inclusion)
 
     n_c = grid or 200
     n_ineq = grid or 300
@@ -70,18 +70,11 @@ def _suite_regions(grid: int | None) -> list[Check]:
 
     # two-way membership agreement at p = 365 on a (tau, c) grid
     n_m = 50 if grid is None else grid
-    disagreements = 0
-    for i in range(n_m):
-        tau = 0.005 + (0.3 - 0.005) * i / (n_m - 1)
-        params = ModelParams(p=365.0, tau=tau)
-        for j in range(n_m):
-            c = 100.0 ** (j / (n_m - 1))
-            try:
-                membership(params, c)
-            except MembershipInconsistency:
-                disagreements += 1
+    taus = [0.005 + (0.3 - 0.005) * i / (n_m - 1) for i in range(n_m)]
+    cs = [100.0 ** (j / (n_m - 1)) for j in range(n_m)]
+    _, _, disagree = membership_grid(365.0, taus, cs)
     checks.append(_check("membership_two_way_agreement",
-                         1.0 - disagreements))
+                         1.0 - int(disagree.sum())))
     return checks
 
 

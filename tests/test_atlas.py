@@ -2,11 +2,16 @@
 
 import math
 import random
+import warnings
+
+import numpy as np
+import pytest
 
 from nmwaves.atlas import (Phi, SpeedFrame, T_of_c, T_star,
                            certificate_coefficient, certificate_series,
                            inclusion_inequality_margin, membership,
-                           nm_necessary, proposition_hypotheses, region_grid,
+                           membership_grid, nm_necessary,
+                           proposition_hypotheses, region_grid,
                            region_report, tau_hat, tau_of_c, tau_star,
                            verify_inclusion)
 from nmwaves.dirichlet import zeta
@@ -130,6 +135,33 @@ def test_phi_at_T_boundary_above_threshold():
             assert Phi(T_of_c(P, c), SpeedFrame(c)) > 1.0 - 1.0 / P
 
 
+def test_array_boundaries_match_scalar_solves():
+    # the default verify_inclusion lanes: 4 P x 200 c plus c = 1e3 again
+    Ps = (1.1, 2.0, 4.8999, 10.0)
+    cs = [0.01 * (1e3 / 0.01) ** (i / 199) for i in range(200)] + [1e3]
+    T_arr = T_of_c(np.array(Ps)[:, None], np.array(cs))
+    tau_arr = tau_of_c(np.array(Ps)[:, None], np.array(cs))
+    assert T_arr.shape == tau_arr.shape == (4, 201)
+    for i, P in enumerate(Ps):
+        for j, c in enumerate(cs):
+            for got, want in ((T_arr[i, j], T_of_c(P, c)),
+                              (tau_arr[i, j], tau_of_c(P, c))):
+                assert abs(got - want) <= 2e-13 * (1.0 + max(1.0, want))
+
+
+def test_array_boundaries_keep_the_scalar_errors():
+    with pytest.raises(ValueError):
+        T_of_c(np.array([1.0, 0.0]), 2.0)
+    with pytest.raises(ValueError):
+        tau_of_c(np.array([2.0, 1.0]), 2.0)
+    with pytest.raises(ValueError):
+        tau_of_c(2.0, np.array([1.0, 0.0]))
+    # at c = 0 the boundary left side is 0 for every tau
+    for c in (0.0, np.array([1.0, 0.0])):
+        with pytest.raises(RuntimeError):
+            T_of_c(2.0, c)
+
+
 def test_tau_hat_exceeds_T_star():
     # P e tau_hat e^{tau_hat} = e P^2 ln(P/(P-1))/(P-1) > 1
     for P in (1.1, 2.0, 4.8999, 50.0):
@@ -188,6 +220,26 @@ def test_membership_agreement_other_amplitudes():
                 in_dm, in_ds = membership(params, c)
                 if params.P > 1.0:
                     assert not (in_dm and not in_ds), (p, tau, c)
+
+
+@pytest.mark.parametrize("p", [1.5, 5.0, 365.0])
+def test_membership_grid_matches_scalar_membership(p):
+    taus = [0.3 * i / 9 for i in range(10)]
+    cs = [10.0 ** (-0.5 + 2.5 * j / 9) for j in range(10)]
+    in_dm, in_ds, disagree = membership_grid(p, taus, cs)
+    assert not disagree.any()
+    want = [[membership(ModelParams(p=p, tau=t), c) for c in cs] for t in taus]
+    assert np.array_equal(in_dm, [[dm for dm, _ in row] for row in want])
+    assert np.array_equal(in_ds, [[ds for _, ds in row] for row in want])
+
+
+def test_regions_suite_raises_no_warnings():
+    from nmwaves.verify import run_suite
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, _ = run_suite("regions")
+    assert ok
 
 
 def test_proposition_hypotheses_example():

@@ -3,11 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from nmwaves.charroots import (CharKind, TailClass, char_value, classify_tail,
                                linear_spreading_speed, minimal_speed, mu_root,
-                               negative_roots_at_kappa,
+                               negative_root_exists, negative_roots_at_kappa,
                                _profile_min_over_positive)
 from nmwaves.model import ModelParams
 
@@ -249,3 +250,47 @@ def test_tail_monotone_in_delay():
         else:
             assert not seen_osc, f"monotone after oscillatory at tau={tau}"
     assert seen_osc
+
+
+def _roots_exist(p, taus, cs):
+    """The scalar oracle of negative_root_exists, point by point."""
+    return np.array([len(negative_roots_at_kappa(ModelParams(p=p, tau=t), c)
+                         .real_roots) > 0 for t, c in zip(taus, cs)])
+
+
+def _suite_grid(c_of_j):
+    # the 50 x 50 (tau, c) grids of the regions suite and acceptance test 09
+    taus = [0.005 + (0.3 - 0.005) * i / 49 for i in range(50)]
+    cs = [c_of_j(j) for j in range(50)]
+    return [t for t in taus for _ in cs], cs * 50
+
+
+@pytest.mark.parametrize("taus, cs", [
+    _suite_grid(lambda j: 100.0 ** (j / 49)),
+    _suite_grid(lambda j: 10.0 ** (-0.5 + 2.5 * j / 49)),
+], ids=["regions-suite", "acceptance-09"])
+def test_root_existence_kernel_matches_root_search_on_grids(taus, cs):
+    got = negative_root_exists(365.0, np.array(taus), np.array(cs))
+    want = _roots_exist(365.0, taus, cs)
+    assert 0 < want.sum() < want.size
+    assert np.array_equal(got, want)
+
+
+def test_root_existence_kernel_matches_root_search_seeded():
+    # P < 0, 0 < P < 1, the worked example and p log-uniform up to 1e6;
+    # tau = 0 in every fifth draw, c log-uniform over [0.01, 1e3]
+    rng = random.Random(2718)
+    ps = [1.5, 5.0, 365.0] + [10.0 ** rng.uniform(0.005, 6.0)
+                              for _ in range(3)]
+    for p in ps:
+        taus = [0.0 if k % 5 == 0 else 10.0 ** rng.uniform(-3.0, 1.0)
+                for k in range(50)]
+        cs = [10.0 ** rng.uniform(-2.0, 3.0) for _ in range(50)]
+        got = negative_root_exists(p, np.array(taus), np.array(cs))
+        assert np.array_equal(got, _roots_exist(p, taus, cs)), p
+
+
+def test_root_existence_kernel_domain():
+    assert negative_root_exists(2.0, np.array([0.0, 0.4]), 3.0).all()
+    with pytest.raises(ValueError):
+        negative_root_exists(365.0, 0.07, np.array([1.0, 0.0]))

@@ -96,6 +96,26 @@ def test_boundaries_output(tmp_path):
     assert abs(last[2] - last[3]) <= 1e-3  # tau(c) -> tau_hat
 
 
+@pytest.mark.parametrize("P", [4.8999, 0.5, -0.5])
+def test_boundaries_rows_match_scalar_solves(tmp_path, P):
+    from nmwaves.atlas import T_of_c, tau_of_c
+
+    out = tmp_path / "curves.csv"
+    assert run_cli("boundaries", "--P", str(P), "--c", "0.01:1000:25",
+                   "--out", str(out)) == 0
+    rows = [[float(v) for v in line.split(",")]
+            for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 25
+    for c, T_c, tau_c, _, _ in rows:
+        for got, solve, defined in ((T_c, T_of_c, P > 0.0),
+                                    (tau_c, tau_of_c, P > 1.0)):
+            if not defined:
+                assert math.isnan(got)
+                continue
+            want = solve(P, c)
+            assert abs(got - want) <= 2e-13 * (1.0 + max(1.0, want))
+
+
 def test_atlas_output(tmp_path):
     out = tmp_path / "map.csv"
     assert run_cli("atlas", "--tau", "0.06:0.08:3", "--p", "365:465:3",
@@ -228,6 +248,15 @@ def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
     assert run_cli("analyze", "--p", p, "--tau", tau) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("grid", ["1", "0", "-3"])
+def test_verify_grid_below_two_is_a_usage_error(grid, capsys):
+    for suite in ("regions", "model"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("verify", "--suite", suite, "--grid", grid)
+        assert exc.value.code == 64
+        assert "grid must be an integer >= 2" in capsys.readouterr().err
 
 
 def test_usage_exit_code():

@@ -237,6 +237,18 @@ def test_crossings_synthetic_sine():
     assert report.tail_class is TrajectoryTail.OSCILLATING
 
 
+def test_first_max_on_a_node_with_zero_derivative():
+    # a node where u' is exactly 0 between u' > 0 and u' < 0 is the peak
+    params = ModelParams(p=math.e ** 3, tau=0.5)  # kappa = 3
+    t = np.arange(0.0, 16.0, 0.25)
+    u = 3.0 + 2.0 * np.exp(-0.1 * t) * np.sin(t)
+    du = 2.0 * np.exp(-0.1 * t) * (np.cos(t) - 0.1 * np.sin(t))
+    du[5] = 0.0  # t = 1.25, the last node before the first peak
+    traj = Trajectory(t=t, u=u, du=du, t0=0.0, h=0.25, params=params,
+                      provenance={})
+    assert crossings(traj, level=3.0).first_max == (1.25, float(u[5]))
+
+
 def test_sign_change_count():
     assert sign_change_count([1.0, 2.0, 0.5, 3.0]) == 0
     assert sign_change_count([1.0, -1.0, 1.0]) == 2

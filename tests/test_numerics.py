@@ -5,10 +5,12 @@ import math
 import random
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from nmwaves.numerics import (Bracket, NoSignChange, PowerSeries,
-                              QuadratureError, crossing_points, fit_line,
+                              QuadratureError, bisect_lockstep,
+                              crossing_points, fit_line,
                               golden_section_max, hermite_cubic,
                               hermite_cubic_deriv, integrate_adaptive,
                               is_monotone, level_crossings,
@@ -94,6 +96,16 @@ def test_solve_bracketed_straddles_root():
         lo, hi = -1.0, 1.2
         r = solve_bracketed(f, Bracket(lo, hi), tol=tol)
         assert f(r - tol) * f(r + tol) <= 0.0
+
+
+def test_bisect_lockstep_reaches_rounding_level():
+    # x^2 = k on [0, 2] for several k at once, either sign of g(a)
+    k = np.array([0.0, 1e-6, 0.5, 2.0, 3.999])
+    a, b = np.zeros(5), np.full(5, 2.0)
+    up = bisect_lockstep(lambda x: x * x - k, a, b, -k)
+    down = bisect_lockstep(lambda x: k - x * x, a, b, k)
+    for got in (up, down):
+        assert np.all(np.abs(got - np.sqrt(k)) <= 2e-16 * (1.0 + np.sqrt(k)))
 
 
 def test_bracket_requires_order():
