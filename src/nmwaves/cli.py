@@ -52,6 +52,18 @@ def _grid_size(text: str) -> int:
     return n
 
 
+def _speed_range(text: str) -> str:
+    """--c value: a LO:HI:N range of speeds, all finite and > 0."""
+    try:
+        ok = all(0.0 < c < math.inf for c in _parse_range(text))
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(
+            f"speeds must be a LO:HI:N range of finite c > 0, got {text!r}")
+    return text
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if path is None:
@@ -317,8 +329,8 @@ def _domain_errors() -> tuple[type[Exception], ...]:
     from .dirichlet import CoefficientOverflow
     from .heteroclinic import BlowUpError, InconclusiveTail
 
-    return (ValueError, FileNotFoundError, OverflowError, BlowUpError,
-            InconclusiveTail, CoefficientOverflow)
+    return (ValueError, FileNotFoundError, OverflowError, FloatingPointError,
+            BlowUpError, InconclusiveTail, CoefficientOverflow)
 
 
 def build_parser() -> CliParser:
@@ -361,7 +373,7 @@ def build_parser() -> CliParser:
 
     b = sub.add_parser("boundaries", help="boundary curves over c")
     b.add_argument("--P", type=float, required=True)
-    b.add_argument("--c", required=True, help="LO:HI:N")
+    b.add_argument("--c", type=_speed_range, required=True, help="LO:HI:N")
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_boundaries)
 

@@ -4,11 +4,12 @@ Provides the low-level machinery the rest of the package is built on:
 bracketed root finding (scalar, and lockstep bisection over arrays),
 adaptive Simpson quadrature, the lower incomplete gamma function
 (array-valued), truncated power-series arithmetic, level crossings and
-monotonicity of samples, cubic Hermite interpolation and straight-line
-least squares.
+monotonicity of samples, a factor-once tridiagonal Toeplitz solve, cubic
+Hermite interpolation and straight-line least squares.
 
-All routines are pure functions of their inputs. Solver tolerances
-default to 1e-12 and are configurable per call.
+All routines are pure functions of their inputs, except that
+ToeplitzTridiagonal.solve writes into the array it is given. Solver
+tolerances default to 1e-12 and are configurable per call.
 """
 
 from __future__ import annotations
@@ -345,6 +346,89 @@ def is_monotone(u, tol: float) -> bool:
     """Whether successive samples never fall, or never rise, by more than tol."""
     d = np.diff(u)
     return bool(np.all(d >= -tol) or np.all(d <= tol))
+
+
+# ---------------------------------------------------------------------------
+# tridiagonal Toeplitz solve
+# ---------------------------------------------------------------------------
+
+class ToeplitzTridiagonal:
+    """The m x m matrix with ``diag`` on the diagonal and ``off`` on both
+    off-diagonals, factored once for repeated solves.
+
+    Thomas elimination: the pivots b_0 = diag, b_i = diag - off^2/b_{i-1}
+    are computed here. Forward and back substitution are the first-order
+    recurrences y_i = f_i + a_i y_{i-1} with a_i = -off/b_{i-1}, and
+    x_i = y_i/b_i + c_i x_{i+1} with c_i = -off/b_i. Each runs by recursive
+    doubling: level k adds P_k[i] y[i - 2^k] to y[i], where P_k[i] is the
+    product of the 2^k coefficients ending at i, precomputed here.
+    Requires diag > 2|off| (strict diagonal dominance), which keeps every
+    pivot above |off| and so every coefficient below 1 in magnitude: the
+    products decay geometrically. Products below the smallest normal
+    float are set to 0, and the doubling stops at the level where every
+    product is 0 (or 2^k reaches m). Each x_i is then a sum over its own
+    neighbourhood, as in sequential elimination, so the far tail of a
+    solution spanning hundreds of decades keeps its relative accuracy; a
+    dropped term is below that float times max |f|.
+    """
+
+    def __init__(self, m: int, diag: float, off: float):
+        if not diag > 2.0 * abs(off):
+            raise ValueError(
+                f"need diag > 2|off|, got diag = {diag}, off = {off}")
+        pivots = [float(diag)] * m
+        for i in range(1, m):
+            pivots[i] = diag - off * off / pivots[i - 1]
+        self.pivots = np.array(pivots)
+        ratio = -off / self.pivots
+        # y_i gets a_i y_{i-1}; a_0 = 0 since y_{-1} does not exist
+        self._forward = _doubling_products(np.concatenate(([0.0], ratio[:-1])))
+        # x_i gets c_i x_{i+1}, c_{m-1} = 0: the same products on the
+        # reversed order, stored back in natural order
+        self._backward = [P[::-1].copy() for P in _doubling_products(
+            np.concatenate(([0.0], ratio[-2::-1])))]
+        self._tmp = np.empty(m)
+
+    def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the solution x of A x = rhs into ``out`` and return it."""
+        x = out
+        x[...] = rhs
+        tmp = self._tmp  # one scratch row, reused by every level
+        s = 1
+        for P in self._forward:
+            t = tmp[:len(P)]
+            np.multiply(P, x[:-s], out=t)
+            x[s:] += t
+            s *= 2
+        x /= self.pivots
+        s = 1
+        for P in self._backward:
+            t = tmp[:len(P)]
+            np.multiply(P, x[s:], out=t)
+            x[:-s] += t
+            s *= 2
+        return x
+
+
+def _doubling_products(a: np.ndarray) -> list[np.ndarray]:
+    """Doubling levels of y_i = f_i + a_i y_{i-1}, where a_0 = 0.
+
+    Level k is P_k[2^k:], P_k[i] being the product a_{i-2^k+1} ... a_i.
+    """
+    tiny = np.finfo(float).tiny
+    levels = []
+    P = a.copy()
+    s = 1
+    while s < len(P):
+        P[np.abs(P) < tiny] = 0.0
+        if not P[s:].any():
+            break
+        levels.append(P[s:].copy())
+        # the product of 2s coefficients ending at i
+        P[s:] *= P[:-s].copy()
+        P[:s] = 0.0
+        s *= 2
+    return levels
 
 
 # ---------------------------------------------------------------------------

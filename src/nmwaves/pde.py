@@ -9,12 +9,23 @@ second order in time:
 * CRANK_NICOLSON: trapezoidal (implicit) treatment of the diffusion and
   the linear decay, one tridiagonal solve per step; the delayed birth
   term is averaged from the two stored history levels at t - tau and
-  t + dt - tau, both already known because tau >= dt.
+  t + dt - tau, both already known because tau >= dt. The matrix is the
+  same at every step (diagonal 1 + 2r + dt/2, off-diagonals -r, with
+  r = dt/(2 dx^2)), so numerics.ToeplitzTridiagonal factors it once per
+  run; each solve is Thomas elimination with its two substitutions run
+  by recursive doubling. The solve is local, like elimination, so the
+  leading edge (u near e^{-105} on fast-front) keeps its relative
+  accuracy; a global transform such as a sine-transform solve would
+  spread rounding of eps * max|u| over it, and since u = 0 is unstable
+  that noise grows.
 
 The delay is required to be an integer multiple of dt so delayed lookups
-land exactly on stored time levels; history is a ring of tau/dt + 1
-levels, seeded from the (time-constant) initial function on [-tau, 0].
-Dirichlet values are pinned at both ends every stage.
+land exactly on stored time levels; history is a preallocated ring of
+tau/dt + 1 levels (row j mod (tau/dt + 1) holds the level at step j),
+seeded from the (time-constant) initial function on [-tau, 0]. The
+Crank-Nicolson run keeps a second ring with each level's birth term, so
+p u e^{-u} is evaluated once per level. Dirichlet values are pinned at
+both ends every stage.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams
-from .numerics import crossing_points
+from .numerics import ToeplitzTridiagonal, crossing_points
 
 
 class Scheme(Enum):
@@ -197,8 +208,14 @@ def _first_crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:
     return points[0] if points else math.nan
 
 
+# an overflow surfaces as the one FloatingPointError raised at the first
+# non-finite level, not as a trail of numpy warnings before it
+@np.errstate(over="ignore", invalid="ignore")
 def simulate(config: SimConfig) -> SpacetimeRecord:
-    """Run one simulation; deterministic for a fixed configuration."""
+    """Run one simulation; deterministic for a fixed configuration.
+
+    Raises FloatingPointError at the first time level that is not finite.
+    """
     params = config.params
     p = params.p
     x = config.grid()
@@ -213,8 +230,12 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
     level = tracking_level(params)
 
     u0 = config.initial_values(x)
-    ring: list[np.ndarray] = [u0.copy() for _ in range(K + 1)]
-    u = u0.copy()
+    # the level at t_j lives in row j mod (K + 1); rows keep the pinned
+    # boundary values of u0, since steps write interiors only
+    slots = K + 1
+    ring = np.empty((slots, n))
+    ring[:] = u0
+    u = ring[0]
 
     fbirth = lambda v: p * v * np.exp(-v)
 
@@ -224,52 +245,50 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
         snapshots.append((0.0, u.copy()))
     front.append((0.0, _first_crossing(x, u, level)))
 
+    # interior_step(u, now, nxt) advances u by dt; rows now and nxt hold
+    # the levels at t - tau and t + dt - tau, and row now receives the new
+    # level once the delayed one has been read
     if config.scheme is Scheme.CRANK_NICOLSON:
-        from scipy.linalg import solve_banded  # slow import, needed only here
-
         r = dt / (2.0 * dx2)
-        m = n - 2  # interior unknowns
-        ab = np.zeros((3, m))
-        ab[0, 1:] = -r
-        ab[1, :] = 1.0 + 2.0 * r + 0.5 * dt
-        ab[2, :-1] = -r
-        bc_vec = np.zeros(m)
+        lhs = ToeplitzTridiagonal(n - 2, 1.0 + 2.0 * r + 0.5 * dt, -r)
+        bc_vec = np.zeros(n - 2)
         bc_vec[0] = config.bc.u_lo / dx2
         bc_vec[-1] = config.bc.u_hi / dx2
+        births = np.empty((slots, n))  # fbirth of each stored level
+        births[:] = fbirth(u0)
 
-        def interior_step(u, d_now, d_next):
+        def interior_step(u, now, nxt):
             # explicit half: full Laplacian of u^n (boundary values live in u)
             lap = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx2
             # implicit half moves its boundary contribution to the right side
             rhs = (u[1:-1] + 0.5 * dt * (lap - u[1:-1]) + 0.5 * dt * bc_vec
-                   + 0.5 * dt * (fbirth(d_now[1:-1]) + fbirth(d_next[1:-1])))
-            return solve_banded((1, 1), ab, rhs)
+                   + 0.5 * dt * (births[now, 1:-1] + births[nxt, 1:-1]))
+            lhs.solve(rhs, out=ring[now, 1:-1])
+            births[now] = fbirth(ring[now])
     else:
         def rhs_interior(v, d):
             lap = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx2
             return lap - v[1:-1] + fbirth(d[1:-1])
 
-        def interior_step(u, d_now, d_next):
+        def interior_step(u, now, nxt):
+            d_now, d_next = ring[now], ring[nxt]
             d_half = 0.5 * (d_now + d_next)
             u_star = u.copy()
             u_star[1:-1] = u[1:-1] + 0.5 * dt * rhs_interior(u, d_now)
             u_star[0] = config.bc.u_lo
             u_star[-1] = config.bc.u_hi
-            return u[1:-1] + dt * rhs_interior(u_star, d_half)
+            d_now[1:-1] = u[1:-1] + dt * rhs_interior(u_star, d_half)
 
     for step in range(1, n_steps + 1):
-        u_new = u.copy()
-        u_new[1:-1] = interior_step(u, ring[0], ring[1])
-        u_new[0] = config.bc.u_lo
-        u_new[-1] = config.bc.u_hi
-        _advance(ring, u_new)
-        u = u_new
+        now = step % slots
+        interior_step(u, now, (step + 1) % slots)
+        u = ring[now]
+        if not np.isfinite(u).all():
+            raise FloatingPointError(
+                f"simulation produced non-finite values at t = {step * dt:g}")
         front.append((step * dt, _first_crossing(x, u, level)))
         if step in snap_steps:
             snapshots.append((snap_steps[step], u.copy()))
-
-    if not np.all(np.isfinite(u)):
-        raise FloatingPointError("simulation produced non-finite values")
 
     metadata = {
         "config": config.to_dict(),
@@ -277,13 +296,10 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
         "tracking_level": level,
         "steps": n_steps,
     }
+    # chronological: the oldest stored level is t_{n_steps - K}
+    history = list(ring[(n_steps + 1 + np.arange(slots)) % slots])
     return SpacetimeRecord(x=x, snapshots=snapshots, front_track=front,
-                           history=ring, config=config, metadata=metadata)
-
-
-def _advance(ring: list[np.ndarray], u_new: np.ndarray) -> None:
-    ring.pop(0)
-    ring.append(u_new.copy())
+                           history=history, config=config, metadata=metadata)
 
 
 def preset(name: str) -> SimConfig:

@@ -116,6 +116,16 @@ def test_boundaries_rows_match_scalar_solves(tmp_path, P):
             assert abs(got - want) <= 2e-13 * (1.0 + max(1.0, want))
 
 
+@pytest.mark.parametrize("c", ["0:10:3", "-1:5:3", "5:0:3", "nan:1:2",
+                               "1:inf:2", "1:2"])
+def test_boundaries_speeds_must_be_positive(tmp_path, capsys, c):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("boundaries", "--P", "4.9", f"--c={c}",
+                "--out", str(tmp_path / "b.csv"))
+    assert exc.value.code == 64
+    assert "speeds must be a LO:HI:N range" in capsys.readouterr().err
+
+
 def test_atlas_output(tmp_path):
     out = tmp_path / "map.csv"
     assert run_cli("atlas", "--tau", "0.06:0.08:3", "--p", "365:465:3",
@@ -187,6 +197,24 @@ def test_simulate_preset_path(tmp_path):
 def test_simulate_requires_one_source(tmp_path):
     code = run_cli("simulate", "--out", "a,b,c")
     assert code == 1
+
+
+@pytest.mark.parametrize("scheme, dt", [("crank_nicolson", 0.01),
+                                        ("method_of_lines", 0.0175)])
+def test_simulate_non_finite_run_exits_1(tmp_path, capsys, scheme, dt):
+    cfg = {
+        "p": 365.0, "tau": 0.07, "x_lo": -10.0, "x_hi": 10.0,
+        "dx": 0.2, "dt": dt, "t_end": 0.1, "scheme": scheme,
+        "ic": {"kind": "heaviside", "level": 1e308},
+        "bc": {"u_lo": 0.0, "u_hi": 1e308},
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = ",".join(str(tmp_path / name) for name in ("s.csv", "f.csv", "m.json"))
+    assert run_cli("simulate", "--config", str(cfg_path), "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: simulation produced non-finite values")
+    assert err.count("\n") == 1
 
 
 def test_verify_series_suite():
@@ -271,9 +299,15 @@ def test_usage_exit_code():
 
 
 def test_import_leaves_scipy_linalg_unloaded():
-    # only the Crank-Nicolson scheme needs scipy.linalg, whose import
-    # would otherwise dominate the start-up of every command
-    code = "import sys, nmwaves; print('scipy.linalg' in sys.modules)"
+    # scipy is a test dependency only: its import would otherwise dominate
+    # the start-up of every command, and the Crank-Nicolson run of the
+    # fast-front commands is the one place that used it
+    code = ("import sys, nmwaves; print('scipy.linalg' in sys.modules)\n"
+            "from nmwaves.pde import Scheme, preset, simulate\n"
+            "cfg = preset('fast-front-smoke')\n"
+            "assert cfg.scheme is Scheme.CRANK_NICOLSON\n"
+            "simulate(cfg)\n"
+            "print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]

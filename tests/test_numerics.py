@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from nmwaves.numerics import (Bracket, NoSignChange, PowerSeries,
-                              QuadratureError, bisect_lockstep,
+                              QuadratureError, ToeplitzTridiagonal,
+                              bisect_lockstep,
                               crossing_points, fit_line,
                               golden_section_max, hermite_cubic,
                               hermite_cubic_deriv, integrate_adaptive,
@@ -170,6 +171,71 @@ def test_is_monotone_tolerance():
     assert is_monotone([0.0, 1.0, 1.0 - 1e-10, 2.0], 1e-9)
     assert is_monotone([2.0, 1.0, 1.0 + 1e-10, 0.0], 1e-9)
     assert not is_monotone([0.0, 1.0, 1.0 - 1e-8, 2.0], 1e-9)
+
+
+def _cn_system(m, r, dt=0.01):
+    """Crank-Nicolson matrix entries and two right-hand sides of size m.
+
+    Both right sides are positive. The matrix is an M-matrix, so its
+    inverse is positive and these solutions carry no cancellation:
+    pointwise relative error measures the solver. The tail e^{0.7 x} on
+    the fast-front grid (dx = 0.05 from x = -150) spans about 90 decades
+    at m = 5999, as that front's leading edge does; a global transform
+    solve spreads an error of eps * max |f| over it and fails there.
+    """
+    rng = np.random.default_rng(m + int(r))
+    x = -150.0 + 0.05 * np.arange(1, m + 1)
+    rhs = {"random": rng.uniform(0.0, 1.0, m), "tail": np.exp(0.7 * x)}
+    return 1.0 + 2.0 * r + 0.5 * dt, -r, rhs
+
+
+def _thomas(diag, off, f):
+    """Sequential Thomas elimination, one row at a time."""
+    m = len(f)
+    b, y = [diag] * m, [float(v) for v in f]
+    for i in range(1, m):
+        w = off / b[i - 1]
+        b[i] = diag - w * off
+        y[i] -= w * y[i - 1]
+    x = [0.0] * m
+    x[-1] = y[-1] / b[-1]
+    for i in range(m - 2, -1, -1):
+        x[i] = (y[i] - off * x[i + 1]) / b[i]
+    return np.array(x)
+
+
+@pytest.mark.parametrize("m, r", [(1499, 2.0), (1499, 50.0), (1, 2.0),
+                                  (2, 2.0), (3, 2.0), (3, 50.0)])
+def test_toeplitz_solve_matches_dense_solve(m, r):
+    diag, off, rhs = _cn_system(m, r)
+    A = (np.diag(np.full(m, diag)) + np.diag(np.full(m - 1, off), 1)
+         + np.diag(np.full(m - 1, off), -1))
+    solver = ToeplitzTridiagonal(m, diag, off)
+    for f in rhs.values():
+        want = np.linalg.solve(A, f)
+        out = np.empty(m)
+        assert solver.solve(f, out) is out
+        assert np.max(np.abs(out - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("r", [2.0, 50.0])
+def test_toeplitz_solve_matches_thomas_at_fast_front_size(r):
+    # m = 5999 is the fast-front interior; a dense oracle there would need
+    # a 288 MB matrix, so the sequential elimination is the reference.
+    # At r = 50 the coefficient products underflow only after about 5,000
+    # rows, so this size is the one where large r stops the doubling early.
+    diag, off, rhs = _cn_system(5999, r)
+    solver = ToeplitzTridiagonal(5999, diag, off)
+    for f in rhs.values():
+        want = _thomas(diag, off, f)
+        got = solver.solve(f, np.empty(5999))
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def test_toeplitz_requires_diagonal_dominance():
+    for diag, off in ((4.0, -2.0), (1.0, 2.0), (math.nan, -1.0)):
+        with pytest.raises(ValueError):
+            ToeplitzTridiagonal(5, diag, off)
 
 
 def test_series_exp_of_x():

@@ -154,6 +154,17 @@ def test_history_ring_length():
     cfg = preset("fast-front-smoke")
     rec = simulate(cfg)
     assert len(rec.history) == cfg.delay_steps + 1
+    t_last, u_last = rec.snapshots[-1]
+    assert t_last == cfg.t_end
+    assert np.array_equal(rec.history[-1], u_last)
+    # snapshots at every stored level: the history is in time order
+    K = cfg.delay_steps
+    last = dataclasses.replace(cfg, snapshot_times=tuple(
+        cfg.t_end - k * cfg.dt for k in range(K, -1, -1)))
+    rec = simulate(last)
+    assert len(rec.snapshots) == K + 1
+    for level, (_, snap) in zip(rec.history, rec.snapshots):
+        assert np.array_equal(level, snap)
 
 
 def test_front_track_monotone_leftward():
