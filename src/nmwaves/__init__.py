@@ -18,7 +18,8 @@ from .dirichlet import (CoefficientOverflow, DirichletExpansion, build,
                         qbar3_closed_form, zeta, zeta_by_quadrature)
 from .heteroclinic import (BlowUpError, CrossingReport, InconclusiveTail,
                            NmVerdict, Trajectory, TrajectoryTail, crossings,
-                           integrate, nm_verdict, p_window, sign_change_count)
+                           first_maximum, integrate, nm_verdict, p_window,
+                           sign_change_count)
 from .atlas import (MembershipInconsistency, NecessaryConditions, Phi,
                     RegionReport, SpeedFrame, SweepReport, membership,
                     nm_necessary, proposition_hypotheses, region_grid,

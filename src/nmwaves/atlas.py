@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .charroots import (_profile_min_over_positive, negative_root_exists,
-                        negative_roots_at_kappa)
+from .charroots import (_mu, _profile_min_over_positive,
+                        negative_root_exists, negative_roots_at_kappa)
 from .dirichlet import _zeta, zeta
 from .model import ModelParams, feedback_holds
 from .numerics import (Bracket, PowerSeries, bisect_lockstep,
@@ -101,7 +101,6 @@ class NecessaryConditions:
 
 def nm_necessary(params: ModelParams) -> NecessaryConditions:
     """Evaluate the necessary conditions at (p, tau)."""
-    from .charroots import mu_root
     from .dirichlet import qbar2_closed_form
 
     p, tau = params.p, params.tau
@@ -111,8 +110,7 @@ def nm_necessary(params: ModelParams) -> NecessaryConditions:
     c1 = p > math.e ** 2
     c2 = growth < 1.0
     c3 = delay > 1.0
-    mu = mu_root(params)
-    emt = math.exp(-mu * tau)
+    emt = math.exp(-params.mu * tau)
     qb2 = qbar2_closed_form(params)
     return NecessaryConditions(
         p_gt_e2=c1, growth_product=growth, growth_product_lt_1=c2,
@@ -565,6 +563,6 @@ def region_grid(tau_values: Sequence[float],
             rows.append((t, math.log(params.kappa), False))
     if inside:
         idx, p, t, kappa = (np.array(col) for col in zip(*inside))
-        for i in idx[_zeta(p, t) > kappa]:
+        for i in idx[_zeta(p, t, _mu(p, t)) > kappa]:
             rows[i] = rows[i][:2] + (True,)
     return rows

@@ -107,8 +107,8 @@ def _mu(p, tau):
 
 def mu_root(params: ModelParams) -> float:
     """Unique positive root of z + 1 - p e^{-z tau}, to machine precision
-    (the series recurrence depends on it)."""
-    return float(_mu(params.p, params.tau))
+    (the series recurrence depends on it); computed once per params."""
+    return params.mu
 
 
 def _profile_min_over_positive(params: ModelParams, c: float) -> tuple[float, float]:
@@ -249,11 +249,12 @@ def negative_roots_at_kappa(params: ModelParams, c: float,
     The search window's left edge is certified so that the exponential
     term dominates below it. A hump maximum within ``tangency_tol`` of
     zero (where the derivative also vanishes) is reported as a double
-    root, so boundary cases count as "root exists".
+    root, so boundary cases count as "root exists". tau and c are taken
+    as Python floats, which overflow to inf without a numpy warning.
     """
+    P, tau, c = params.P, float(params.tau), float(c)
     if not c > 0.0:
         raise ValueError(f"speed must be positive, got {c}")
-    P, tau = params.P, params.tau
     h = c * tau
     kind = CharKind.AT_KAPPA_PROFILE_C
 

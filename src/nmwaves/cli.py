@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -93,7 +94,7 @@ def _manifest(subcommand: str, config: dict, outputs: list[str],
 
 def _cmd_analyze(args) -> int:
     from .atlas import region_report
-    from .charroots import classify_tail, minimal_speed, mu_root
+    from .charroots import classify_tail, minimal_speed
     from .dirichlet import qbar2_closed_form, zeta, zeta_by_quadrature
     from .heteroclinic import nm_verdict
     from .model import ModelParams
@@ -108,7 +109,7 @@ def _cmd_analyze(args) -> int:
         "tau": params.tau,
         "lnp": params.kappa,
         "P": params.P,
-        "mu": mu_root(params),
+        "mu": params.mu,
         "qbar2": qbar2_closed_form(params),
         "zeta": report.zeta_value,
         "zeta_quadrature": zeta_by_quadrature(params),
@@ -172,7 +173,8 @@ def _cmd_series(args) -> int:
 
 def _cmd_heteroclinic(args) -> int:
     from .dirichlet import build
-    from .heteroclinic import crossings, integrate, write_trajectory_csv
+    from .heteroclinic import (crossings, first_maximum, integrate,
+                               write_trajectory_csv)
     from .model import ModelParams
 
     started = time.time()
@@ -180,14 +182,15 @@ def _cmd_heteroclinic(args) -> int:
     expansion = build(params)
     traj = integrate(expansion, t_end=args.t_end, K=args.k)
     report = crossings(traj)
+    first_max = first_maximum(traj)
     traj_path, cross_path = args.out.split(",")
     write_trajectory_csv(traj, traj_path)
     payload = {
         "level": report.level,
         "crossings": [{"t": t, "slope_sign": s} for t, s in report.crossings],
         "gaps": list(report.gaps),
-        "first_max": (None if report.first_max is None
-                      else {"t": report.first_max[0], "u": report.first_max[1]}),
+        "first_max": (None if first_max is None
+                      else {"t": first_max[0], "u": first_max[1]}),
         "global_max": report.global_max,
         "tail_class": report.tail_class.value,
         "anomalies": list(report.anomalies),
@@ -333,7 +336,9 @@ def _domain_errors() -> tuple[type[Exception], ...]:
             BlowUpError, InconclusiveTail, CoefficientOverflow)
 
 
+@functools.cache
 def build_parser() -> CliParser:
+    """The parser, built once per process; each parse gets a new namespace."""
     parser = CliParser(prog="nmwaves",
                        description="Delayed reaction-diffusion wavefront "
                                    "analysis for the Nicholson blowflies "

@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .charroots import _mu, mu_root
 from .model import ModelParams, birth
 from .numerics import (golden_section_max, integrate_adaptive,
                        lower_incomplete_gamma)
@@ -58,7 +57,7 @@ def coefficients(params: ModelParams, n_coeffs: int,
     if n_coeffs < 2:
         raise ValueError("need at least two coefficients")
     p, tau = params.p, params.tau
-    mu = mu_root(params)
+    mu = params.mu
     emt = math.exp(-mu * tau)
     qb = [1.0]
     v = [0.0]   # coefficients of V: v_0 = 0, then v_1..v_n
@@ -92,12 +91,12 @@ def _qbar2(p, tau, mu):
 
 def qbar2_closed_form(params: ModelParams) -> float:
     """qbar_2 = -p e^{-2 mu tau} / chi(2 mu), always negative."""
-    return float(_qbar2(params.p, params.tau, mu_root(params)))
+    return float(_qbar2(params.p, params.tau, params.mu))
 
 
 def qbar3_closed_form(params: ModelParams) -> float:
     """qbar_3 = p (0.5 - 2 qbar_2) e^{-3 mu tau} / chi(3 mu), always positive."""
-    mu = mu_root(params)
+    mu = params.mu
     qb2 = qbar2_closed_form(params)
     return (params.p * (0.5 - 2.0 * qb2) * math.exp(-3.0 * mu * params.tau)
             / _chi(3.0 * mu, params))
@@ -200,7 +199,7 @@ def build(params: ModelParams, n_coeffs: int = 40,
     """Construct the expansion, choosing eps by horizon maximization if unset."""
     if params.tau <= 0.0:
         raise ValueError("the series requires a positive delay")
-    mu = mu_root(params)
+    mu = params.mu
     qb = coefficients(params, n_coeffs)
     hi = math.exp(mu * params.tau) - 1.0
     if eps is None:
@@ -225,9 +224,8 @@ def horizon(expansion: DirichletExpansion, eps: float) -> float:
                           expansion.qbar2, eps)
 
 
-def _zeta(p, tau):
-    """Peak lower bound zeta for arrays of (p, tau); see ``zeta``."""
-    mu = _mu(p, tau)
+def _zeta(p, tau, mu):
+    """Peak lower bound zeta for arrays of (p, tau, mu); see ``zeta``."""
     qb2 = _qbar2(p, tau, mu)
     m = 1.0 / mu
     emt = np.exp(-mu * tau)
@@ -247,21 +245,22 @@ def zeta(params: ModelParams) -> float:
                      + qbar_2 (G(1, m+2) - G(e^{-mu tau}, m+2)) ]
 
     where G is the lower incomplete gamma function with argument order
-    (limit, exponent).
+    (limit, exponent). Computed once per params.
     """
-    return float(_zeta(params.p, params.tau))
+    return params.zeta
 
 
 def zeta_by_quadrature(params: ModelParams, tol: float = 1e-12) -> float:
     """Peak lower bound via direct quadrature of its defining integral.
 
-    Independent route used to cross-check the closed form:
+    Independent route used to cross-check the closed form; it shares mu
+    but never reads the cached closed-form zeta:
 
         zeta = (1 + qbar_2) e^{-tau}
              + p * integral(-tau..0) e^{mu s} e^s (1 + qbar_2 e^{mu s})
                    exp(-e^{mu s}) ds
     """
-    mu = mu_root(params)
+    mu = params.mu
     qb2 = qbar2_closed_form(params)
     f = lambda s: (math.exp(mu * s) * math.exp(s)
                    * (1.0 + qb2 * math.exp(mu * s))

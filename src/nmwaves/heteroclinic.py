@@ -13,9 +13,9 @@ affine map u_{n+1} = R u_n + g_n (the method of steps taken literally):
 the birth terms of a whole interval are evaluated as arrays and only the
 scalar recurrence runs node by node.
 
-Also here: level-crossing extraction (crossings of ln p), the discrete
-sign-change count used to detect slow oscillation, and the combined
-verdict for existence of a non-monotone non-oscillating wave.
+Also here: crossings of ln p with the tail class, the first interior
+maximum, the sign-change count used to detect slow oscillation, and the
+combined verdict for existence of a non-monotone non-oscillating wave.
 """
 
 from __future__ import annotations
@@ -95,8 +95,6 @@ class CrossingReport:
 
     crossings: (time, slope sign) pairs, slope sign +1 for upward.
     gaps: consecutive crossing-time differences.
-    first_max: (time, value) of the first interior maximum, None if the
-        trajectory is monotone over the sampled range.
     global_max: largest sampled value (Hermite-refined).
     tail_class: MONOTONE_TAIL or OSCILLATING.
     anomalies: human-readable violations (a gap <= tau, or a first
@@ -106,7 +104,6 @@ class CrossingReport:
     level: float
     crossings: tuple[tuple[float, int], ...]
     gaps: tuple[float, ...]
-    first_max: tuple[float, float] | None
     global_max: float
     tail_class: TrajectoryTail
     anomalies: tuple[str, ...]
@@ -203,15 +200,15 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     """Crossings of the level (default ln p) with tail classification.
 
     The nodes are searched with numerics.level_crossings, so sign changes
-    at rounding level are not crossings. Raises InconclusiveTail when the
-    run is too short to establish either a settling monotone tail or
-    persistent oscillation.
+    at rounding level are not crossings; the first interior maximum is
+    first_maximum's. Raises InconclusiveTail when the run is too short to
+    establish either a settling monotone tail or persistent oscillation.
     """
     params = traj.params
     if level is None:
         level = params.kappa
     tau = params.tau
-    t, u, du = traj.t, traj.u, traj.du
+    t, u = traj.t, traj.u
     s = u - level
     idx = np.array(level_crossings(u, level), dtype=np.int64)
     # a node on the level is its own crossing; sign changes between
@@ -236,20 +233,6 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
             anomalies.append("consecutive crossings with equal slope sign")
             break
 
-    # first interior maximum: first + -> - sign change of u', inside a
-    # segment or at a node where u' is exactly 0
-    first_max = None
-    peaks = np.flatnonzero((du[:-1] > 0.0) & (du[1:] < 0.0))
-    on_node = 1 + np.flatnonzero((du[:-2] > 0.0) & (du[1:-1] == 0.0)
-                                 & (du[2:] < 0.0))
-    if on_node.size and not (peaks.size and peaks[0] < on_node[0]):
-        first_max = (float(t[on_node[0]]), float(u[on_node[0]]))
-    elif peaks.size:
-        seg = traj._segments(peaks[:1])
-        tm = bisect_lockstep(lambda m: hermite_cubic_deriv(*seg, m),
-                             seg[0], seg[1], seg[4])
-        first_max = (float(tm[0]), float(hermite_cubic(*seg, tm)[0]))
-
     i_max = int(np.argmax(u))
     global_max = float(u[i_max])
     if 0 < i_max < len(u) - 1:
@@ -259,8 +242,25 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
 
     tail = _classify_tail(traj, found, level)
     return CrossingReport(level=level, crossings=tuple(found), gaps=gaps,
-                          first_max=first_max, global_max=global_max,
-                          tail_class=tail, anomalies=tuple(anomalies))
+                          global_max=global_max, tail_class=tail,
+                          anomalies=tuple(anomalies))
+
+
+def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
+    """(t, u) at the first + -> - sign change of u', inside a segment or at
+    a node where u' is exactly 0; None if the trajectory is monotone."""
+    t, u, du = traj.t, traj.u, traj.du
+    peaks = np.flatnonzero((du[:-1] > 0.0) & (du[1:] < 0.0))
+    on_node = 1 + np.flatnonzero((du[:-2] > 0.0) & (du[1:-1] == 0.0)
+                                 & (du[2:] < 0.0))
+    if on_node.size and not (peaks.size and peaks[0] < on_node[0]):
+        return float(t[on_node[0]]), float(u[on_node[0]])
+    if not peaks.size:
+        return None
+    seg = traj._segments(peaks[:1])
+    tm = bisect_lockstep(lambda m: hermite_cubic_deriv(*seg, m),
+                         seg[0], seg[1], seg[4])
+    return float(tm[0]), float(hermite_cubic(*seg, tm)[0])
 
 
 def _classify_tail(traj: Trajectory, found, level: float) -> TrajectoryTail:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -20,6 +21,8 @@ class ModelParams:
     Derived constants: kappa = ln p is the positive equilibrium of
     u' = -u + f(u(t-tau)); P = ln p - 1 is minus the slope of f at kappa;
     x_crit = 1 is the unique maximum of f and f_max = p/e its value.
+    mu (charroots.mu_root) and zeta (dirichlet.zeta) are computed on first
+    use and kept, so every layer asking about one point shares them.
     """
 
     p: float
@@ -46,6 +49,16 @@ class ModelParams:
     @property
     def f_max(self) -> float:
         return self.p / math.e
+
+    @cached_property
+    def mu(self) -> float:
+        from .charroots import _mu
+        return float(_mu(self.p, self.tau))
+
+    @cached_property
+    def zeta(self) -> float:
+        from .dirichlet import _zeta
+        return float(_zeta(self.p, self.tau, self.mu))
 
 
 def birth(u: float, order: int, params: ModelParams) -> float:

@@ -115,6 +115,8 @@ class SimConfig:
         if abs(cells - round(cells)) > 1e-9 * (1.0 + cells):
             raise ValueError(
                 f"dx = {self.dx} does not divide the domain length {span}")
+        if round(cells) < 2:
+            raise ValueError(f"dx = {self.dx} leaves no interior grid node")
         for ts in self.snapshot_times:
             if ts < 0.0 or ts > self.t_end + 0.5 * self.dt:
                 raise ValueError(

@@ -242,6 +242,20 @@ def test_regions_suite_raises_no_warnings():
     assert ok
 
 
+def test_membership_on_numpy_grid_raises_no_warnings():
+    # the acceptance-09 grid with numpy float64 taus and speeds: the scalar
+    # root search takes them as Python floats, whose products overflow to
+    # inf without a warning
+    taus = np.linspace(0.005, 0.3, 50)
+    cs = 10.0 ** np.linspace(-0.5, 2.0, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau in taus:
+            params = ModelParams(p=365.0, tau=tau)
+            for c in cs:
+                membership(params, c)
+
+
 def test_proposition_hypotheses_example():
     flags = proposition_hypotheses(EXAMPLE, 50.0)
     assert abs(flags.ce_threshold - 0.7641) <= 1e-3

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from nmwaves import cli
 from nmwaves.cli import main
 
 
@@ -57,6 +58,63 @@ def test_analyze_determinism(tmp_path):
     run_cli("analyze", "--p", "365", "--tau", "0.07", "--out", str(a))
     run_cli("analyze", "--p", "365", "--tau", "0.07", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    built = []
+
+    class CountingParser(cli.CliParser):
+        def __init__(self, *args, **kwargs):
+            if kwargs.get("prog") == "nmwaves":
+                built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "CliParser", CountingParser)
+    cli.build_parser.cache_clear()
+    out = tmp_path / "r.json"
+    try:
+        assert run_cli("analyze", "--p", "365", "--tau", "0.07", "--c", "50",
+                       "--out", str(out)) == 0
+        assert run_cli("analyze", "--p", "365", "--tau", "0.07",
+                       "--out", str(out)) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 1
+    # each call parses into a fresh namespace: no --c left over
+    assert "c" not in json.loads(out.read_text())
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of module.name wherever an nmwaves module binds it."""
+    orig = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("nmwaves") and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_analyze_computes_mu_once_and_bisects_once(tmp_path, monkeypatch):
+    # mu and zeta live on the point's ModelParams, and the crossing report
+    # refines crossings only: the first-maximum search is the heteroclinic
+    # command's alone
+    import nmwaves.atlas  # noqa: F401 - bind every module the call uses
+    from nmwaves import charroots, numerics
+
+    mu_calls = _count_calls(monkeypatch, charroots, "_mu")
+    bisections = _count_calls(monkeypatch, numerics, "bisect_lockstep")
+    out = tmp_path / "r.json"
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07", "--c", "50",
+                   "--out", str(out)) == 0
+    assert len(mu_calls) == 1
+    assert len(bisections) == 1
+    payload = json.loads(out.read_text())
+    assert payload["heteroclinic"]["crossings"] == 1
 
 
 def test_series_outputs(tmp_path):
@@ -199,6 +257,14 @@ def test_simulate_requires_one_source(tmp_path):
     assert code == 1
 
 
+def _simulate_config(tmp_path, cfg):
+    """Exit code of simulate --config on the config dict cfg."""
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out = ",".join(str(tmp_path / name) for name in ("s.csv", "f.csv", "m.json"))
+    return run_cli("simulate", "--config", str(cfg_path), "--out", out)
+
+
 @pytest.mark.parametrize("scheme, dt", [("crank_nicolson", 0.01),
                                         ("method_of_lines", 0.0175)])
 def test_simulate_non_finite_run_exits_1(tmp_path, capsys, scheme, dt):
@@ -208,13 +274,24 @@ def test_simulate_non_finite_run_exits_1(tmp_path, capsys, scheme, dt):
         "ic": {"kind": "heaviside", "level": 1e308},
         "bc": {"u_lo": 0.0, "u_hi": 1e308},
     }
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = ",".join(str(tmp_path / name) for name in ("s.csv", "f.csv", "m.json"))
-    assert run_cli("simulate", "--config", str(cfg_path), "--out", out) == 1
+    assert _simulate_config(tmp_path, cfg) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: simulation produced non-finite values")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("scheme", ["crank_nicolson", "method_of_lines"])
+def test_simulate_grid_without_interior_node_exits_1(tmp_path, capsys,
+                                                     scheme):
+    cfg = {
+        "p": 365.0, "tau": 0.07, "x_lo": 0.0, "x_hi": 0.2,
+        "dx": 0.2, "dt": 0.01, "t_end": 0.1, "scheme": scheme,
+        "ic": {"kind": "heaviside", "level": 1.0},
+        "bc": {"u_lo": 0.0, "u_hi": 1.0},
+    }
+    assert _simulate_config(tmp_path, cfg) == 1
+    assert capsys.readouterr().err == (
+        "error: dx = 0.2 leaves no interior grid node\n")
 
 
 def test_verify_series_suite():

@@ -8,8 +8,8 @@ import pytest
 
 from nmwaves.dirichlet import build, zeta
 from nmwaves.heteroclinic import (BlowUpError, Trajectory, TrajectoryTail,
-                                  crossings, integrate, nm_verdict, p_window,
-                                  sign_change_count)
+                                  crossings, first_maximum, integrate,
+                                  nm_verdict, p_window, sign_change_count)
 from nmwaves.model import ModelParams
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
@@ -32,8 +32,9 @@ def test_example_shape():
     assert report.crossings[0][1] == 1
     assert abs(float(traj.u[-1]) - lnp) <= 1e-6
     assert report.anomalies == ()
-    assert report.first_max is not None
-    assert report.first_max[1] == pytest.approx(report.global_max, rel=1e-6)
+    first_max = first_maximum(traj)
+    assert first_max is not None
+    assert first_max[1] == pytest.approx(report.global_max, rel=1e-6)
 
 
 def test_example_peak_bound_at_tau():
@@ -71,7 +72,7 @@ def test_monotone_case_small_p():
     traj = integrate(expansion)
     report = crossings(traj)
     assert report.crossings == ()
-    assert report.first_max is None
+    assert first_maximum(traj) is None
     assert report.tail_class is TrajectoryTail.MONOTONE_TAIL
     assert np.all(np.diff(traj.u) > 0.0)
     assert traj.u[-1] < math.log(2.0)
@@ -246,7 +247,7 @@ def test_first_max_on_a_node_with_zero_derivative():
     du[5] = 0.0  # t = 1.25, the last node before the first peak
     traj = Trajectory(t=t, u=u, du=du, t0=0.0, h=0.25, params=params,
                       provenance={})
-    assert crossings(traj, level=3.0).first_max == (1.25, float(u[5]))
+    assert first_maximum(traj) == (1.25, float(u[5]))
 
 
 def test_sign_change_count():
