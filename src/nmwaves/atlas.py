@@ -30,7 +30,7 @@ import numpy as np
 
 from .charroots import (_mu, _profile_min_over_positive,
                         negative_root_exists, negative_roots_at_kappa)
-from .dirichlet import _zeta, zeta
+from .dirichlet import _zeta
 from .model import ModelParams, feedback_holds
 from .numerics import (Bracket, PowerSeries, bisect_lockstep,
                        solve_bracketed)
@@ -526,7 +526,7 @@ def region_report(params: ModelParams, c: float | None = None) -> RegionReport:
     from .model import gsc_holds
 
     nec = nm_necessary(params)
-    z = zeta(params)
+    z = params.zeta
     in_dm = in_ds = T_c = tau_c = th = ts = None
     if c is not None:
         in_dm, in_ds = membership(params, c)

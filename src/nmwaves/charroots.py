@@ -107,8 +107,8 @@ def _mu(p, tau):
 
 def mu_root(params: ModelParams) -> float:
     """Unique positive root of z + 1 - p e^{-z tau}, to machine precision
-    (the series recurrence depends on it); computed once per params."""
-    return params.mu
+    (the series recurrence depends on it)."""
+    return float(_mu(params.p, params.tau))
 
 
 def _profile_min_over_positive(params: ModelParams, c: float) -> tuple[float, float]:

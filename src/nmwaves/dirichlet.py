@@ -245,9 +245,9 @@ def zeta(params: ModelParams) -> float:
                      + qbar_2 (G(1, m+2) - G(e^{-mu tau}, m+2)) ]
 
     where G is the lower incomplete gamma function with argument order
-    (limit, exponent). Computed once per params.
+    (limit, exponent).
     """
-    return params.zeta
+    return float(_zeta(params.p, params.tau, params.mu))
 
 
 def zeta_by_quadrature(params: ModelParams, tol: float = 1e-12) -> float:

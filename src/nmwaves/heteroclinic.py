@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dirichlet import DirichletExpansion, zeta
+from .dirichlet import DirichletExpansion
 from .model import ModelParams
 from .numerics import (bisect_lockstep, hermite_cubic, hermite_cubic_deriv,
                        is_monotone, level_crossings, level_tol)
@@ -358,7 +358,7 @@ def nm_verdict(params: ModelParams, run: bool = True, K: int = 64,
     from . import dirichlet as _d
 
     in_window = p_window(params)
-    z = zeta(params)
+    z = params.zeta
     z_gt = z > params.kappa
     max_u = tail = n_cross = None
     if run and params.tau > 0.0:

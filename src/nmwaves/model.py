@@ -21,8 +21,8 @@ class ModelParams:
     Derived constants: kappa = ln p is the positive equilibrium of
     u' = -u + f(u(t-tau)); P = ln p - 1 is minus the slope of f at kappa;
     x_crit = 1 is the unique maximum of f and f_max = p/e its value.
-    mu (charroots.mu_root) and zeta (dirichlet.zeta) are computed on first
-    use and kept, so every layer asking about one point shares them.
+    mu and zeta keep the results of charroots.mu_root and dirichlet.zeta
+    on first use, so every layer asking about one point shares them.
     """
 
     p: float
@@ -52,13 +52,13 @@ class ModelParams:
 
     @cached_property
     def mu(self) -> float:
-        from .charroots import _mu
-        return float(_mu(self.p, self.tau))
+        from .charroots import mu_root
+        return mu_root(self)
 
     @cached_property
     def zeta(self) -> float:
-        from .dirichlet import _zeta
-        return float(_zeta(self.p, self.tau, self.mu))
+        from .dirichlet import zeta
+        return zeta(self)
 
 
 def birth(u: float, order: int, params: ModelParams) -> float:
