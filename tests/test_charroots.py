@@ -82,6 +82,22 @@ def test_mu_against_plain_bisection():
     assert abs(mu_root(params) - 0.5 * (lo + hi)) <= 1e-11
 
 
+def test_mu_root_solves_each_call_and_params_keep_one(monkeypatch):
+    # mu_root is the root solve (acceptance 01 times it after a warm-up);
+    # ModelParams.mu stores its first result for the layers sharing a point
+    from nmwaves import charroots
+
+    calls = []
+    orig = charroots._mu
+    monkeypatch.setattr(charroots, "_mu",
+                        lambda p, tau: calls.append(1) or orig(p, tau))
+    params = ModelParams(p=365.0, tau=0.07)
+    assert mu_root(params) == mu_root(params)
+    assert len(calls) == 2
+    assert params.mu == params.mu == mu_root(params)
+    assert len(calls) == 4
+
+
 def test_negative_roots_single_for_small_p():
     # P <= 0: strictly decreasing crossing, exactly one root
     for p in (1.5, 2.0, math.e):
