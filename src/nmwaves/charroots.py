@@ -132,8 +132,8 @@ def minimal_speed(params: ModelParams, tol: float = 1e-11) -> float:
     At the minimal speed the profile function at the zero equilibrium is
     tangent to the axis: the function and its z-derivative vanish
     simultaneously. Since the function is convex in z and decreases
-    pointwise in c, the minimum over z > 0 is a decreasing function of c
-    and bisection over c on its sign change yields the tangency point.
+    pointwise in c, the minimum over z > 0 is a decreasing function of c,
+    and solve_bracketed finds the tangency point at its sign change.
     """
     g = lambda c: _profile_min_over_positive(params, c)[1]
     c_hi = 1.0
@@ -148,13 +148,7 @@ def minimal_speed(params: ModelParams, tol: float = 1e-11) -> float:
     c_lo = 1e-8
     if g(c_lo) <= 0.0:
         return c_lo
-    while c_hi - c_lo > tol * (1.0 + c_hi):
-        c_mid = 0.5 * (c_lo + c_hi)
-        if g(c_mid) <= 0.0:
-            c_hi = c_mid
-        else:
-            c_lo = c_mid
-    return 0.5 * (c_lo + c_hi)
+    return solve_bracketed(g, Bracket(c_lo, c_hi), tol=tol * (1.0 + c_hi))
 
 
 def linear_spreading_speed(params: ModelParams, beta: float,

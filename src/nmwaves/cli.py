@@ -329,11 +329,13 @@ def _cmd_verify(args) -> int:
 
 def _domain_errors() -> tuple[type[Exception], ...]:
     """Exceptions that report an input outside what the methods handle."""
+    from .charroots import BracketingError
     from .dirichlet import CoefficientOverflow
     from .heteroclinic import BlowUpError, InconclusiveTail
 
     return (ValueError, FileNotFoundError, OverflowError, FloatingPointError,
-            BlowUpError, InconclusiveTail, CoefficientOverflow)
+            BlowUpError, InconclusiveTail, CoefficientOverflow,
+            BracketingError)
 
 
 @functools.cache

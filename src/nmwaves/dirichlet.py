@@ -201,6 +201,9 @@ def build(params: ModelParams, n_coeffs: int = 40,
         raise ValueError("the series requires a positive delay")
     mu = params.mu
     qb = coefficients(params, n_coeffs)
+    if qb[1] == 0.0:
+        raise ValueError(f"qbar_2 underflows to 0 at p = {params.p:g}, tau = "
+                         f"{params.tau:g}; the series horizon is undefined")
     hi = math.exp(mu * params.tau) - 1.0
     if eps is None:
         eps = _best_eps(mu, params.tau, qb[1])
@@ -225,14 +228,19 @@ def horizon(expansion: DirichletExpansion, eps: float) -> float:
 
 
 def _zeta(p, tau, mu):
-    """Peak lower bound zeta for arrays of (p, tau, mu); see ``zeta``."""
+    """Peak lower bound zeta for arrays of (p, tau, mu); see ``zeta``.
+
+    The four integrals share one series pass. It gives each element the
+    sum it has on its own: terms past an element's 1e-17 stop are below
+    half an ulp of its sum.
+    """
     qb2 = _qbar2(p, tau, mu)
-    m = 1.0 / mu
-    emt = np.exp(-mu * tau)
-    g = lower_incomplete_gamma
-    return ((1.0 + qb2) * np.exp(-tau)
-            + p * m * (g(1.0, m + 1.0) - g(emt, m + 1.0)
-                       + qb2 * (g(1.0, m + 2.0) - g(emt, m + 2.0))))
+    emt, m = np.broadcast_arrays(np.exp(-mu * tau), 1.0 / mu)
+    one = np.ones_like(emt)
+    g1, ge1, g2, ge2 = lower_incomplete_gamma(
+        np.stack([one, emt, one, emt]),
+        np.stack([m + 1.0, m + 1.0, m + 2.0, m + 2.0]))
+    return (1.0 + qb2) * np.exp(-tau) + p * m * (g1 - ge1 + qb2 * (g2 - ge2))
 
 
 def zeta(params: ModelParams) -> float:

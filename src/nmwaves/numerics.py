@@ -1,11 +1,11 @@
 """Shared numerical kernels.
 
 Provides the low-level machinery the rest of the package is built on:
-bracketed root finding (scalar, and lockstep bisection over arrays),
-adaptive Simpson quadrature, the lower incomplete gamma function
-(array-valued), truncated power-series arithmetic, level crossings and
-monotonicity of samples, a factor-once tridiagonal Toeplitz solve, cubic
-Hermite interpolation and straight-line least squares.
+bracketed root finding (Chandrupatla's method for scalars, lockstep
+bisection over arrays), adaptive Simpson quadrature, the lower incomplete
+gamma function (array-valued), truncated power-series arithmetic, level
+crossings and monotonicity of samples, a factor-once tridiagonal Toeplitz
+solve, cubic Hermite interpolation and straight-line least squares.
 
 All routines are pure functions of their inputs, except that
 ToeplitzTridiagonal.solve writes into the array it is given. Solver
@@ -53,11 +53,16 @@ class Bracket:
 
 def solve_bracketed(f: Callable[[float], float], bracket: Bracket,
                     tol: float = 1e-12, max_iter: int = 200) -> float:
-    """Find a root of f inside a sign-changing bracket.
+    """Root of f inside a sign-changing bracket, by Chandrupatla's method.
 
-    Bisection guarantees progress; a secant step is tried first on each
-    iteration and accepted only when it lands strictly inside the current
-    bracket. Deterministic for fixed inputs.
+    Each step evaluates f at a + t (b - a), where a is the newest point and
+    b the opposite end of the bracket. t is the inverse quadratic
+    interpolation through the last three points when that interpolant is
+    monotone on the bracket, else 1/2 (T. R. Chandrupatla, Adv. Eng.
+    Software 28, 1997). Clamping t to [tl, 1 - tl], tl = tol / (2 |b - a|),
+    makes the step reach at least tol/2 past a, so the bracket collapses
+    once a is within tol/2 of the root. Equal function values fail the
+    interpolation test and bisect. Deterministic for fixed inputs.
 
     Args:
         f: continuous scalar function.
@@ -66,45 +71,45 @@ def solve_bracketed(f: Callable[[float], float], bracket: Bracket,
         max_iter: hard iteration cap.
 
     Returns:
-        A point r with |f(r)| small and final bracket width <= tol.
+        The midpoint of the final bracket, whose width is <= tol; an exact
+        zero of f as soon as one is evaluated.
 
     Raises:
         NoSignChange: if f has the same (nonzero) sign at both endpoints.
     """
-    lo, hi = bracket.lo, bracket.hi
-    flo, fhi = f(lo), f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0.0:
-        raise NoSignChange(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
-
-    x, fx = lo, flo
+    a, b = bracket.lo, bracket.hi
+    fa, fb = f(a), f(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise NoSignChange(f"f({a})={fa} and f({b})={fb} have the same sign")
+    t = 0.5
     for _ in range(max_iter):
-        if hi - lo <= tol:
+        width = abs(b - a)
+        if width <= tol:
             break
-        # secant proposal; fall back to bisection when degenerate or outside
-        denom = fhi - flo
-        if denom != 0.0:
-            xs = hi - fhi * (hi - lo) / denom
-        else:
-            xs = math.nan
-        mid = 0.5 * (lo + hi)
-        guard = 0.01 * (hi - lo)
-        if not (lo + guard < xs < hi - guard):
-            xs = mid
-        x = xs
+        tl = tol / (2.0 * width)
+        x = a + min(max(t, tl), 1.0 - tl) * (b - a)
         fx = f(x)
         if fx == 0.0:
             return x
-        if flo * fx < 0.0:
-            hi, fhi = x, fx
+        if (fx < 0.0) == (fa < 0.0):
+            c, fc = a, fa
         else:
-            lo, flo = x, fx
-    # midpoint of the final bracket is the certified answer
-    r = 0.5 * (lo + hi)
-    return r
+            c, fc = b, fb
+            b, fb = a, fa
+        a, fa = x, fx
+        # c lies beyond a, on the side away from b, and fc has the sign of fa
+        xi = (a - b) / (c - b)
+        phi = (fa - fb) / (fc - fb)
+        if phi * phi < xi and (1.0 - phi) * (1.0 - phi) < 1.0 - xi:
+            t = (fa / (fb - fa) * fc / (fb - fc)
+                 + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
+        else:
+            t = 0.5
+    return 0.5 * (a + b)
 
 
 def bisect_lockstep(g: Callable[[np.ndarray], np.ndarray], a: np.ndarray,

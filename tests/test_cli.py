@@ -348,11 +348,21 @@ def test_domain_error_exit_code():
     ("16700.719092785555", "26.037402816997748"),   # BlowUpError
     ("636650.0078004306", "0.6583807767438601"),    # InconclusiveTail
     ("365", "1e-5"),                                # OverflowError in p_window
+    ("1e200", "1"),                                 # qbar_2 underflows to 0
 ])
 def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
     assert run_cli("analyze", "--p", p, "--tau", tau) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("c", ["1e-300", "1e300", "inf"])
+def test_extreme_speed_exits_1_with_one_line(c, capsys):
+    # the root window at ln p cannot be certified at these speeds
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07", "--c", c) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: window certification failed")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("grid", ["1", "0", "-3"])

@@ -4,15 +4,16 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from nmwaves.dirichlet import (CoefficientOverflow, build, coefficients,
-                               horizon, qbar2_closed_form, qbar3_closed_form,
-                               zeta, zeta_by_quadrature)
-from nmwaves.charroots import mu_root
+from nmwaves.dirichlet import (CoefficientOverflow, _qbar2, _zeta, build,
+                               coefficients, horizon, qbar2_closed_form,
+                               qbar3_closed_form, zeta, zeta_by_quadrature)
+from nmwaves.charroots import _mu, mu_root
 from nmwaves.model import ModelParams, birth
-from nmwaves.numerics import PowerSeries
+from nmwaves.numerics import PowerSeries, lower_incomplete_gamma
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
 
@@ -239,6 +240,42 @@ def test_zeta_gamma_form_vs_quadrature():
         a = zeta(params)
         b = zeta_by_quadrature(params)
         assert abs(a - b) <= 1e-10, (params.p, params.tau)
+
+
+def test_zeta_makes_one_incomplete_gamma_call(monkeypatch):
+    from nmwaves import dirichlet
+
+    calls = []
+
+    def counted(z, s):
+        calls.append(1)
+        return lower_incomplete_gamma(z, s)
+
+    monkeypatch.setattr(dirichlet, "lower_incomplete_gamma", counted)
+    zeta(EXAMPLE)
+    assert len(calls) == 1
+
+
+def _zeta_four_calls(p, tau, mu):
+    # the closed form with one incomplete-gamma call per integral
+    qb2 = _qbar2(p, tau, mu)
+    m = 1.0 / mu
+    emt = np.exp(-mu * tau)
+    g = lower_incomplete_gamma
+    return ((1.0 + qb2) * np.exp(-tau)
+            + p * m * (g(1.0, m + 1.0) - g(emt, m + 1.0)
+                       + qb2 * (g(1.0, m + 2.0) - g(emt, m + 2.0))))
+
+
+def test_zeta_one_pass_is_bit_identical_to_four_calls():
+    rng = np.random.default_rng(31)
+    p = 10.0 ** rng.uniform(0.001, 6.0, 400)
+    tau = np.concatenate([[0.0], 10.0 ** rng.uniform(-6.0, 1.7, 399)])
+    mu = _mu(p, tau)
+    assert np.array_equal(_zeta(p, tau, mu), _zeta_four_calls(p, tau, mu))
+    for i in range(0, 400, 37):  # scalar inputs, as ModelParams passes them
+        args = float(p[i]), float(tau[i]), float(mu[i])
+        assert _zeta(*args) == _zeta_four_calls(*args)
 
 
 def test_build_requires_positive_delay():

@@ -99,6 +99,71 @@ def test_solve_bracketed_straddles_root():
         assert f(r - tol) * f(r + tol) <= 0.0
 
 
+def _profile_dmin(z, p, c, tau):
+    # the z-derivative that charroots._profile_min_over_positive solves
+    h = c * tau
+    return 2.0 * z - c - p * h * np.exp(-z * h)
+
+
+def test_solve_bracketed_agrees_with_scipy_find_root():
+    # the oracle is scipy's Chandrupatla run to its default tolerances,
+    # which are near machine precision
+    from scipy.optimize.elementwise import find_root
+
+    rng = np.random.default_rng(12)
+    cases = []
+    for _ in range(40):
+        p, tau = 10.0 ** rng.uniform(0.01, 6.0), 10.0 ** rng.uniform(-3.0, 1.5)
+        c = 10.0 ** rng.uniform(-1.0, 2.0)
+        z_hi = 0.5 * (c + p * c * tau) + 1.0
+        cases.append((lambda z, p=p, c=c, tau=tau: _profile_dmin(z, p, c, tau),
+                      0.0, z_hi))
+        a = rng.uniform(0.05, 5.0)
+        cases += [(lambda x, a=a: x ** 3 - a, 0.0, 2.0),
+                  (lambda x, a=a: np.expm1(x) - a, -1.0, 2.0),
+                  (lambda x, a=a: np.arctan(a * (x - 0.3)), -1.0, 1.0 + a)]
+    for f, lo, hi in cases:
+        tol = 1e-12 * (1.0 + hi)
+        want = find_root(f, (lo, hi))
+        assert want.success
+        got = solve_bracketed(lambda x: float(f(x)), Bracket(lo, hi), tol=tol)
+        assert abs(got - float(want.x)) <= tol
+
+
+@pytest.mark.parametrize("f, root", [
+    (lambda x: 1.0 if x >= 0.3 else -1.0, 0.3),             # step
+    (lambda x: max(x - 0.61, 0.0) - 1e-3, 0.611),           # flat plateau
+    (lambda x: min(max(x - 0.2, 0.0), 0.5) - 0.25, 0.45),   # two plateaus
+])
+def test_solve_bracketed_converges_on_steps_and_plateaus(f, root):
+    calls = []
+    tol = 1e-12
+    got = solve_bracketed(lambda x: calls.append(x) or f(x),
+                          Bracket(-1.0, 2.0), tol=tol, max_iter=200)
+    assert abs(got - root) <= tol
+    assert len(calls) < 200
+
+
+def test_minimal_speed_is_superlinear(monkeypatch):
+    # every evaluation that minimal_speed hands to the solver, those of
+    # the inner minimum over z included
+    from nmwaves import charroots
+    from nmwaves.model import ModelParams
+
+    count = [0]
+
+    def counted(f, *args, **kwargs):
+        def f_counted(x):
+            count[0] += 1
+            return f(x)
+        return solve_bracketed(f_counted, *args, **kwargs)
+
+    monkeypatch.setattr(charroots, "solve_bracketed", counted)
+    c_star = charroots.minimal_speed(ModelParams(p=365.0, tau=0.07))
+    assert abs(c_star - 7.89) <= 0.01
+    assert 0 < count[0] <= 300
+
+
 def test_bisect_lockstep_reaches_rounding_level():
     # x^2 = k on [0, 2] for several k at once, either sign of g(a)
     k = np.array([0.0, 1e-6, 0.5, 2.0, 3.999])
