@@ -522,7 +522,6 @@ class RegionReport:
 
 def region_report(params: ModelParams, c: float | None = None) -> RegionReport:
     """Assemble every region flag for one parameter point."""
-    from .heteroclinic import p_window
     from .model import gsc_holds
 
     nec = nm_necessary(params)
@@ -536,7 +535,7 @@ def region_report(params: ModelParams, c: float | None = None) -> RegionReport:
         if params.P > 1.0:
             tau_c = tau_of_c(params.P, c)
             th = tau_hat(params.P)
-    return RegionReport(params=params, c=c, in_p_window=p_window(params),
+    return RegionReport(params=params, c=c, in_p_window=params.in_p_window,
                         zeta_value=z, zeta_gt_lnp=z > params.kappa,
                         nm_necessary=nec, gsc=gsc_holds(params),
                         in_dm=in_dm, in_ds=in_ds, T_c=T_c, tau_c=tau_c,

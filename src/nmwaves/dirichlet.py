@@ -151,41 +151,48 @@ class DirichletExpansion:
         x = math.exp(self.mu * t)
         return x + self.coeffs[1] * x * x
 
-    def evaluate_with_tail(self, t: float) -> tuple[float, float]:
-        """Partial sum at t plus the magnitude of the last kept term.
+    def _partial_sum(self, t, weights):
+        """sum_n weights[n-1] e^{n mu t} and the magnitude of its last term.
 
-        Refuses t at or beyond the certified horizon.
+        t is a float or a 1-D array; e^{mu t} is math.exp's at every
+        element, so an array gives each element the float result bit for
+        bit. Refuses t (the largest, for an array) at or beyond the
+        certified horizon.
         """
-        if t >= self.horizon:
+        t_max = float(np.max(t))
+        if t_max >= self.horizon:
             raise ValueError(
-                f"t = {t} is not below the series horizon {self.horizon}; "
+                f"t = {t_max} is not below the series horizon {self.horizon}; "
                 "the series is not certified there")
-        x = math.exp(self.mu * t)
+        if np.ndim(t):
+            x = np.array([math.exp(self.mu * ti)
+                          for ti in np.asarray(t).tolist()])
+        else:
+            x = math.exp(self.mu * t)
         total = 0.0
         power = x
         last = 0.0
-        for q in self.coeffs:
-            last = q * power
-            total += last
-            power *= x
+        for w in weights:
+            last = w * power
+            total = total + last
+            power = power * x
         return total, abs(last)
 
-    def evaluate(self, t: float) -> float:
-        """Partial sum of the series at t (t must lie below the horizon)."""
-        return self.evaluate_with_tail(t)[0]
+    def evaluate_with_tail(self, t: float | np.ndarray) -> tuple:
+        """Partial sum at t plus the magnitude of the last kept term.
 
-    def derivative(self, t: float) -> float:
+        t is a float or a 1-D array; refuses t at or beyond the horizon.
+        """
+        return self._partial_sum(t, self.coeffs)
+
+    def evaluate(self, t: float | np.ndarray) -> float | np.ndarray:
+        """Partial sum of the series at t (t must lie below the horizon)."""
+        return self._partial_sum(t, self.coeffs)[0]
+
+    def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
         """Termwise derivative sum(n mu qbar_n e^{n mu t})."""
-        if t >= self.horizon:
-            raise ValueError(
-                f"t = {t} is not below the series horizon {self.horizon}")
-        x = math.exp(self.mu * t)
-        total = 0.0
-        power = x
-        for n, q in enumerate(self.coeffs, start=1):
-            total += n * self.mu * q * power
-            power *= x
-        return total
+        return self._partial_sum(
+            t, [n * self.mu * q for n, q in enumerate(self.coeffs, start=1)])[0]
 
     def defect(self, t: float) -> float:
         """Residual u'(t) + u(t) - f(u(t - tau)) of the truncated series."""

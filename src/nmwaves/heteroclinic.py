@@ -16,6 +16,9 @@ scalar recurrence runs node by node.
 Also here: crossings of ln p with the tail class, the first interior
 maximum, the sign-change count used to detect slow oscillation, and the
 combined verdict for existence of a non-monotone non-oscillating wave.
+The crossing count, the global maximum and the tail class come from the
+grid nodes alone; only crossings() refines crossing times on the
+interpolant, and nm_verdict, which reports no time, never does.
 """
 
 from __future__ import annotations
@@ -93,7 +96,9 @@ class Trajectory:
 class CrossingReport:
     """Crossings of a level by the trajectory, with shape diagnostics.
 
-    crossings: (time, slope sign) pairs, slope sign +1 for upward.
+    crossings: (time, slope sign) pairs, slope sign +1 for upward; the
+        times are refined on the interpolant, which crossings() alone
+        does.
     gaps: consecutive crossing-time differences.
     global_max: largest sampled value (Hermite-refined).
     tail_class: MONOTONE_TAIL or OSCILLATING.
@@ -110,12 +115,12 @@ class CrossingReport:
 
 
 def default_t_end(params: ModelParams, t0: float) -> float:
-    """Default integration end: t0 + max(10, 20 tau, 5).
+    """Default integration end: t0 + max(10, 20 tau).
 
     Time is already measured in units of the linear decay rate, so a
     fixed budget covers both the excursion and the settling tail.
     """
-    return t0 + max(10.0, 20.0 * params.tau, 5.0)
+    return t0 + max(10.0, 20.0 * params.tau)
 
 
 def integrate(expansion: DirichletExpansion, t_end: float | None = None,
@@ -149,9 +154,8 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     t[K + 1:] = t0 + np.arange(1, n_steps + 1) * h
     u = np.empty(n_total)
     du = np.empty(n_total)
-    for i in range(K + 1):
-        u[i] = expansion.evaluate(t[i])
-        du[i] = expansion.derivative(t[i])
+    u[:K + 1] = expansion.evaluate(t[:K + 1])
+    du[:K + 1] = expansion.derivative(t[:K + 1])
 
     # Within one delay interval the delayed terms F0 = f(u(t_n - tau)),
     # Fh = f(u(t_n + h/2 - tau)) and F1 = f(u(t_n + h - tau)) are known, so
@@ -201,23 +205,21 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
 
     The nodes are searched with numerics.level_crossings, so sign changes
     at rounding level are not crossings; the first interior maximum is
-    first_maximum's. Raises InconclusiveTail when the run is too short to
-    establish either a settling monotone tail or persistent oscillation.
+    first_maximum's. Only this function refines the crossing times. Raises
+    InconclusiveTail when the run is too short to establish either a
+    settling monotone tail or persistent oscillation.
     """
     params = traj.params
     if level is None:
         level = params.kappa
     tau = params.tau
-    t, u = traj.t, traj.u
-    s = u - level
-    idx = np.array(level_crossings(u, level), dtype=np.int64)
+    idx, global_max, tail = _node_stage(traj, level)
+    s = traj.u - level
     # a node on the level is its own crossing; sign changes between
     # neighbouring nodes are refined on the interpolant
     strict = s[idx] != 0.0
-    seg = traj._segments(idx[strict])
-    tc = bisect_lockstep(lambda m: hermite_cubic(*seg, m) - level,
-                         seg[0], seg[1], s[idx[strict]])
-    times = t[idx]
+    seg, tc = _refine(traj, idx[strict], level)
+    times = traj.t[idx]
     times[strict] = tc
     ups = s[idx + 1] > 0.0
     ups[strict] = hermite_cubic_deriv(*seg, tc) >= 0.0
@@ -232,18 +234,31 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
         if s1 == s2:
             anomalies.append("consecutive crossings with equal slope sign")
             break
+    return CrossingReport(level=level, crossings=tuple(found), gaps=gaps,
+                          global_max=global_max, tail_class=tail,
+                          anomalies=tuple(anomalies))
 
+
+def _node_stage(traj: Trajectory, level: float):
+    """(level_crossings indices, Hermite-refined maximum, tail class):
+    what crossings() and nm_verdict share, found without crossing times."""
+    t, u = traj.t, traj.u
+    idx = np.array(level_crossings(u, level), dtype=np.int64)
     i_max = int(np.argmax(u))
     global_max = float(u[i_max])
     if 0 < i_max < len(u) - 1:
         tt = np.linspace(t[i_max] - traj.h, t[i_max] + traj.h, 41)
         global_max = max(global_max,
                          float(np.max(traj._hermite(hermite_cubic, tt))))
+    return idx, global_max, _classify_tail(traj, idx, level)
 
-    tail = _classify_tail(traj, found, level)
-    return CrossingReport(level=level, crossings=tuple(found), gaps=gaps,
-                          global_max=global_max, tail_class=tail,
-                          anomalies=tuple(anomalies))
+
+def _refine(traj: Trajectory, idx: np.ndarray, level: float):
+    """The segments idx, where u - level changes sign, and the level's
+    time in each, bisected in lockstep on the Hermite interpolant."""
+    seg = traj._segments(idx)
+    return seg, bisect_lockstep(lambda m: hermite_cubic(*seg, m) - level,
+                                seg[0], seg[1], seg[2] - level)
 
 
 def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
@@ -263,7 +278,17 @@ def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
     return float(tm[0]), float(hermite_cubic(*seg, tm)[0])
 
 
-def _classify_tail(traj: Trajectory, found, level: float) -> TrajectoryTail:
+def _classify_tail(traj: Trajectory, idx: np.ndarray,
+                   level: float) -> TrajectoryTail:
+    """Tail class from the crossing indices idx of level_crossings.
+
+    The amplitude after the last crossing is taken from node i on for a
+    crossing on node i, and from node i+1 on for one inside segment i,
+    wherever the root lies in it. Crossings are in time order, so the
+    last one decides whether any lies in the run's last quarter; only
+    when its segment straddles the quarter mark is it refined, as one
+    lane of crossings()' bisection, whose lanes are independent.
+    """
     tau = traj.params.tau
     t_end = float(traj.t[-1])
     window = traj.t >= t_end - 2.0 * tau
@@ -271,14 +296,17 @@ def _classify_tail(traj: Trajectory, found, level: float) -> TrajectoryTail:
     dev_end = abs(float(traj.u[-1]) - level)
     monotone = is_monotone(tail_u, level_tol(level))
 
-    if found:
-        t_last = found[-1][0]
-        after = traj.t >= t_last
-        amp = float(np.max(np.abs(traj.u[after] - level)))
+    if idx.size:
+        i = int(idx[-1])
+        strict = int(traj.u[i] != level)
+        amp = float(np.max(np.abs(traj.u[i + strict:] - level)))
         if monotone and (dev_end <= amp / 1e3 or dev_end < 1e-6):
             return TrajectoryTail.MONOTONE_TAIL
         t_quarter = traj.t0 + 0.75 * (t_end - traj.t0)
-        if any(tc >= t_quarter for tc, _ in found):
+        t_last = float(traj.t[i])
+        if t_last < t_quarter <= traj.t[i + strict]:
+            t_last = float(_refine(traj, idx[-1:], level)[1][0])
+        if t_last >= t_quarter:
             return TrajectoryTail.OSCILLATING
         raise InconclusiveTail(
             f"tail not settled by t_end = {t_end}: deviation {dev_end:.3e}, "
@@ -322,7 +350,8 @@ class NmVerdict:
     zeta_gt_lnp: the peak lower bound exceeds the equilibrium.
     verdict: conjunction of the two.
     Empirical confirmation from a run (when requested): the largest value
-    of the heteroclinic and its tail class.
+    of the heteroclinic, its tail class and its crossing count, all read
+    from the grid nodes without refining a crossing time.
     """
 
     params: ModelParams
@@ -350,6 +379,9 @@ def nm_verdict(params: ModelParams, run: bool = True, K: int = 64,
                t_end: float | None = None, n_coeffs: int = 40) -> NmVerdict:
     """Evaluate the nm-wave criteria, optionally confirming with a run.
 
+    The run's crossing count, maximum and tail class come from the node
+    stage crossings() shares; no crossing time is refined here.
+
     For p close to 1 the normalized series coefficients grow and long
     expansions trip the overflow guard; the confirmation run then falls
     back to shorter expansions (the handoff time respects the certified
@@ -357,7 +389,7 @@ def nm_verdict(params: ModelParams, run: bool = True, K: int = 64,
     """
     from . import dirichlet as _d
 
-    in_window = p_window(params)
+    in_window = params.in_p_window  # before the run: it can overflow
     z = params.zeta
     z_gt = z > params.kappa
     max_u = tail = n_cross = None
@@ -373,10 +405,8 @@ def nm_verdict(params: ModelParams, run: bool = True, K: int = 64,
                 continue
         if expansion is not None:
             traj = integrate(expansion, t_end=t_end, K=K)
-            report = crossings(traj)
-            max_u = report.global_max
-            tail = report.tail_class
-            n_cross = len(report.crossings)
+            idx, max_u, tail = _node_stage(traj, params.kappa)
+            n_cross = len(idx)
     return NmVerdict(params=params, in_p_window=in_window, zeta_value=z,
                      zeta_gt_lnp=z_gt, verdict=in_window and z_gt,
                      max_u=max_u, tail_class=tail, crossing_count=n_cross)

@@ -21,8 +21,9 @@ class ModelParams:
     Derived constants: kappa = ln p is the positive equilibrium of
     u' = -u + f(u(t-tau)); P = ln p - 1 is minus the slope of f at kappa;
     x_crit = 1 is the unique maximum of f and f_max = p/e its value.
-    mu and zeta keep the results of charroots.mu_root and dirichlet.zeta
-    on first use, so every layer asking about one point shares them.
+    mu, zeta and in_p_window keep the results of charroots.mu_root,
+    dirichlet.zeta and heteroclinic.p_window on first use, so every layer
+    asking about one point shares them.
     """
 
     p: float
@@ -59,6 +60,11 @@ class ModelParams:
     def zeta(self) -> float:
         from .dirichlet import zeta
         return zeta(self)
+
+    @cached_property
+    def in_p_window(self) -> bool:
+        from .heteroclinic import p_window
+        return p_window(self)
 
 
 def birth(u: float, order: int, params: ModelParams) -> float:

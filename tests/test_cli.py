@@ -99,10 +99,11 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_analyze_computes_mu_once_and_bisects_once(tmp_path, monkeypatch):
-    # mu and zeta live on the point's ModelParams, and the crossing report
-    # refines crossings only: the first-maximum search is the heteroclinic
-    # command's alone
+def test_analyze_computes_mu_once_and_never_bisects(tmp_path, monkeypatch):
+    # mu and zeta live on the point's ModelParams, and the verdict reads
+    # the crossing count, max_u and the tail from the grid nodes: crossing
+    # times and the first maximum are refined for the heteroclinic
+    # command alone
     import nmwaves.atlas  # noqa: F401 - bind every module the call uses
     from nmwaves import charroots, numerics
 
@@ -112,9 +113,22 @@ def test_analyze_computes_mu_once_and_bisects_once(tmp_path, monkeypatch):
     assert run_cli("analyze", "--p", "365", "--tau", "0.07", "--c", "50",
                    "--out", str(out)) == 0
     assert len(mu_calls) == 1
-    assert len(bisections) == 1
+    assert len(bisections) == 0
     payload = json.loads(out.read_text())
     assert payload["heteroclinic"]["crossings"] == 1
+
+
+def test_analyze_evaluates_p_window_once(tmp_path, monkeypatch):
+    # the verdict and the region report share the point's window flag
+    import nmwaves.atlas  # noqa: F401 - bind every module the call uses
+    from nmwaves import heteroclinic
+
+    windows = _count_calls(monkeypatch, heteroclinic, "p_window")
+    out = tmp_path / "r.json"
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07", "--c", "50",
+                   "--out", str(out)) == 0
+    assert len(windows) == 1
+    assert json.loads(out.read_text())["in_p_window"] is True
 
 
 def test_series_outputs(tmp_path):

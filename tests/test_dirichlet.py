@@ -190,6 +190,33 @@ def test_evaluate_refuses_beyond_horizon():
         expansion.evaluate(expansion.horizon)
     with pytest.raises(ValueError):
         expansion.evaluate(expansion.horizon + 1.0)
+    # an array is refused when its largest t is
+    with pytest.raises(ValueError):
+        expansion.derivative(np.array([-1.0, expansion.horizon, -2.0]))
+
+
+@pytest.mark.parametrize("p, tau", [(365.0, 0.07), (2.0, 0.1), (1000.0, 5.0)])
+def test_array_evaluation_matches_the_scalar_sums(p, tau):
+    # the integrator's history nodes in one call, against the term-by-term
+    # float sums of u and u'
+    expansion = build(ModelParams(p=p, tau=tau))
+    t = min(0.0, expansion.horizon - 0.5 / expansion.mu) - tau * (
+        1.0 - np.arange(65) / 64)
+    mu = expansion.mu
+    u_ref, du_ref = [], []
+    for ti in t:
+        x = math.exp(mu * ti)
+        u = du = 0.0
+        power = x
+        for n, q in enumerate(expansion.coeffs, start=1):
+            u += q * power
+            du += n * mu * q * power
+            power *= x
+        u_ref.append(u)
+        du_ref.append(du)
+    assert expansion.evaluate(t).tolist() == u_ref
+    assert expansion.derivative(t).tolist() == du_ref
+    assert [expansion.evaluate(ti) for ti in t.tolist()] == u_ref
 
 
 def test_evaluate_against_ode_integration():

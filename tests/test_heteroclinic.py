@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
+from nmwaves import heteroclinic
 from nmwaves.dirichlet import build, zeta
-from nmwaves.heteroclinic import (BlowUpError, Trajectory, TrajectoryTail,
-                                  crossings, first_maximum, integrate,
-                                  nm_verdict, p_window, sign_change_count)
+from nmwaves.heteroclinic import (BlowUpError, InconclusiveTail, Trajectory,
+                                  TrajectoryTail, crossings, first_maximum,
+                                  integrate, nm_verdict, p_window,
+                                  sign_change_count)
 from nmwaves.model import ModelParams
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
@@ -312,6 +314,107 @@ def test_nm_verdict_small_amplitude_falls_back_to_short_series():
     assert verdict.verdict is False
     assert verdict.tail_class is TrajectoryTail.MONOTONE_TAIL
     assert verdict.crossing_count == 0
+
+
+def _outcome(f):
+    """f's result, or the message of the InconclusiveTail it raised."""
+    try:
+        return f()
+    except InconclusiveTail as exc:
+        return str(exc)
+
+
+def _node_level(params):
+    """nm_verdict's (crossing_count, max_u, tail_class)."""
+    def run():
+        v = nm_verdict(params)
+        return v.crossing_count, v.max_u, v.tail_class
+    return _outcome(run)
+
+
+def _refined(traj):
+    """crossings()'s (len(crossings), global_max, tail_class)."""
+    def run():
+        r = crossings(traj)
+        return len(r.crossings), r.global_max, r.tail_class
+    return _outcome(run)
+
+
+def test_node_level_tail_matches_refined_crossings(monkeypatch):
+    # nm_verdict decides count, maximum and tail without refining a
+    # crossing time; crossings() refines all of them
+    rng = np.random.default_rng(13)
+    ps = np.exp(rng.uniform(math.log(1.5), math.log(1e6), 160))
+    taus = np.exp(rng.uniform(math.log(0.01), math.log(20.0), 160))
+    runs = []
+    monkeypatch.setattr(heteroclinic, "integrate",
+                        lambda *a, **k: runs.append(integrate(*a, **k))
+                        or runs[-1])
+    compared = inconclusive = 0
+    for p, tau in zip(ps.tolist(), taus.tolist()):
+        runs.clear()
+        try:
+            node = _node_level(ModelParams(p=p, tau=tau))
+        except BlowUpError:
+            continue
+        assert node == _refined(runs[0]), (p, tau)
+        compared += 1
+        inconclusive += isinstance(node, str)
+    assert compared >= 150
+    assert inconclusive >= 1
+
+
+def _synthetic(monkeypatch, u, du):
+    """A run at (e^3, 1) on t = -1, -0.8, ..., 10, handed to nm_verdict in
+    place of the integration; the last quarter starts at t = 7.5."""
+    params = ModelParams(p=math.e ** 3, tau=1.0)
+    t = -1.0 + 0.2 * np.arange(56)
+    traj = Trajectory(t=t, u=u(t), du=du(t), t0=0.0, h=0.2, params=params,
+                      provenance={})
+    monkeypatch.setattr(heteroclinic, "integrate", lambda *a, **k: traj)
+    return _node_level(params), _refined(traj)
+
+
+@pytest.mark.parametrize("root, tail", [
+    (7.45, "tail not settled"), (7.55, TrajectoryTail.OSCILLATING)])
+def test_node_level_tail_refines_a_last_crossing_straddling_the_quarter(
+        monkeypatch, root, tail):
+    # one crossing, in the segment [7.4, 7.6] around the quarter mark,
+    # then a growing wobble: only the root's side of 7.5 decides
+    w = lambda t: 1.0 + 0.5 * np.sin(5.0 * t)
+    node, refined = _synthetic(
+        monkeypatch, lambda t: 3.0 + (t - root) * w(t),
+        lambda t: w(t) + 2.5 * (t - root) * np.cos(5.0 * t))
+    assert node == refined
+    if isinstance(tail, str):
+        assert node.startswith(tail)
+    else:
+        assert node[0] == 1 and node[2] is tail
+
+
+def test_node_level_tail_with_the_last_crossing_on_a_node(monkeypatch):
+    # u crosses ln p = 3 exactly at the node t = 5 and settles from above
+    def u(t):
+        v = 3.0 + (t - 5.0) * np.exp(-3.0 * (t - 5.0))
+        v[30] = 3.0
+        return v
+    node, refined = _synthetic(
+        monkeypatch, u,
+        lambda t: (1.0 - 3.0 * (t - 5.0)) * np.exp(-3.0 * (t - 5.0)))
+    assert node == refined
+    assert node[0] == 1 and node[2] is TrajectoryTail.MONOTONE_TAIL
+
+
+@pytest.mark.parametrize("u, tail", [
+    (lambda t: 3.0 - np.exp(-t), TrajectoryTail.MONOTONE_TAIL),
+    (lambda t: 2.0 - 0.1 * np.sin(5.0 * t), "no crossings and no trend")])
+def test_node_level_tail_without_crossings(monkeypatch, u, tail):
+    node, refined = _synthetic(monkeypatch, u, np.zeros_like)
+    assert node == refined
+    if isinstance(tail, str):
+        assert node.startswith(tail)
+    else:
+        assert node[0] == 0 and node[2] is tail
 
 
 def test_trajectory_csv(tmp_path):
