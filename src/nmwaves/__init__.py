@@ -18,13 +18,11 @@ from .dirichlet import (CoefficientOverflow, DirichletExpansion, build,
                         qbar3_closed_form, zeta, zeta_by_quadrature)
 from .heteroclinic import (BlowUpError, CrossingReport, InconclusiveTail,
                            NmVerdict, Trajectory, TrajectoryTail, crossings,
-                           first_maximum, integrate, nm_verdict, p_window,
-                           sign_change_count)
+                           first_maximum, integrate, nm_verdict, p_window)
 from .atlas import (MembershipInconsistency, NecessaryConditions, Phi,
                     RegionReport, SpeedFrame, SweepReport, membership,
-                    nm_necessary, proposition_hypotheses, region_grid,
-                    region_report, T_of_c, T_star, tau_hat, tau_of_c,
-                    tau_star, verify_inclusion)
+                    nm_necessary, region_grid, region_report, T_of_c,
+                    T_star, tau_hat, tau_of_c, tau_star, verify_inclusion)
 from .pde import (DirichletBC, ExpTail, Heaviside, Scheme, SimConfig,
                   SmoothStep, SpacetimeRecord, preset, simulate)
 from .diagnostics import (FrontDiagnostics, ProfileShape, SpeedEstimate,

@@ -28,10 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .charroots import (_mu, _profile_min_over_positive,
-                        negative_root_exists, negative_roots_at_kappa)
+from .charroots import _mu, negative_root_exists, negative_roots_at_kappa
 from .dirichlet import _zeta
-from .model import ModelParams, feedback_holds
+from .model import ModelParams, gsc_holds
 from .numerics import (Bracket, PowerSeries, bisect_lockstep,
                        solve_bracketed)
 
@@ -85,38 +84,24 @@ def tau_star() -> float:
 class NecessaryConditions:
     """The necessary conditions for a non-monotone non-oscillating wave.
 
-    overall is the conjunction of the first three; the last two are
-    consequences reported for diagnostics.
+    overall: p > e^2, growth_product < 1 and delay_product > 1.
     """
 
     p_gt_e2: bool
     growth_product: float        # P tau e^{1+tau}, must be < 1
-    growth_product_lt_1: bool
     delay_product: float         # p tau e^{tau-1}, must be > 1
-    delay_product_gt_1: bool
-    exp_decay_lt_half: bool      # e^{-mu tau} < 0.5
-    qbar2_in_unit: bool          # qbar_2 in (-1, 0)
     overall: bool
 
 
 def nm_necessary(params: ModelParams) -> NecessaryConditions:
     """Evaluate the necessary conditions at (p, tau)."""
-    from .dirichlet import qbar2_closed_form
-
     p, tau = params.p, params.tau
-    P = params.P
-    growth = P * tau * math.exp(1.0 + tau)
+    growth = params.P * tau * math.exp(1.0 + tau)
     delay = p * tau * math.exp(tau - 1.0)
-    c1 = p > math.e ** 2
-    c2 = growth < 1.0
-    c3 = delay > 1.0
-    emt = math.exp(-params.mu * tau)
-    qb2 = qbar2_closed_form(params)
+    p_gt_e2 = p > math.e ** 2
     return NecessaryConditions(
-        p_gt_e2=c1, growth_product=growth, growth_product_lt_1=c2,
-        delay_product=delay, delay_product_gt_1=c3,
-        exp_decay_lt_half=emt < 0.5, qbar2_in_unit=-1.0 < qb2 < 0.0,
-        overall=c1 and c2 and c3)
+        p_gt_e2=p_gt_e2, growth_product=growth, delay_product=delay,
+        overall=p_gt_e2 and growth < 1.0 and delay > 1.0)
 
 
 def Phi(tau: float, frame: SpeedFrame) -> float:
@@ -136,12 +121,12 @@ def _phi(tau, lam, nu):
     return (nu - lam) / (nu * xp.exp(-lam * tau) - lam * xp.exp(-nu * tau))
 
 
-def tau_of_c(P, c, tol: float = 1e-13):
+def tau_of_c(P, c):
     """Unique positive root of Phi(tau, c) = 1 - 1/P (requires P > 1).
 
-    Float P and c give a float found by solve_bracketed to ``tol``. Numpy
-    arrays broadcast, and all their lanes are bisected in lockstep to
-    rounding level.
+    Float P and c give a float found by solve_bracketed to 1e-13
+    (1 + bracket). Numpy arrays broadcast, and all their lanes are
+    bisected in lockstep to rounding level.
     """
     if not np.all(P > 1.0):
         raise ValueError(f"the threshold 1 - 1/P needs P > 1, got {P}")
@@ -151,7 +136,7 @@ def tau_of_c(P, c, tol: float = 1e-13):
     target = 1.0 - 1.0 / P
     return _boundary_roots(lambda t: target - _phi(t, lam, nu),
                            np.broadcast(P, c).shape,
-                           "Phi failed to fall below the threshold", tol)
+                           "Phi failed to fall below the threshold", 1e-13)
 
 
 def _boundary_roots(g, shape, message, tol):
@@ -203,44 +188,44 @@ def _monotone_boundary_lhs(tau, c):
     return math.e * h * h / (2.0 + sX) * xp.exp(expo)
 
 
-def T_of_c(P, c, tol: float = 1e-13):
+def T_of_c(P, c):
     """Unique positive root in tau of the monotone-tail boundary equation.
 
     The left side increases strictly from 0, so bisection on the sign
     change against 1/P always succeeds (requires P > 0). Float P and c
-    give a float found by solve_bracketed to ``tol``. Numpy arrays
-    broadcast, and all their lanes are bisected in lockstep to rounding
-    level.
+    give a float found by solve_bracketed to 1e-13 (1 + bracket). Numpy
+    arrays broadcast, and all their lanes are bisected in lockstep to
+    rounding level.
     """
     if not np.all(P > 0.0):
         raise ValueError(f"the boundary needs P > 0, got {P}")
     target = 1.0 / P
     return _boundary_roots(lambda t: _monotone_boundary_lhs(t, c) - target,
                            np.broadcast(P, c).shape,
-                           "boundary left side failed to reach 1/P", tol)
+                           "boundary left side failed to reach 1/P", 1e-13)
 
 
-def T_star(P: float, tol: float = 1e-14) -> float:
+def T_star(P: float) -> float:
     """Large-speed limit of T(c): the root of P e T e^T = 1 (P > 0)."""
     if not P > 0.0:
         raise ValueError(f"T_star needs P > 0, got {P}")
     g = lambda t: P * math.e * t * math.exp(t) - 1.0
-    return _boundary_roots(g, (), "P e T e^T failed to reach 1", tol)
+    return _boundary_roots(g, (), "P e T e^T failed to reach 1", 1e-14)
 
 
 # width of the strip around T(c) where the boundary comparison decides
 MEMBERSHIP_BAND = 1e-6
 
 
-def membership(params: ModelParams, c: float,
-               band: float = MEMBERSHIP_BAND) -> tuple[bool, bool]:
+def membership(params: ModelParams, c: float) -> tuple[bool, bool]:
     """(in the monotone-tail region, in the slow-oscillation region).
 
     The first flag is computed two independent ways: a direct negative
     root search of the wave-frame characteristic function, and the
-    comparison tau <= T(c). Off a ``band``-wide strip around the boundary
-    the two must agree or MembershipInconsistency is raised; inside the
-    strip the boundary comparison wins (both regions are closed).
+    comparison tau <= T(c). Off a MEMBERSHIP_BAND-wide strip around the
+    boundary the two must agree or MembershipInconsistency is raised;
+    inside the strip the boundary comparison wins (both regions are
+    closed).
 
     For P <= 1 the slow-oscillation threshold 1 - 1/P is <= 0 < Phi and
     the second flag is True by convention.
@@ -254,7 +239,7 @@ def membership(params: ModelParams, c: float,
                 f"P = {P} <= 0 must always give a negative root")
     else:
         T_c = T_of_c(P, c)
-        in_dm, disagree = _monotone_flag(tau, T_c, by_roots, band)
+        in_dm, disagree = _monotone_flag(tau, T_c, by_roots)
         if disagree:
             raise MembershipInconsistency(
                 f"root search says {by_roots}, boundary says {in_dm} "
@@ -263,10 +248,11 @@ def membership(params: ModelParams, c: float,
     return in_dm, in_ds
 
 
-def _monotone_flag(tau, T_c, by_roots, band):
+def _monotone_flag(tau, T_c, by_roots):
     """(tau <= T(c), whether the root search disagrees off the band)."""
     by_boundary = tau <= T_c
-    return by_boundary, (abs(tau - T_c) > band) & (by_roots != by_boundary)
+    return by_boundary, ((abs(tau - T_c) > MEMBERSHIP_BAND)
+                         & (by_roots != by_boundary))
 
 
 def _below_tau_of_c(P, tau, c):
@@ -291,8 +277,7 @@ def membership_grid(p: float, taus: Sequence[float],
     if P <= 0.0:
         in_dm, disagree = np.ones(by_roots.shape, dtype=bool), ~by_roots
     else:
-        in_dm, disagree = _monotone_flag(tau, T_of_c(P, c), by_roots,
-                                         MEMBERSHIP_BAND)
+        in_dm, disagree = _monotone_flag(tau, T_of_c(P, c), by_roots)
     if P <= 1.0:
         in_ds = np.ones(by_roots.shape, dtype=bool)
     else:
@@ -300,42 +285,9 @@ def membership_grid(p: float, taus: Sequence[float],
     return in_dm, in_ds, disagree
 
 
-@dataclass(frozen=True)
-class PropositionFlags:
-    """Hypotheses of the wavefront existence statement at (p, tau, c)."""
-
-    positive_root_at_zero: bool   # profile function at 0 has a positive root
-    ce_threshold: float           # (Gamma^2 + Gamma)/(Gamma^2 + 1), Gamma = -P
-    ce_holds: bool                # Phi(tau, c) >= ce_threshold
-    feedback: bool                # negative feedback on the invariant interval
-
-
-def proposition_hypotheses(params: ModelParams, c: float) -> PropositionFlags:
-    """Evaluate the three existence hypotheses for the blowflies birth law."""
-    P = params.P
-    gamma = -P
-    threshold = (gamma * gamma + gamma) / (gamma * gamma + 1.0)
-    _, min_val = _profile_min_over_positive(params, c)
-    return PropositionFlags(
-        positive_root_at_zero=min_val <= 0.0,
-        ce_threshold=threshold,
-        ce_holds=Phi(params.tau, SpeedFrame(c)) >= threshold,
-        feedback=feedback_holds(params))
-
-
 # ---------------------------------------------------------------------------
 # inclusion sweep and its positivity certificate
 # ---------------------------------------------------------------------------
-
-def inclusion_inequality_margin(tau: float, c: float) -> float:
-    """Left minus right side of the strict boundary-separation inequality.
-
-    The inequality (positive margin) states that the T(c) boundary
-    expression exceeds 1 - Phi(tau, c) for every tau > 0, c > 0; it is
-    what keeps T(c) strictly below tau(c).
-    """
-    return _monotone_boundary_lhs(tau, c) - (1.0 - Phi(tau, SpeedFrame(c)))
-
 
 def certificate_coefficient(k: int, w: float) -> float:
     """Closed-form coefficient A_k(w) of the positivity certificate series.
@@ -414,61 +366,57 @@ def certificate_series(w: float, order: int) -> list[float]:
 class SweepReport:
     """Result of the region-inclusion sweep.
 
-    boundary_margins: per (P, c) the gap tau(c) - T(c), all required > 0.
+    min_boundary_margin: smallest gap tau(c) - T(c) over the (P, c)
+        grid, required > 0.
     min_inequality_margin: smallest left-minus-right value of the
         separation inequality over the (tau, c) grid.
     limit_errors: |tau(c_max) - tau_hat| and |T(c_max) - T_star| per P.
     violations: descriptions of any failures (empty on success).
     """
 
-    P_values: tuple[float, ...]
     min_boundary_margin: float
     min_inequality_margin: float
-    inequality_argmin: tuple[float, float]
     limit_errors: tuple[tuple[float, float, float], ...]
     violations: tuple[str, ...]
-    rows: tuple[tuple[float, float, float, float], ...]  # (P, c, T_c, tau_c)
+
+
+# largest accepted distance of tau(c) and T(c) at c_max from their limits
+LIMIT_TOL = 1e-3
 
 
 def verify_inclusion(P_grid: Sequence[float] = (1.1, 2.0, 4.8999, 10.0),
                      n_c: int = 200,
                      c_range: tuple[float, float] = (0.01, 1e3),
-                     n_tau_grid: int = 300,
-                     tau_range: tuple[float, float] = (1e-3, 10.0),
-                     limit_tol: float = 1e-3) -> SweepReport:
+                     n_tau_grid: int = 300) -> SweepReport:
     """Sweep T(c) < tau(c) and the separation inequality over grids.
 
-    Any violation is collected rather than raised, so the report can be
+    The inequality grid spans tau in [1e-3, 10] and c_range. Any
+    violation is collected rather than raised, so the report can be
     rendered; callers treat a non-empty violation list as failure.
     """
-    violations: list[str] = []
-    rows: list[tuple[float, float, float, float]] = []
     c_lo, c_hi = c_range
     cs = [c_lo * (c_hi / c_lo) ** (i / (n_c - 1)) for i in range(n_c)]
     # every (P, c) lane and the c_hi limit lanes in one array solve per curve
     P_col = np.array(P_grid, dtype=float)[:, None]
     c_row = np.array(cs + [c_hi])
-    T_all = T_of_c(P_col, c_row).tolist()
-    tau_all = tau_of_c(P_col, c_row).tolist()
-    min_boundary = math.inf
+    T_all = T_of_c(P_col, c_row)
+    tau_all = tau_of_c(P_col, c_row)
+    gaps = tau_all[:, :-1] - T_all[:, :-1]
+    violations = [f"T(c) >= tau(c) at P={P_grid[i]}, c={cs[j]}: "
+                  f"{float(T_all[i, j])} vs {float(tau_all[i, j])}"
+                  for i, j in np.argwhere(gaps <= 0.0)]
     limit_errors = []
-    for P, T_P, tau_P in zip(P_grid, T_all, tau_all):
-        for c, T_c, tau_c in zip(cs, T_P, tau_P):
-            rows.append((P, c, T_c, tau_c))
-            margin = tau_c - T_c
-            min_boundary = min(min_boundary, margin)
-            if margin <= 0.0:
-                violations.append(
-                    f"T(c) >= tau(c) at P={P}, c={c}: {T_c} vs {tau_c}")
-        err_tau = abs(tau_P[-1] - tau_hat(P))
-        err_T = abs(T_P[-1] - T_star(P))
+    for P, T_lim, tau_lim in zip(P_grid, T_all[:, -1].tolist(),
+                                 tau_all[:, -1].tolist()):
+        err_tau = abs(tau_lim - tau_hat(P))
+        err_T = abs(T_lim - T_star(P))
         limit_errors.append((P, err_tau, err_T))
-        if err_tau > limit_tol:
+        if err_tau > LIMIT_TOL:
             violations.append(f"tau(c) limit off by {err_tau} at P={P}")
-        if err_T > limit_tol:
+        if err_T > LIMIT_TOL:
             violations.append(f"T(c) limit off by {err_T} at P={P}")
 
-    t_lo, t_hi = tau_range
+    t_lo, t_hi = 1e-3, 10.0
     taus = [t_lo * (t_hi / t_lo) ** (i / (n_tau_grid - 1))
             for i in range(n_tau_grid)]
     cs_ineq = [c_lo * (c_hi / c_lo) ** (i / (n_tau_grid - 1))
@@ -480,20 +428,14 @@ def verify_inclusion(P_grid: Sequence[float] = (1.1, 2.0, 4.8999, 10.0),
         _monotone_boundary_lhs(t, c_row) - (1.0 - _phi(t, lam, nu))
         for t in np.array_split(np.array(taus)[:, None],
                                 max(1, n_tau_grid // 10))])
-    i, j = np.unravel_index(np.argmin(margins), margins.shape)
-    min_margin = float(margins[i, j])
-    argmin = (taus[i], cs_ineq[j])
     for i, j in np.argwhere(margins <= 0.0):
         violations.append(f"separation inequality non-positive at "
                           f"tau={taus[i]}, c={cs_ineq[j]}")
 
-    return SweepReport(P_values=tuple(P_grid),
-                       min_boundary_margin=min_boundary,
-                       min_inequality_margin=min_margin,
-                       inequality_argmin=argmin,
+    return SweepReport(min_boundary_margin=float(gaps.min()),
+                       min_inequality_margin=float(margins.min()),
                        limit_errors=tuple(limit_errors),
-                       violations=tuple(violations),
-                       rows=tuple(rows))
+                       violations=tuple(violations))
 
 
 # ---------------------------------------------------------------------------
@@ -502,44 +444,26 @@ def verify_inclusion(P_grid: Sequence[float] = (1.1, 2.0, 4.8999, 10.0),
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Full per-point region flags at (p, tau), optionally at a speed c."""
+    """Region flags at (p, tau), with the memberships at a speed c if given.
+
+    The window and zeta criteria are the verdict's (heteroclinic.NmVerdict).
+    """
 
     params: ModelParams
     c: float | None
-    in_p_window: bool
-    zeta_value: float
-    zeta_gt_lnp: bool
     nm_necessary: NecessaryConditions
     gsc: bool
     in_dm: bool | None
     in_ds: bool | None
-    T_c: float | None
-    tau_c: float | None
-    tau_hat: float | None
-    T_star: float | None
-    tau_star: float
 
 
 def region_report(params: ModelParams, c: float | None = None) -> RegionReport:
-    """Assemble every region flag for one parameter point."""
-    from .model import gsc_holds
-
-    nec = nm_necessary(params)
-    z = params.zeta
-    in_dm = in_ds = T_c = tau_c = th = ts = None
+    """Assemble the region flags for one parameter point."""
+    in_dm = in_ds = None
     if c is not None:
         in_dm, in_ds = membership(params, c)
-        if params.P > 0.0:
-            T_c = T_of_c(params.P, c)
-            ts = T_star(params.P)
-        if params.P > 1.0:
-            tau_c = tau_of_c(params.P, c)
-            th = tau_hat(params.P)
-    return RegionReport(params=params, c=c, in_p_window=params.in_p_window,
-                        zeta_value=z, zeta_gt_lnp=z > params.kappa,
-                        nm_necessary=nec, gsc=gsc_holds(params),
-                        in_dm=in_dm, in_ds=in_ds, T_c=T_c, tau_c=tau_c,
-                        tau_hat=th, T_star=ts, tau_star=tau_star())
+    return RegionReport(params=params, c=c, nm_necessary=nm_necessary(params),
+                        gsc=gsc_holds(params), in_dm=in_dm, in_ds=in_ds)
 
 
 def region_grid(tau_values: Sequence[float],

@@ -126,7 +126,7 @@ def _profile_min_over_positive(params: ModelParams, c: float) -> tuple[float, fl
     return z_m, val
 
 
-def minimal_speed(params: ModelParams, tol: float = 1e-11) -> float:
+def minimal_speed(params: ModelParams) -> float:
     """Smallest c > 0 for which z^2 - cz - 1 + p e^{-zc tau} has a positive root.
 
     At the minimal speed the profile function at the zero equilibrium is
@@ -148,11 +148,10 @@ def minimal_speed(params: ModelParams, tol: float = 1e-11) -> float:
     c_lo = 1e-8
     if g(c_lo) <= 0.0:
         return c_lo
-    return solve_bracketed(g, Bracket(c_lo, c_hi), tol=tol * (1.0 + c_hi))
+    return solve_bracketed(g, Bracket(c_lo, c_hi), tol=1e-11 * (1.0 + c_hi))
 
 
-def linear_spreading_speed(params: ModelParams, beta: float,
-                           tol: float = 1e-12) -> float:
+def linear_spreading_speed(params: ModelParams, beta: float) -> float:
     """Front speed selected by an initial datum with tail decay rate beta.
 
     Solves beta^2 - c*beta - 1 + p e^{-beta c tau} = 0 for c; the left
@@ -170,7 +169,7 @@ def linear_spreading_speed(params: ModelParams, beta: float,
         grow += 1
         if grow > 60:
             raise BracketingError(f"no spreading speed found up to c = {c_hi}")
-    return solve_bracketed(F, Bracket(0.0, c_hi), tol=tol * (1.0 + c_hi))
+    return solve_bracketed(F, Bracket(0.0, c_hi), tol=1e-12 * (1.0 + c_hi))
 
 
 def _safe_exp(x):
@@ -228,8 +227,7 @@ def _certified_window(P: float, c: float, h: float) -> float:
 TANGENCY_TOL = 1e-9
 
 
-def negative_roots_at_kappa(params: ModelParams, c: float,
-                            tangency_tol: float = TANGENCY_TOL) -> RootReport:
+def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
     """All real negative roots of z^2 - cz - 1 - P e^{-zc tau}.
 
     The root count is 0, 1 or 2:
@@ -241,7 +239,7 @@ def negative_roots_at_kappa(params: ModelParams, c: float,
       two roots, one double root at tangency, or none.
 
     The search window's left edge is certified so that the exponential
-    term dominates below it. A hump maximum within ``tangency_tol`` of
+    term dominates below it. A hump maximum within ``TANGENCY_TOL`` of
     zero (where the derivative also vanishes) is reported as a double
     root, so boundary cases count as "root exists". tau and c are taken
     as Python floats, which overflow to inf without a numpy warning.
@@ -313,15 +311,15 @@ def negative_roots_at_kappa(params: ModelParams, c: float,
     if not roots and crit:
         # tangency: the hump maximum touching zero counts as a double root
         z_m = max(crit, key=chi)
-        if z_m < 0.0 and _touches_zero(chi(z_m), P, c, tangency_tol):
+        if z_m < 0.0 and _touches_zero(chi(z_m), P, c):
             roots = [z_m, z_m]
 
     return RootReport(kind, tuple(sorted(roots)), (z_lo, 0.0))
 
 
-def _touches_zero(chi_max, P, c, tangency_tol):
+def _touches_zero(chi_max, P, c):
     """Whether a hump maximum chi_max counts as reaching zero."""
-    return chi_max >= -tangency_tol * (1.0 + abs(P) + c * c)
+    return chi_max >= -TANGENCY_TOL * (1.0 + abs(P) + c * c)
 
 
 def negative_root_exists(p: float, tau, c) -> np.ndarray:
@@ -366,7 +364,7 @@ def negative_root_exists(p: float, tau, c) -> np.ndarray:
         z_m = bisect_lockstep(lambda z: _dchi(z, P, c, h),
                               z_lo[hump], right[hump], d_lo[hump])
         found = np.zeros(hump.shape, dtype=bool)
-        found[hump] = _touches_zero(_chi(z_m, P, c, h), P, c, TANGENCY_TOL)
+        found[hump] = _touches_zero(_chi(z_m, P, c, h), P, c)
     exists[lanes] = found
     return exists
 

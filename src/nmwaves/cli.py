@@ -53,6 +53,18 @@ def _grid_size(text: str) -> int:
     return n
 
 
+def _path_list(n: int):
+    """--out type: exactly n comma-separated paths."""
+    def parse(text: str) -> list[str]:
+        paths = text.split(",")
+        if len(paths) != n:
+            raise argparse.ArgumentTypeError(
+                f"expected {n} comma-separated paths, got {len(paths)} "
+                f"in {text!r}")
+        return paths
+    return parse
+
+
 def _speed_range(text: str) -> str:
     """--c value: a LO:HI:N range of speeds, all finite and > 0."""
     try:
@@ -95,7 +107,7 @@ def _manifest(subcommand: str, config: dict, outputs: list[str],
 def _cmd_analyze(args) -> int:
     from .atlas import region_report
     from .charroots import classify_tail, minimal_speed
-    from .dirichlet import qbar2_closed_form, zeta, zeta_by_quadrature
+    from .dirichlet import qbar2_closed_form, zeta_by_quadrature
     from .heteroclinic import nm_verdict
     from .model import ModelParams
 
@@ -111,7 +123,7 @@ def _cmd_analyze(args) -> int:
         "P": params.P,
         "mu": params.mu,
         "qbar2": qbar2_closed_form(params),
-        "zeta": report.zeta_value,
+        "zeta": verdict.zeta_value,
         "zeta_quadrature": zeta_by_quadrature(params),
         "in_p_window": verdict.in_p_window,
         "zeta_gt_lnp": verdict.zeta_gt_lnp,
@@ -158,7 +170,7 @@ def _cmd_series(args) -> int:
     started = time.time()
     params = ModelParams(p=args.p, tau=args.tau)
     expansion = build(params, n_coeffs=args.n, eps=args.eps)
-    coeffs_path, profile_path = args.out.split(",")
+    coeffs_path, profile_path = args.out
     write_coefficients_csv(expansion, coeffs_path)
     t_hi = min(0.0, expansion.horizon - 0.5 / expansion.mu)
     t_lo = t_hi - 8.0 / expansion.mu
@@ -183,7 +195,7 @@ def _cmd_heteroclinic(args) -> int:
     traj = integrate(expansion, t_end=args.t_end, K=args.k)
     report = crossings(traj)
     first_max = first_maximum(traj)
-    traj_path, cross_path = args.out.split(",")
+    traj_path, cross_path = args.out
     write_trajectory_csv(traj, traj_path)
     payload = {
         "level": report.level,
@@ -246,15 +258,13 @@ def _cmd_simulate(args) -> int:
                       write_metadata_json, write_snapshots_csv)
 
     started = time.time()
-    if (args.preset is None) == (args.config is None):
-        raise ValueError("exactly one of --preset / --config is required")
     if args.preset is not None:
         config = preset(args.preset)
     else:
         with open(args.config, "r", encoding="utf-8") as fh:
             config = config_from_dict(json.load(fh))
     record = simulate(config)
-    snaps_path, front_path, meta_path = args.out.split(",")
+    snaps_path, front_path, meta_path = args.out
     write_snapshots_csv(record, snaps_path)
     write_front_csv(record, front_path)
     write_metadata_json(record, meta_path)
@@ -359,7 +369,7 @@ def build_parser() -> CliParser:
     s.add_argument("--tau", type=float, required=True)
     s.add_argument("--n", type=int, default=40)
     s.add_argument("--eps", type=float, default=None)
-    s.add_argument("--out", required=True,
+    s.add_argument("--out", type=_path_list(2), required=True,
                    help="coeffs.csv,profile.csv")
     s.set_defaults(func=_cmd_series)
 
@@ -369,7 +379,8 @@ def build_parser() -> CliParser:
     h.add_argument("--t-end", dest="t_end", type=float, default=None)
     h.add_argument("--k", type=int, default=64,
                    help="steps per delay interval")
-    h.add_argument("--out", required=True, help="traj.csv,crossings.json")
+    h.add_argument("--out", type=_path_list(2), required=True,
+                   help="traj.csv,crossings.json")
     h.set_defaults(func=_cmd_heteroclinic)
 
     g = sub.add_parser("atlas", help="(tau, p) region map")
@@ -385,11 +396,11 @@ def build_parser() -> CliParser:
     b.set_defaults(func=_cmd_boundaries)
 
     m = sub.add_parser("simulate", help="run a reaction-diffusion simulation")
-    m.add_argument("--preset",
-                   choices=["minimal-front", "fast-front", "fast-front-smoke"],
-                   default=None)
-    m.add_argument("--config", default=None, help="JSON config file")
-    m.add_argument("--out", required=True,
+    source = m.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=["minimal-front", "fast-front",
+                                             "fast-front-smoke"])
+    source.add_argument("--config", help="JSON config file")
+    m.add_argument("--out", type=_path_list(3), required=True,
                    help="snaps.csv,front.csv,meta.json")
     m.set_defaults(func=_cmd_simulate)
 

@@ -10,7 +10,6 @@ out.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -41,8 +40,6 @@ class SpeedEstimate:
 class FrontDiagnostics:
     speed: SpeedEstimate
     level: float
-    profile_xi: np.ndarray
-    profile_u: np.ndarray
     shape: ProfileShape
     overshoot: float            # max u - ln p
     crossings_of_kappa: int
@@ -60,12 +57,12 @@ def front_position(x: Sequence[float], u: Sequence[float], level: float) -> floa
     return points[0]
 
 
-def estimate_speed(times: Sequence[float], positions: Sequence[float],
-                   fit_fraction: float = 0.5) -> SpeedEstimate:
+def estimate_speed(times: Sequence[float],
+                   positions: Sequence[float]) -> SpeedEstimate:
     """Least-squares front speed from tracked positions.
 
-    The fit uses the trailing ``fit_fraction`` of the track (the early
-    part is transient) and needs at least 5 finite points there.
+    The fit uses the trailing half of the track (the early part is
+    transient) and needs at least 5 finite points there.
     """
     t = np.asarray(times, dtype=float)
     p = np.asarray(positions, dtype=float)
@@ -73,7 +70,7 @@ def estimate_speed(times: Sequence[float], positions: Sequence[float],
     t, p = t[keep], p[keep]
     if len(t) == 0:
         raise ValueError("no finite tracked positions")
-    t_cut = t[-1] - fit_fraction * (t[-1] - t[0])
+    t_cut = t[-1] - 0.5 * (t[-1] - t[0])
     sel = t >= t_cut
     if int(np.sum(sel)) < 5:
         raise ValueError(
@@ -136,8 +133,8 @@ def diagnose(record: SpacetimeRecord,
              params: ModelParams | None = None) -> FrontDiagnostics:
     """Full diagnostics from a simulation record.
 
-    Speed from the tracked front positions; the comoving profile is the
-    last snapshot shifted by the fitted motion, xi = x - slope * t.
+    Speed from the tracked front positions; the shape is classified on
+    the last snapshot shifted by the fitted motion, xi = x - slope * t.
     params defaults to record.config.params.
     """
     if params is None:
@@ -151,8 +148,6 @@ def diagnose(record: SpacetimeRecord,
     overshoot = float(np.max(u_last)) - params.kappa
     n_crossings = len(level_crossings(u_last, params.kappa))
     return FrontDiagnostics(speed=est, level=tracking_level(params),
-                            profile_xi=np.asarray(xi),
-                            profile_u=np.asarray(u_last, dtype=float),
                             shape=shape, overshoot=overshoot,
                             crossings_of_kappa=n_crossings)
 
@@ -167,16 +162,3 @@ def diagnostics_to_dict(diag: FrontDiagnostics) -> dict:
         "overshoot": diag.overshoot,
         "crossings_of_kappa": diag.crossings_of_kappa,
     }
-
-
-def write_diagnostics_json(diag: FrontDiagnostics, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(diagnostics_to_dict(diag), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_profile_csv(diag: FrontDiagnostics, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("xi,u\n")
-        for a, b in zip(diag.profile_xi, diag.profile_u):
-            fh.write(f"{float(a)!r},{float(b)!r}\n")

@@ -265,7 +265,7 @@ def zeta(params: ModelParams) -> float:
     return float(_zeta(params.p, params.tau, params.mu))
 
 
-def zeta_by_quadrature(params: ModelParams, tol: float = 1e-12) -> float:
+def zeta_by_quadrature(params: ModelParams) -> float:
     """Peak lower bound via direct quadrature of its defining integral.
 
     Independent route used to cross-check the closed form; it shares mu
@@ -280,7 +280,7 @@ def zeta_by_quadrature(params: ModelParams, tol: float = 1e-12) -> float:
     f = lambda s: (math.exp(mu * s) * math.exp(s)
                    * (1.0 + qb2 * math.exp(mu * s))
                    * math.exp(-math.exp(mu * s)))
-    integral = integrate_adaptive(f, -params.tau, 0.0, tol=tol)
+    integral = integrate_adaptive(f, -params.tau, 0.0, tol=1e-12)
     return (1.0 + qb2) * math.exp(-params.tau) + params.p * integral
 
 

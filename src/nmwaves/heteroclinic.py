@@ -14,8 +14,8 @@ the birth terms of a whole interval are evaluated as arrays and only the
 scalar recurrence runs node by node.
 
 Also here: crossings of ln p with the tail class, the first interior
-maximum, the sign-change count used to detect slow oscillation, and the
-combined verdict for existence of a non-monotone non-oscillating wave.
+maximum, and the combined verdict for existence of a non-monotone
+non-oscillating wave.
 The crossing count, the global maximum and the tail class come from the
 grid nodes alone; only crossings() refines crossing times on the
 interpolant, and nm_verdict, which reports no time, never does.
@@ -27,7 +27,6 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -69,16 +68,9 @@ class Trajectory:
 
     def interpolate(self, t: float) -> float:
         """Cubic Hermite evaluation anywhere inside the sample range."""
-        self._check_range(t)
-        return self._hermite(hermite_cubic, t)
-
-    def interpolate_deriv(self, t: float) -> float:
-        self._check_range(t)
-        return self._hermite(hermite_cubic_deriv, t)
-
-    def _check_range(self, t: float) -> None:
         if t < self.t[0] or t > self.t[-1]:
             raise ValueError(f"t = {t} outside sampled range")
+        return self._hermite(hermite_cubic, t)
 
     def _hermite(self, kernel, t):
         # the Hermite kernel on the segment of each t, elementwise
@@ -321,27 +313,6 @@ def _classify_tail(traj: Trajectory, idx: np.ndarray,
         f"no crossings and no trend by t_end = {t_end}")
 
 
-def sign_change_count(window: Sequence[float], kappa: float = 0.0) -> int:
-    """Discrete sign-change count of a history window plus derivative slot.
-
-    The window holds samples of u(t+s) for s in [-tau, 0] followed by
-    u'(t) in the final slot; kappa is subtracted from every entry except
-    that final slot. Zeros are dropped; the count is the number of strict
-    sign alternations in what remains (0 for a single-signed window).
-    A value of 1 or 2 characterizes slow oscillation; 3 or more rules
-    it out.
-    """
-    if len(window) < 2:
-        raise ValueError("window needs the history part plus the derivative slot")
-    shifted = [v - kappa for v in window[:-1]] + [window[-1]]
-    signs = [1 if v > 0 else -1 for v in shifted if v != 0.0]
-    count = 0
-    for a, b in zip(signs[:-1], signs[1:]):
-        if a != b:
-            count += 1
-    return count
-
-
 @dataclass(frozen=True)
 class NmVerdict:
     """Combined criterion for a non-monotone non-oscillating wave.
@@ -375,17 +346,18 @@ def p_window(params: ModelParams) -> bool:
     return math.e ** 2 < params.p < upper
 
 
-def nm_verdict(params: ModelParams, run: bool = True, K: int = 64,
-               t_end: float | None = None, n_coeffs: int = 40) -> NmVerdict:
+def nm_verdict(params: ModelParams, run: bool = True) -> NmVerdict:
     """Evaluate the nm-wave criteria, optionally confirming with a run.
 
-    The run's crossing count, maximum and tail class come from the node
-    stage crossings() shares; no crossing time is refined here.
+    The run integrates with integrate()'s defaults. Its crossing count,
+    maximum and tail class come from the node stage crossings() shares;
+    no crossing time is refined here.
 
-    For p close to 1 the normalized series coefficients grow and long
-    expansions trip the overflow guard; the confirmation run then falls
-    back to shorter expansions (the handoff time respects the certified
-    horizon for any truncation length).
+    The run seeds its history from a 40-term series. For p close to 1
+    the normalized series coefficients grow and long expansions trip the
+    overflow guard; the run then falls back to shorter expansions (the
+    handoff time respects the certified horizon for any truncation
+    length).
     """
     from . import dirichlet as _d
 
@@ -395,16 +367,14 @@ def nm_verdict(params: ModelParams, run: bool = True, K: int = 64,
     max_u = tail = n_cross = None
     if run and params.tau > 0.0:
         expansion = None
-        for n in (n_coeffs, 12, 6, 3):
-            if n > n_coeffs:
-                continue
+        for n in (40, 12, 6, 3):
             try:
-                expansion = _d.build(params, n_coeffs=max(n, 2))
+                expansion = _d.build(params, n_coeffs=n)
                 break
             except _d.CoefficientOverflow:
                 continue
         if expansion is not None:
-            traj = integrate(expansion, t_end=t_end, K=K)
+            traj = integrate(expansion)
             idx, max_u, tail = _node_stage(traj, params.kappa)
             n_cross = len(idx)
     return NmVerdict(params=params, in_p_window=in_window, zeta_value=z,

@@ -20,7 +20,7 @@ class ModelParams:
 
     Derived constants: kappa = ln p is the positive equilibrium of
     u' = -u + f(u(t-tau)); P = ln p - 1 is minus the slope of f at kappa;
-    x_crit = 1 is the unique maximum of f and f_max = p/e its value.
+    f_max = p/e is the value of f at its unique maximum u = 1.
     mu, zeta and in_p_window keep the results of charroots.mu_root,
     dirichlet.zeta and heteroclinic.p_window on first use, so every layer
     asking about one point shares them.
@@ -42,10 +42,6 @@ class ModelParams:
     @property
     def P(self) -> float:
         return math.log(self.p) - 1.0
-
-    @property
-    def x_crit(self) -> float:
-        return 1.0
 
     @property
     def f_max(self) -> float:
@@ -103,7 +99,11 @@ def schwarz(u: float, params: ModelParams) -> float:
     return (3.0 - u) / (1.0 - u) - 1.5 * r * r
 
 
-def feedback_holds(params: ModelParams, grid_points: int = 10_000) -> bool:
+# subintervals of the dense grid in feedback_holds
+FEEDBACK_GRID_POINTS = 10_000
+
+
+def feedback_holds(params: ModelParams) -> bool:
     """Negative feedback of f around kappa on the invariant interval.
 
     Checks (f(x) - kappa)*(x - kappa) < 0 for x in the open interval
@@ -138,8 +138,8 @@ def feedback_holds(params: ModelParams, grid_points: int = 10_000) -> bool:
 
     # dense grid over the open interval, kappa excluded
     ok = True
-    for i in range(1, grid_points):
-        x = a + (b - a) * i / grid_points
+    for i in range(1, FEEDBACK_GRID_POINTS):
+        x = a + (b - a) * i / FEEDBACK_GRID_POINTS
         if abs(x - kappa) <= tol:
             continue
         if (f(x) - kappa) * (x - kappa) >= tol * tol:

@@ -19,7 +19,7 @@ def _check(name: str, margin: float, threshold: float = 0.0) -> Check:
 
 
 def _suite_regions(grid: int | None) -> list[Check]:
-    from .atlas import (certificate_coefficient,
+    from .atlas import (LIMIT_TOL, certificate_coefficient,
                         certificate_quadratic_discriminant,
                         certificate_series, certificate_value,
                         membership_grid, verify_inclusion)
@@ -34,8 +34,8 @@ def _suite_regions(grid: int | None) -> list[Check]:
                          report.min_inequality_margin))
     worst_tau = max(err for _, err, _ in report.limit_errors)
     worst_T = max(err for _, _, err in report.limit_errors)
-    checks.append(_check("tau_limit_error", 1e-3 - worst_tau))
-    checks.append(_check("T_limit_error", 1e-3 - worst_T))
+    checks.append(_check("tau_limit_error", LIMIT_TOL - worst_tau))
+    checks.append(_check("T_limit_error", LIMIT_TOL - worst_T))
 
     # positivity certificate: closed forms vs series expansion, k <= 12
     worst_dev = 0.0

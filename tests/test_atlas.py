@@ -9,17 +9,14 @@ import pytest
 
 from nmwaves.atlas import (Phi, SpeedFrame, T_of_c, T_star,
                            certificate_coefficient, certificate_series,
-                           inclusion_inequality_margin, membership,
-                           membership_grid, nm_necessary,
-                           proposition_hypotheses, region_grid,
-                           region_report, tau_hat, tau_of_c, tau_star,
-                           verify_inclusion)
+                           membership, membership_grid, nm_necessary,
+                           region_grid, region_report, tau_hat, tau_of_c,
+                           tau_star, verify_inclusion)
 from nmwaves.dirichlet import zeta
 from nmwaves.heteroclinic import p_window
 from nmwaves.model import ModelParams
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
-P_EXAMPLE = EXAMPLE.P  # 4.8998...
 
 
 def test_speed_frame_invariants():
@@ -46,8 +43,6 @@ def test_nm_necessary_example():
     assert nec.growth_product < 1.0
     assert abs(nec.growth_product - 0.99995) <= 1e-4
     assert abs(nec.delay_product - 10.08) <= 0.01
-    assert nec.exp_decay_lt_half is True
-    assert nec.qbar2_in_unit is True
 
 
 def test_nm_necessary_fails_beyond_tau_star():
@@ -256,35 +251,12 @@ def test_membership_on_numpy_grid_raises_no_warnings():
                 membership(params, c)
 
 
-def test_proposition_hypotheses_example():
-    flags = proposition_hypotheses(EXAMPLE, 50.0)
-    assert abs(flags.ce_threshold - 0.7641) <= 1e-3
-    assert flags.positive_root_at_zero is True
-    assert flags.feedback is False  # p = 365 violates the feedback condition
-    # 1 - 1/P > (P^2 - P)/(P^2 + 1)
-    assert 1.0 - 1.0 / P_EXAMPLE > flags.ce_threshold
-    assert abs((1.0 - 1.0 / P_EXAMPLE) - 0.7959) <= 1e-3
-
-
 def test_ds_threshold_dominates_ce_threshold():
     # 1 - 1/P > (P^2 - P)/(P^2 + 1) for all P > 1
     rng = random.Random(9)
     for _ in range(100):
         P = 1.0 + 10.0 ** rng.uniform(-3, 2)
         assert 1.0 - 1.0 / P > (P * P - P) / (P * P + 1.0)
-
-
-def test_positive_root_flag_flips_at_minimal_speed():
-    from nmwaves.charroots import minimal_speed
-
-    c_star = minimal_speed(EXAMPLE)
-    assert proposition_hypotheses(EXAMPLE, c_star * 1.01).positive_root_at_zero
-    assert not proposition_hypotheses(EXAMPLE, c_star * 0.99).positive_root_at_zero
-
-
-def test_inclusion_inequality_margin_example():
-    # h = c tau = 3.5
-    assert inclusion_inequality_margin(0.07, 50.0) > 0.0
 
 
 def test_certificate_series_matches_closed_forms():
@@ -376,11 +348,7 @@ def test_region_grid_nonempty_and_inside_necessary():
 
 def test_region_report_fields():
     report = region_report(EXAMPLE, c=50.0)
-    assert report.in_p_window is True
-    assert report.zeta_gt_lnp is True
+    assert report.nm_necessary.overall is True and report.gsc is True
     assert report.in_dm is True and report.in_ds is True
-    assert report.T_c is not None and report.tau_c is not None
-    assert report.T_c < report.tau_c
-    assert abs(report.tau_star - 0.2785) <= 1e-3
     no_c = region_report(EXAMPLE)
-    assert no_c.in_dm is None and no_c.T_c is None
+    assert no_c.in_dm is None and no_c.in_ds is None

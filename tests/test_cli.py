@@ -131,6 +131,22 @@ def test_analyze_evaluates_p_window_once(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["in_p_window"] is True
 
 
+def test_analyze_solves_only_the_membership_boundary(tmp_path, monkeypatch):
+    # the report at a speed holds the two memberships, and only the first
+    # of them compares against a boundary curve: one T(c) solve, and no
+    # tau(c) or large-speed limit
+    from nmwaves import atlas
+
+    counts = {name: _count_calls(monkeypatch, atlas, name)
+              for name in ("T_of_c", "tau_of_c", "T_star", "tau_star")}
+    out = tmp_path / "r.json"
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07", "--c", "50",
+                   "--out", str(out)) == 0
+    assert {name: len(calls) for name, calls in counts.items()} == {
+        "T_of_c": 1, "tau_of_c": 0, "T_star": 0, "tau_star": 0}
+    assert json.loads(out.read_text())["in_dm"] is True
+
+
 def test_series_outputs(tmp_path):
     coeffs = tmp_path / "coeffs.csv"
     profile = tmp_path / "profile.csv"
@@ -266,9 +282,15 @@ def test_simulate_preset_path(tmp_path):
     assert payload["config"]["label"] == "fast-front-smoke"
 
 
-def test_simulate_requires_one_source(tmp_path):
-    code = run_cli("simulate", "--out", "a,b,c")
-    assert code == 1
+def test_simulate_requires_one_source(tmp_path, capsys):
+    # neither or both of --preset and --config is a usage error
+    out = ",".join(str(tmp_path / name) for name in ("s.csv", "f.csv", "m.json"))
+    for source in ((), ("--preset", "fast-front-smoke", "--config", "c.json")):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", *source, "--out", out)
+        assert exc.value.code == 64
+        assert "--preset" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def _simulate_config(tmp_path, cfg):
@@ -386,6 +408,21 @@ def test_verify_grid_below_two_is_a_usage_error(grid, capsys):
             run_cli("verify", "--suite", suite, "--grid", grid)
         assert exc.value.code == 64
         assert "grid must be an integer >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, n", [("series", 2), ("heteroclinic", 2),
+                                        ("simulate", 3)])
+def test_out_path_count_is_a_usage_error(command, n, tmp_path, capsys):
+    inputs = {"simulate": ("--preset", "fast-front-smoke")}.get(
+        command, ("--p", "365", "--tau", "0.07"))
+    for count in (n - 1, n + 1):
+        out = ",".join(str(tmp_path / f"o{i}") for i in range(count))
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *inputs, "--out", out)
+        assert exc.value.code == 64
+        assert (f"expected {n} comma-separated paths, got {count}"
+                in capsys.readouterr().err)
+    assert not list(tmp_path.iterdir())
 
 
 def test_usage_exit_code():

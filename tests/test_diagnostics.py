@@ -121,22 +121,6 @@ def test_diagnose_full_record():
     assert diag.level == pytest.approx(0.5 * LNP)
 
 
-def test_diagnostics_json(tmp_path):
-    from nmwaves.diagnostics import write_diagnostics_json, write_profile_csv
-    from nmwaves.pde import preset, simulate
-
-    rec = simulate(preset("fast-front-smoke"))
-    diag = diagnose(rec)
-    jpath = tmp_path / "diag.json"
-    write_diagnostics_json(diag, str(jpath))
-    import json
-    payload = json.loads(jpath.read_text())
-    assert payload["shape"] == "non_monotone_non_oscillating"
-    ppath = tmp_path / "profile.csv"
-    write_profile_csv(diag, str(ppath))
-    assert ppath.read_text().splitlines()[0] == "xi,u"
-
-
 def test_one_crossing_rule_across_modules():
     # every zero of this wave sits exactly on a node: an interior node on
     # ln p between opposite signs is a crossing for the heteroclinic

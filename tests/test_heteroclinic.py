@@ -10,8 +10,7 @@ from nmwaves import heteroclinic
 from nmwaves.dirichlet import build, zeta
 from nmwaves.heteroclinic import (BlowUpError, InconclusiveTail, Trajectory,
                                   TrajectoryTail, crossings, first_maximum,
-                                  integrate, nm_verdict, p_window,
-                                  sign_change_count)
+                                  integrate, nm_verdict, p_window)
 from nmwaves.model import ModelParams
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
@@ -250,24 +249,6 @@ def test_first_max_on_a_node_with_zero_derivative():
     traj = Trajectory(t=t, u=u, du=du, t0=0.0, h=0.25, params=params,
                       provenance={})
     assert first_maximum(traj) == (1.25, float(u[5]))
-
-
-def test_sign_change_count():
-    assert sign_change_count([1.0, 2.0, 0.5, 3.0]) == 0
-    assert sign_change_count([1.0, -1.0, 1.0]) == 2
-    assert sign_change_count([1.0, -1.0, 1.0, -1.0]) == 3
-    # zeros are dropped
-    assert sign_change_count([1.0, 0.0, -1.0]) == 1
-    # kappa shifts everything except the derivative slot
-    assert sign_change_count([4.0, 2.0, 4.0, -1.0], kappa=3.0) == 3
-    assert sign_change_count([4.0, 2.0, 4.0, 1.0], kappa=3.0) == 2
-    with pytest.raises(ValueError):
-        sign_change_count([1.0])
-
-
-def test_sign_change_beyond_slow_oscillation():
-    # (+,-,+,-) exceeds the slow-oscillation bound of two
-    assert sign_change_count([1.0, -1.0, 1.0, -1.0]) > 2
 
 
 def test_p_window():
