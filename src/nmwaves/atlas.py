@@ -28,11 +28,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .charroots import _mu, negative_root_exists, negative_roots_at_kappa
+from .charroots import TailClass, _mu, negative_root_exists, tail_of
 from .dirichlet import _zeta
 from .model import ModelParams, gsc_holds
-from .numerics import (Bracket, PowerSeries, bisect_lockstep,
-                       solve_bracketed)
+from .numerics import Bracket, PowerSeries, bracketed_roots, solve_bracketed
 
 
 class MembershipInconsistency(RuntimeError):
@@ -59,17 +58,16 @@ class SpeedFrame:
 
     @property
     def lam(self) -> float:
-        return _speed_roots(self.c)[0]
+        return float(_speed_roots(self.c)[0])
 
     @property
     def nu(self) -> float:
-        return _speed_roots(self.c)[1]
+        return float(_speed_roots(self.c)[1])
 
 
 def _speed_roots(c):
-    """(lam, nu) of SpeedFrame(c); numpy for array c, else math."""
-    xp = np if isinstance(c, np.ndarray) else math
-    s = c + xp.sqrt(c * c + 4.0)
+    """(lam, nu) of SpeedFrame(c), as arrays of c's shape."""
+    s = c + np.sqrt(c * c + 4.0)
     # c(c - sqrt(c^2+4))/2 rewritten to avoid cancellation at large c
     return -2.0 * c / s, 0.5 * c * s
 
@@ -111,22 +109,19 @@ def Phi(tau: float, frame: SpeedFrame) -> float:
     """
     if tau < 0.0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    return _phi(tau, frame.lam, frame.nu)
+    return float(_phi(tau, frame.lam, frame.nu))
 
 
 def _phi(tau, lam, nu):
-    """Unchecked Phi from the roots; numpy for array tau, else math
-    (several times faster in the scalar root searches)."""
-    xp = np if isinstance(tau, np.ndarray) else math
-    return (nu - lam) / (nu * xp.exp(-lam * tau) - lam * xp.exp(-nu * tau))
+    """Unchecked Phi from the roots, broadcast over arrays."""
+    return (nu - lam) / (nu * np.exp(-lam * tau) - lam * np.exp(-nu * tau))
 
 
 def tau_of_c(P, c):
     """Unique positive root of Phi(tau, c) = 1 - 1/P (requires P > 1).
 
-    Float P and c give a float found by solve_bracketed to 1e-13
-    (1 + bracket). Numpy arrays broadcast, and all their lanes are
-    bisected in lockstep to rounding level.
+    Float P and c give a float, numpy arrays broadcast; every lane is
+    solved to rounding level (_boundary_roots).
     """
     if not np.all(P > 1.0):
         raise ValueError(f"the threshold 1 - 1/P needs P > 1, got {P}")
@@ -136,34 +131,26 @@ def tau_of_c(P, c):
     target = 1.0 - 1.0 / P
     return _boundary_roots(lambda t: target - _phi(t, lam, nu),
                            np.broadcast(P, c).shape,
-                           "Phi failed to fall below the threshold", 1e-13)
+                           "Phi failed to fall below the threshold")
 
 
-def _boundary_roots(g, shape, message, tol):
+def _boundary_roots(g, shape, message):
     """Root in tau > 0 of g, increasing from g(0) < 0, per lane of shape.
 
-    The bracket [0, hi] doubles hi from 1 until g(hi) >= 0 (RuntimeError
-    with ``message`` past 1e9). One lane (shape ()) is solved by
-    solve_bracketed to ``tol`` (1 + hi); arrays double their brackets per
-    lane and are bisected in lockstep to rounding level.
+    Each lane doubles hi from 1 until g(hi) >= 0 (RuntimeError with
+    ``message`` past 1e9), and numerics.bracketed_roots solves the
+    brackets [0, hi] to rounding level: a float for shape (), an array
+    otherwise.
     """
-    if shape == ():
-        hi = 1.0
-        while g(hi) < 0.0:
-            hi *= 2.0
-            if hi > 1e9:
-                raise RuntimeError(message)
-        return solve_bracketed(g, Bracket(0.0, hi), tol=tol * (1.0 + hi))
-    hi = np.ones(shape)
+    hi = np.ones(shape)[()]  # a numpy scalar for shape ()
     while True:
         short = g(hi) < 0.0
         if not short.any():
             break
-        hi = np.where(short, 2.0 * hi, hi)
+        hi = hi * (1.0 + short)  # doubles the short lanes
         if np.any(hi > 1e9):
             raise RuntimeError(message)
-    lo = np.zeros(hi.shape)
-    return bisect_lockstep(g, lo, hi, g(lo))
+    return bracketed_roots(g, np.zeros(shape), hi)
 
 
 def tau_hat(P: float) -> float:
@@ -178,14 +165,13 @@ def _monotone_boundary_lhs(tau, c):
 
     With X = h^2 (c^2 + 4) + 4 the exponent (sqrt(X) - c h)/2 is
     rewritten as 2 (h^2 + 1)/(sqrt(X) + c h) to avoid cancellation at
-    large c. Array-valued when tau is an array.
+    large c. Broadcast over arrays of tau and c.
     """
-    xp = np if isinstance(tau, np.ndarray) else math
     h = c * tau
     X = h * h * (c * c + 4.0) + 4.0
-    sX = xp.sqrt(X)
+    sX = np.sqrt(X)
     expo = 2.0 * (h * h + 1.0) / (sX + c * h)
-    return math.e * h * h / (2.0 + sX) * xp.exp(expo)
+    return math.e * h * h / (2.0 + sX) * np.exp(expo)
 
 
 def T_of_c(P, c):
@@ -193,96 +179,82 @@ def T_of_c(P, c):
 
     The left side increases strictly from 0, so bisection on the sign
     change against 1/P always succeeds (requires P > 0). Float P and c
-    give a float found by solve_bracketed to 1e-13 (1 + bracket). Numpy
-    arrays broadcast, and all their lanes are bisected in lockstep to
-    rounding level.
+    give a float, numpy arrays broadcast; every lane is solved to
+    rounding level (_boundary_roots).
     """
     if not np.all(P > 0.0):
         raise ValueError(f"the boundary needs P > 0, got {P}")
     target = 1.0 / P
     return _boundary_roots(lambda t: _monotone_boundary_lhs(t, c) - target,
                            np.broadcast(P, c).shape,
-                           "boundary left side failed to reach 1/P", 1e-13)
+                           "boundary left side failed to reach 1/P")
 
 
 def T_star(P: float) -> float:
     """Large-speed limit of T(c): the root of P e T e^T = 1 (P > 0)."""
     if not P > 0.0:
         raise ValueError(f"T_star needs P > 0, got {P}")
-    g = lambda t: P * math.e * t * math.exp(t) - 1.0
-    return _boundary_roots(g, (), "P e T e^T failed to reach 1", 1e-14)
+    g = lambda t: P * math.e * t * np.exp(t) - 1.0
+    return _boundary_roots(g, (), "P e T e^T failed to reach 1")
 
 
 # width of the strip around T(c) where the boundary comparison decides
 MEMBERSHIP_BAND = 1e-6
 
 
-def membership(params: ModelParams, c: float) -> tuple[bool, bool]:
-    """(in the monotone-tail region, in the slow-oscillation region).
+def _region_flags(p: float, tau, c):
+    """(in_dm, in_ds, disagree, has_root) at one p over broadcast tau, c.
 
-    The first flag is computed two independent ways: a direct negative
-    root search of the wave-frame characteristic function, and the
-    comparison tau <= T(c). Off a MEMBERSHIP_BAND-wide strip around the
-    boundary the two must agree or MembershipInconsistency is raised;
-    inside the strip the boundary comparison wins (both regions are
-    closed).
-
-    For P <= 1 the slow-oscillation threshold 1 - 1/P is <= 0 < Phi and
-    the second flag is True by convention.
+    in_dm, the closed monotone-tail region, is tau <= T(c), and for
+    P <= 0 True. has_root, from charroots.negative_root_exists, is its
+    independent second computation; disagree marks where they differ off
+    a MEMBERSHIP_BAND-wide strip around T(c). in_ds is Phi(tau, c) >=
+    1 - 1/P, True by convention for P <= 1 (threshold <= 0 < Phi).
     """
-    P, tau = params.P, params.tau
-    by_roots = len(negative_roots_at_kappa(params, c).real_roots) > 0
+    P = ModelParams(p=p, tau=0.0).P
+    has_root = negative_root_exists(p, tau, c)
     if P <= 0.0:
-        in_dm = True
-        if not by_roots:
-            raise MembershipInconsistency(
-                f"P = {P} <= 0 must always give a negative root")
+        in_dm, disagree = has_root, ~has_root
     else:
         T_c = T_of_c(P, c)
-        in_dm, disagree = _monotone_flag(tau, T_c, by_roots)
-        if disagree:
-            raise MembershipInconsistency(
-                f"root search says {by_roots}, boundary says {in_dm} "
-                f"at (tau={tau}, c={c}, T(c)={T_c})")
-    in_ds = P <= 1.0 or _below_tau_of_c(P, tau, c)
-    return in_dm, in_ds
+        in_dm = tau <= T_c
+        disagree = ((np.abs(tau - T_c) > MEMBERSHIP_BAND)
+                    & (has_root != in_dm))
+    if P <= 1.0:
+        in_ds = np.ones(has_root.shape, dtype=bool)
+    else:
+        in_ds = _phi(tau, *_speed_roots(c)) >= 1.0 - 1.0 / P
+    return in_dm, in_ds, disagree, has_root
 
 
-def _monotone_flag(tau, T_c, by_roots):
-    """(tau <= T(c), whether the root search disagrees off the band)."""
-    by_boundary = tau <= T_c
-    return by_boundary, ((abs(tau - T_c) > MEMBERSHIP_BAND)
-                         & (by_roots != by_boundary))
+def _point_flags(params: ModelParams, c: float) -> tuple[bool, bool, bool]:
+    """(in_dm, in_ds, has_root) at one point; MembershipInconsistency
+    where _region_flags marks a disagreement."""
+    in_dm, in_ds, disagree, has_root = _region_flags(params.p, params.tau, c)
+    if disagree:
+        raise MembershipInconsistency(
+            f"root test says {bool(has_root)}, boundary says {bool(in_dm)} "
+            f"at (p={params.p}, tau={params.tau}, c={c})")
+    return bool(in_dm), bool(in_ds), bool(has_root)
 
 
-def _below_tau_of_c(P, tau, c):
-    """Phi(tau, c) >= 1 - 1/P, the slow-oscillation test for P > 1."""
-    return _phi(tau, *_speed_roots(c)) >= 1.0 - 1.0 / P
+def membership(params: ModelParams, c: float) -> tuple[bool, bool]:
+    """(in the monotone-tail region, in the slow-oscillation region);
+    see _region_flags and _point_flags."""
+    return _point_flags(params, c)[:2]
 
 
 def membership_grid(p: float, taus: Sequence[float],
                     cs: Sequence[float]) -> tuple[np.ndarray, ...]:
     """``membership`` over the grid taus x cs at one p, as arrays.
 
-    Returns (in_dm, in_ds, disagree), each of shape (len(taus), len(cs)).
-    The root search is the array kernel charroots.negative_root_exists and
-    T(c) is solved once per column. disagree marks the points where the two
-    ways disagree off the boundary band, where ``membership`` raises
-    MembershipInconsistency; in_dm follows the boundary comparison there.
+    Returns (in_dm, in_ds, disagree), each of shape (len(taus), len(cs)),
+    from _region_flags; T(c) is solved once per column. disagree marks
+    the points where ``membership`` raises MembershipInconsistency.
     """
-    P = ModelParams(p=p, tau=0.0).P
     tau = np.asarray(taus, dtype=float)[:, None]
     c = np.asarray(cs, dtype=float)[None, :]
-    by_roots = negative_root_exists(p, tau, c)
-    if P <= 0.0:
-        in_dm, disagree = np.ones(by_roots.shape, dtype=bool), ~by_roots
-    else:
-        in_dm, disagree = _monotone_flag(tau, T_of_c(P, c), by_roots)
-    if P <= 1.0:
-        in_ds = np.ones(by_roots.shape, dtype=bool)
-    else:
-        in_ds = _below_tau_of_c(P, tau, c)
-    return in_dm, in_ds, disagree
+    return _region_flags(p, tau, c)[:3]
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +416,7 @@ def verify_inclusion(P_grid: Sequence[float] = (1.1, 2.0, 4.8999, 10.0),
 
 @dataclass(frozen=True)
 class RegionReport:
-    """Region flags at (p, tau), with the memberships at a speed c if given.
+    """Region flags at (p, tau), with memberships and tail class at c.
 
     The window and zeta criteria are the verdict's (heteroclinic.NmVerdict).
     """
@@ -455,15 +427,19 @@ class RegionReport:
     gsc: bool
     in_dm: bool | None
     in_ds: bool | None
+    tail_class: TailClass | None
 
 
 def region_report(params: ModelParams, c: float | None = None) -> RegionReport:
-    """Assemble the region flags for one parameter point."""
-    in_dm = in_ds = None
+    """Region flags at one point; at a speed c, one _point_flags call
+    gives the memberships and, from its root test, the tail class."""
+    in_dm = in_ds = tail = None
     if c is not None:
-        in_dm, in_ds = membership(params, c)
+        in_dm, in_ds, has_root = _point_flags(params, c)
+        tail = tail_of(has_root)
     return RegionReport(params=params, c=c, nm_necessary=nm_necessary(params),
-                        gsc=gsc_holds(params), in_dm=in_dm, in_ds=in_ds)
+                        gsc=gsc_holds(params), in_dm=in_dm, in_ds=in_ds,
+                        tail_class=tail)
 
 
 def region_grid(tau_values: Sequence[float],

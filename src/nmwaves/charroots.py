@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams
-from .numerics import Bracket, bisect_lockstep, solve_bracketed
+from .numerics import Bracket, bracketed_roots, solve_bracketed
 
 
 class CharKind(Enum):
@@ -172,21 +172,14 @@ def linear_spreading_speed(params: ModelParams, beta: float) -> float:
     return solve_bracketed(F, Bracket(0.0, c_hi), tol=1e-12 * (1.0 + c_hi))
 
 
-def _safe_exp(x):
-    """e^x, infinite from x = 709 on; numpy for array x, else math."""
-    if isinstance(x, np.ndarray):
-        return np.where(x < 709.0, np.exp(np.minimum(x, 709.0)), np.inf)
-    return math.exp(x) if x < 709.0 else math.inf
-
-
 def _chi(z, P, c, h):
-    """z^2 - cz - 1 - P e^{-zh}, with h = c tau."""
-    return z * z - c * z - 1.0 - P * _safe_exp(-z * h)
+    """z^2 - cz - 1 - P e^{-zh}, with h = c tau (callers silence overflow)."""
+    return z * z - c * z - 1.0 - P * np.exp(-z * h)
 
 
 def _dchi(z, P, c, h):
     """The z-derivative 2z - c + P h e^{-zh} of _chi."""
-    return 2.0 * z - c + P * h * _safe_exp(-z * h)
+    return 2.0 * z - c + P * h * np.exp(-z * h)
 
 
 def _window_edge_holds(z_lo, P, c, h):
@@ -196,30 +189,32 @@ def _window_edge_holds(z_lo, P, c, h):
     the denominator is positive: once the log-derivative of the quadratic
     falls below h and the exponential term exceeds the quadratic at the
     edge, domination (hence constant negative sign of the characteristic
-    function) persists for every z below the edge. Numpy for array z_lo,
-    else math.
+    function) persists for every z below the edge.
     """
-    xp = np if isinstance(z_lo, np.ndarray) else math
     # the quadratic's negative root lies in (-1, 0), so any edge below -2
     # keeps its value positive and the log comparisons well defined
     square = z_lo * z_lo
     quad = square - c * z_lo - 1.0
-    dominated = -z_lo * h > xp.log(quad) - math.log(P)
-    return xp.isfinite(square) & dominated & ((c - 2.0 * z_lo) / quad < h)
+    dominated = -z_lo * h > np.log(quad) - np.log(P)
+    return np.isfinite(square) & dominated & ((c - 2.0 * z_lo) / quad < h)
 
 
-def _certified_window(P: float, c: float, h: float) -> float:
-    """Left edge z_lo below which P e^{-zh} dominates z^2 - cz - 1.
+def _certified_window(P: float, c, h):
+    """Left edges z_lo below which P e^{-zh} dominates z^2 - cz - 1.
 
-    The smallest edge -2 max(1, c) 2^k certified by _window_edge_holds
-    keeps the exponent arguments moderate.
+    Per lane of (c, h) (floats, or arrays of one shape), the smallest edge
+    -2 max(1, c) 2^k certified by _window_edge_holds.
     """
-    z_lo = -2.0 * max(1.0, c)
-    for _ in range(400):
-        if _window_edge_holds(z_lo, P, c, h):
-            return z_lo
-        z_lo *= 2.0
-    raise BracketingError(f"window certification failed (P={P}, c={c})")
+    z_lo = -2.0 * np.maximum(1.0, c)
+    pending = True
+    with np.errstate(all="ignore"):
+        for _ in range(400):
+            pending = pending & ~_window_edge_holds(z_lo, P, c, h)
+            if not pending.any():
+                return z_lo
+            z_lo = z_lo * (1.0 + pending)  # doubles the pending lanes
+    raise BracketingError(f"window certification failed "
+                          f"(P={P}, c={np.asarray(c)[pending][0]})")
 
 
 # relative depth (scaled by 1 + |P| + c^2) below zero at which a hump
@@ -227,6 +222,7 @@ def _certified_window(P: float, c: float, h: float) -> float:
 TANGENCY_TOL = 1e-9
 
 
+@np.errstate(over="ignore")
 def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
     """All real negative roots of z^2 - cz - 1 - P e^{-zc tau}.
 
@@ -241,8 +237,8 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
     The search window's left edge is certified so that the exponential
     term dominates below it. A hump maximum within ``TANGENCY_TOL`` of
     zero (where the derivative also vanishes) is reported as a double
-    root, so boundary cases count as "root exists". tau and c are taken
-    as Python floats, which overflow to inf without a numpy warning.
+    root, so boundary cases count as "root exists". The commands run
+    negative_root_exists; this listing is its reference in the tests.
     """
     P, tau, c = params.P, float(params.tau), float(c)
     if not c > 0.0:
@@ -255,8 +251,9 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
         z = 0.5 * (c - math.sqrt(c * c + 4.0 * (1.0 + params.P)))
         return RootReport(kind, (z,), (z - 1.0, 0.0))
 
-    chi = lambda z: _chi(z, P, c, h)
-    dchi = lambda z: _dchi(z, P, c, h)
+    # Python floats from here on: their products overflow to inf silently
+    chi = lambda z: float(_chi(z, P, c, h))
+    dchi = lambda z: float(_dchi(z, P, c, h))
 
     def polish(z):
         # bisection tolerances scale with the window; Newton steps bring
@@ -281,7 +278,7 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
         z = solve_bracketed(chi, Bracket(z_lo, 0.0), tol=1e-13 * (1.0 + abs(z_lo)))
         return RootReport(kind, (polish(z),), (z_lo, 0.0))
 
-    z_lo = _certified_window(P, c, h)
+    z_lo = float(_certified_window(P, c, h))
 
     # critical points of chi on [z_lo, 0]: chi'' is increasing with a single
     # zero, so chi' is monotone on each side of it
@@ -322,61 +319,56 @@ def _touches_zero(chi_max, P, c):
     return chi_max >= -TANGENCY_TOL * (1.0 + abs(P) + c * c)
 
 
-def negative_root_exists(p: float, tau, c) -> np.ndarray:
+def negative_root_exists(p: float, tau, c):
     """Whether z^2 - cz - 1 - P e^{-zc tau} has a real negative root.
 
-    The array counterpart of ``len(negative_roots_at_kappa(...).real_roots)
-    > 0`` at one p > 1 for broadcast arrays of tau >= 0 and c > 0. P <= 0
-    or tau = 0 always gives a root. Otherwise the function is concave left
-    of the zero z_dd of its second derivative and convex right of it, and
-    negative at both ends of the negative axis, so a root exists exactly
-    when its maximum there reaches zero. That maximum is the zero of chi'
-    on the concave side; inside the certified window of the scalar search
-    it is found for all lanes by one lockstep bisection, and the scalar
-    tangency rule decides.
+    The one root-existence test of the commands: at one p > 1, for tau >= 0
+    and c > 0 given as floats or broadcast arrays, a boolean array of
+    their shape (a numpy bool for floats). P <= 0 or tau = 0 always gives a root.
+    Otherwise the function is concave left of the zero z_dd of its second
+    derivative and convex right of it, and negative at both ends of the
+    negative axis, so a root exists exactly when its maximum there
+    reaches zero. That maximum is the zero of chi' on the concave side
+    inside the certified window; numerics.bracketed_roots finds it for
+    every lane with such a hump, and the tangency rule (TANGENCY_TOL)
+    decides.
     """
     P = ModelParams(p=p, tau=0.0).P
-    tau, c = np.broadcast_arrays(np.asarray(tau, dtype=float),
-                                 np.asarray(c, dtype=float))
-    if not (np.all(c > 0.0) and np.all(tau >= 0.0)):
-        raise ValueError("speeds must be positive and delays >= 0")
-    exists = np.ones(tau.shape, dtype=bool)
+    # [()] turns 0-d arrays into numpy scalars, whose arithmetic is several
+    # times cheaper, and leaves other arrays as they are
+    taus, cs = (a[()] for a in np.broadcast_arrays(
+        np.asarray(tau, dtype=float), np.asarray(c, dtype=float)))
+    if not np.all(cs > 0.0):
+        raise ValueError(f"speed must be positive, got {c}")
+    if not np.all(taus >= 0.0):
+        raise ValueError(f"tau must be >= 0, got {tau}")
     if P <= 0.0:
-        return exists
-    lanes = tau != 0.0
-    c = c[lanes]
-    h = c * tau[lanes]
-    with np.errstate(over="ignore", divide="ignore"):
-        z_lo = -2.0 * np.maximum(1.0, c)
-        pending = np.ones(c.shape, dtype=bool)
-        for _ in range(400):
-            pending &= ~_window_edge_holds(z_lo, P, c, h)
-            if not pending.any():
-                break
-            z_lo = np.where(pending, 2.0 * z_lo, z_lo)
-        else:
-            raise BracketingError(f"window certification failed (P={P})")
-        z_dd = np.log(P * h * h / 2.0) / h
-        right = np.minimum(z_dd, 0.0)
-        d_lo = _dchi(z_lo, P, c, h)
-        hump = (z_lo < right) & (d_lo > 0.0) & (_dchi(right, P, c, h) < 0.0)
-        c, h = c[hump], h[hump]
-        z_m = bisect_lockstep(lambda z: _dchi(z, P, c, h),
-                              z_lo[hump], right[hump], d_lo[hump])
-        found = np.zeros(hump.shape, dtype=bool)
-        found[hump] = _touches_zero(_chi(z_m, P, c, h), P, c)
-    exists[lanes] = found
-    return exists
+        return np.ones(np.shape(taus), dtype=bool)[()]
+    no_delay = taus == 0.0
+    # lanes without delay have their root already; (c, h) = (1, 1) keeps
+    # their window and hump arithmetic harmless
+    cs = np.where(no_delay, 1.0, cs)[()]
+    h = np.where(no_delay, 1.0, cs * taus)[()]
+    z_lo = _certified_window(P, cs, h)
+    with np.errstate(all="ignore"):
+        right = np.minimum(np.log(P * h * h / 2.0) / h, 0.0)
+        hump = ((z_lo < right) & (_dchi(z_lo, P, cs, h) > 0.0)
+                & (_dchi(right, P, cs, h) < 0.0))
+        if not hump.any():
+            return no_delay
+        # a lane without a hump gets the empty bracket [right, right]
+        z_m = bracketed_roots(lambda z: _dchi(z, P, cs, h),
+                              np.where(hump, z_lo, right), right)
+        return no_delay | (hump & _touches_zero(_chi(z_m, P, cs, h), P, cs))
+
+
+def tail_of(has_root) -> TailClass:
+    """Tail shape at ln p: eventually monotone exactly when the wave-frame
+    characteristic function there has a real negative root."""
+    return (TailClass.EVENTUALLY_MONOTONE if has_root
+            else TailClass.OSCILLATORY_TAIL)
 
 
 def classify_tail(params: ModelParams, c: float) -> TailClass:
-    """Tail shape of the wave profile at the positive equilibrium.
-
-    Eventually monotone exactly when the wave-frame characteristic
-    function at ln p has a real negative root; otherwise the profile
-    keeps oscillating around ln p.
-    """
-    report = negative_roots_at_kappa(params, c)
-    if report.real_roots:
-        return TailClass.EVENTUALLY_MONOTONE
-    return TailClass.OSCILLATORY_TAIL
+    """tail_of the negative_root_exists flag at (params, c)."""
+    return tail_of(negative_root_exists(params.p, params.tau, c))

@@ -106,7 +106,7 @@ def _manifest(subcommand: str, config: dict, outputs: list[str],
 
 def _cmd_analyze(args) -> int:
     from .atlas import region_report
-    from .charroots import classify_tail, minimal_speed
+    from .charroots import minimal_speed
     from .dirichlet import qbar2_closed_form, zeta_by_quadrature
     from .heteroclinic import nm_verdict
     from .model import ModelParams
@@ -153,7 +153,7 @@ def _cmd_analyze(args) -> int:
     if args.c is not None:
         payload["c"] = args.c
         payload["c_star"] = minimal_speed(params)
-        payload["tail_class"] = classify_tail(params, args.c).value
+        payload["tail_class"] = report.tail_class.value
         payload["in_dm"] = report.in_dm
         payload["in_ds"] = report.in_ds
     _write_json(args.out, payload)

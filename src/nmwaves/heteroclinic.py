@@ -37,7 +37,8 @@ from .numerics import (bisect_lockstep, hermite_cubic, hermite_cubic_deriv,
 
 
 class BlowUpError(RuntimeError):
-    """The integration left the physical range (|u| > 1e6 or not finite)."""
+    """The integration left the physical range: |u| above max(1e6, 2 p/e)
+    (p/e bounds the invariant range) or not finite."""
 
 
 class InconclusiveTail(RuntimeError):
@@ -122,8 +123,8 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     The handoff t0 = min(0, horizon - 0.5/mu) keeps a safety margin
     inside the certified horizon; the history on [t0 - tau, t0] is
     evaluated from the series directly. Raises BlowUpError at the first
-    node where |u| > 1e6 or u is not finite, an overflowing birth term
-    included.
+    node where |u| > max(1e6, 2 p/e) or u is not finite, an overflowing
+    birth term included.
     """
     if K < 20:
         raise ValueError(f"need at least 20 steps per delay interval, got {K}")
@@ -132,6 +133,8 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     if tau <= 0.0:
         raise ValueError("method of steps requires a positive delay")
     p = params.p
+    bound = max(1e6, 2.0 * params.f_max)
+    bound_text = "1e6" if bound == 1e6 else f"2p/e = {bound:.6g}"
     t0 = min(0.0, expansion.horizon - 0.5 / expansion.mu)
     if t_end is None:
         t_end = default_t_end(params, t0)
@@ -171,9 +174,9 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
             block = []
             for gn in g.tolist():
                 un = R * un + gn
-                if not abs(un) <= 1e6:  # also catches inf and nan
-                    raise BlowUpError(
-                        f"|u| exceeded 1e6 at t = {t[n + 1 + len(block)]}")
+                if not abs(un) <= bound:  # also catches inf and nan
+                    raise BlowUpError(f"|u| exceeded {bound_text} at "
+                                      f"t = {t[n + 1 + len(block)]}")
                 block.append(un)
             new = u[n + 1:n + m + 1]
             new[:] = block

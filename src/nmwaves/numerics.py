@@ -8,8 +8,9 @@ crossings and monotonicity of samples, a factor-once tridiagonal Toeplitz
 solve, cubic Hermite interpolation and straight-line least squares.
 
 All routines are pure functions of their inputs, except that
-ToeplitzTridiagonal.solve writes into the array it is given. Solver
-tolerances default to 1e-12 and are configurable per call.
+ToeplitzTridiagonal.solve writes into the array it is given. The bracket
+solvers stop at rounding level, once a bracket's midpoint rounds onto an
+end; solve_bracketed stops earlier at a width tol if tol > 0.
 """
 
 from __future__ import annotations
@@ -67,12 +68,14 @@ def solve_bracketed(f: Callable[[float], float], bracket: Bracket,
     Args:
         f: continuous scalar function.
         bracket: interval with f(lo)*f(hi) <= 0.
-        tol: terminate once the bracket width is <= tol.
+        tol: terminate once the bracket width is <= tol, or once its
+            midpoint rounds onto an end (adjacent floats); tol = 0 runs
+            to that rounding level.
         max_iter: hard iteration cap.
 
     Returns:
-        The midpoint of the final bracket, whose width is <= tol; an exact
-        zero of f as soon as one is evaluated.
+        The midpoint of the final bracket; an exact zero of f as soon as
+        one is evaluated.
 
     Raises:
         NoSignChange: if f has the same (nonzero) sign at both endpoints.
@@ -88,8 +91,9 @@ def solve_bracketed(f: Callable[[float], float], bracket: Bracket,
     t = 0.5
     for _ in range(max_iter):
         width = abs(b - a)
-        if width <= tol:
-            break
+        mid = 0.5 * (a + b)
+        if width <= tol or mid == a or mid == b:
+            return mid
         tl = tol / (2.0 * width)
         x = a + min(max(t, tl), 1.0 - tl) * (b - a)
         fx = f(x)
@@ -133,6 +137,22 @@ def bisect_lockstep(g: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
         if done:
             break
     return 0.5 * (a + b)
+
+
+def bracketed_roots(g: Callable, lo, hi):
+    """Sign changes of g on the brackets [lo, hi], to rounding level.
+
+    The one place that picks a bracket solver: a 0-d bracket (lo < hi)
+    goes to solve_bracketed with tol = 0 and gives a float, since a
+    one-lane bisect_lockstep pays numpy's call overhead on each of its
+    50-80 steps; arrays go to bisect_lockstep.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if lo.ndim == 0:
+        return solve_bracketed(lambda x: float(g(x)),
+                               Bracket(float(lo), float(hi)), tol=0.0)
+    return bisect_lockstep(g, lo, hi, g(lo))
 
 
 def integrate_adaptive(f: Callable[[float], float], a: float, b: float,

@@ -228,6 +228,23 @@ def test_membership_grid_matches_scalar_membership(p):
     assert np.array_equal(in_ds, [[ds for _, ds in row] for row in want])
 
 
+def test_membership_and_grid_agree_next_to_the_boundary():
+    # tau = T(c)(1 -+ 1e-13): both forms solve T(c) to rounding level, so
+    # the point and the grid put every such tau on the same side
+    rng = random.Random(1513)
+    for _ in range(6):
+        p = 10.0 ** rng.uniform(math.log10(3.0), 6.0)
+        cs = [10.0 ** rng.uniform(-2.0, 3.0) for _ in range(25)]
+        T = T_of_c(math.log(p) - 1.0, np.array(cs))
+        taus = [t * (1.0 + s * 1e-13) for t in T.tolist() for s in (-1, 1)]
+        in_dm, in_ds, disagree = membership_grid(p, taus, cs)
+        for i, tau in enumerate(taus):
+            j = i // 2  # the grid row of tau is T(cs[j]) -+ 1e-13
+            assert not disagree[i, j]
+            point = membership(ModelParams(p=p, tau=tau), cs[j])
+            assert point == (in_dm[i, j], in_ds[i, j]), (p, tau, cs[j])
+
+
 def test_regions_suite_raises_no_warnings():
     from nmwaves.verify import run_suite
 

@@ -2,17 +2,29 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nmwaves
 from nmwaves import cli
 from nmwaves.cli import main
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def _child_env():
+    """Environment for a child interpreter importing this same nmwaves."""
+    src = str(Path(nmwaves.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
 
 
 def test_analyze_example(tmp_path, capsys):
@@ -145,6 +157,38 @@ def test_analyze_solves_only_the_membership_boundary(tmp_path, monkeypatch):
     assert {name: len(calls) for name, calls in counts.items()} == {
         "T_of_c": 1, "tau_of_c": 0, "T_star": 0, "tau_star": 0}
     assert json.loads(out.read_text())["in_dm"] is True
+
+
+def test_analyze_decides_roots_once_by_the_existence_test(tmp_path,
+                                                        monkeypatch):
+    # the memberships and tail_class share one root-existence test; the
+    # root listing is the tests' reference only
+    import nmwaves.atlas  # noqa: F401 - bind every module the call uses
+    from nmwaves import charroots
+
+    exists = _count_calls(monkeypatch, charroots, "negative_root_exists")
+    listings = _count_calls(monkeypatch, charroots, "negative_roots_at_kappa")
+    out = tmp_path / "r.json"
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07", "--c", "50",
+                   "--out", str(out)) == 0
+    assert (len(exists), len(listings)) == (1, 0)
+    assert json.loads(out.read_text())["tail_class"] == "eventually_monotone"
+
+
+def test_analyze_large_p_stays_below_the_invariant_bound(tmp_path):
+    # u may reach p/e = 3.7e11 here; the blow-up test allows 2 p/e
+    out = tmp_path / "r.json"
+    assert run_cli("analyze", "--p", "1e12", "--tau", "0.3",
+                   "--out", str(out)) == 0
+    heteroclinic = json.loads(out.read_text())["heteroclinic"]
+    assert 1e6 < heteroclinic["max_u"] <= 1e12 / math.e
+
+
+def test_blow_up_names_the_invariant_bound(capsys):
+    # above p = 1e6 e/2 the blow-up test compares |u| against 2 p/e
+    assert run_cli("analyze", "--p", "1e9", "--tau", "20") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: |u| exceeded 2p/e = 7.35759e+08 at t = ")
 
 
 def test_series_outputs(tmp_path):
@@ -428,11 +472,11 @@ def test_out_path_count_is_a_usage_error(command, n, tmp_path, capsys):
 def test_usage_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "nmwaves.cli", "--bogus"],
-        capture_output=True)
+        capture_output=True, env=_child_env())
     assert proc.returncode == 64
     proc = subprocess.run(
         [sys.executable, "-m", "nmwaves.cli", "nosuchcommand"],
-        capture_output=True)
+        capture_output=True, env=_child_env())
     assert proc.returncode == 64
 
 
@@ -447,5 +491,5 @@ def test_import_leaves_scipy_linalg_unloaded():
             "simulate(cfg)\n"
             "print('scipy' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, env=_child_env())
     assert proc.stdout.split() == ["False", "False"]

@@ -144,6 +144,26 @@ def test_solve_bracketed_converges_on_steps_and_plateaus(f, root):
     assert len(calls) < 200
 
 
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x * x * x - 2.0, 0.0, 2.0),                      # smooth
+    (lambda x: math.tanh(1e4 * (x - 0.3)), -1.0, 2.0),          # steep
+    (lambda x: math.expm1(40.0 * x) - 7.0, -1.0, 2.0),          # steep
+    (lambda x: (x - 0.3) ** 9 - 1e-40, -1.0, 2.0),              # flat
+    (lambda x: max(x - 0.61, 0.0) - 1e-3, -1.0, 2.0),           # plateau
+    (lambda x: x - 1e8 * math.pi, 0.0, 1e9),                    # large root
+])
+def test_solve_bracketed_tol_zero_ends_on_adjacent_floats(f, lo, hi):
+    # tol = 0 leaves only the stop at rounding level: the final bracket is
+    # two adjacent floats, reached long before the iteration cap
+    calls = []
+    got = solve_bracketed(lambda x: calls.append(x) or f(x),
+                          Bracket(lo, hi), tol=0.0, max_iter=1000)
+    assert len(calls) <= 120
+    below = math.nextafter(got, -math.inf)
+    above = math.nextafter(got, math.inf)
+    assert f(got) == 0.0 or min(f(below) * f(got), f(got) * f(above)) <= 0.0
+
+
 def test_minimal_speed_is_superlinear(monkeypatch):
     # every evaluation that minimal_speed hands to the solver, those of
     # the inner minimum over z included
