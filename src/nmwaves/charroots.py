@@ -1,20 +1,19 @@
 """Characteristic functions at the equilibria, their real roots, and wave speeds.
 
-Five characteristic functions appear in the analysis, distinguished by
-the equilibrium they linearize about and by the frame of the profile
-variable:
+Three characteristic functions appear in the commands, with P = ln p - 1:
 
-* AT_ZERO_DDE          z + 1 - p e^{-z tau}               (delay ODE at 0)
-* AT_KAPPA_DDE         z + 1 + P e^{-z tau}               (delay ODE at ln p)
-* AT_ZERO_PROFILE      eps z^2 - z - 1 + p e^{-z tau}     (profile at 0, eps frame)
-* AT_KAPPA_PROFILE_EPS eps z^2 - z - 1 - P e^{-z tau}     (profile at ln p, eps frame)
-* AT_KAPPA_PROFILE_C   z^2 - c z - 1 - P e^{-z c tau}     (profile at ln p, wave frame)
+* z + 1 - p e^{-z tau}             the delay ODE at 0: its positive root
+                                   mu is the decay rate of the series
+* z^2 - cz - 1 + p e^{-zc tau}     a speed-c profile at 0: the smallest c
+                                   with a positive root is the minimal
+                                   speed, and fixing z = beta gives the
+                                   speed selected by decay rate beta
+* z^2 - cz - 1 - P e^{-zc tau}     a speed-c profile at ln p: a real
+                                   negative root makes the tail
+                                   eventually monotone
 
-with P = ln p - 1. The eps and wave frames are the same function up to
-the rescaling z -> c z with eps = c^{-2}. Real negative roots of the
-kappa functions decide tail monotonicity of the wave; the smallest c for
-which the zero-equilibrium profile function gains a positive real root is
-the minimal propagation speed.
+The commands decide the last one with negative_root_exists; the root
+listing negative_roots_at_kappa is its reference in the tests.
 """
 
 from __future__ import annotations
@@ -29,14 +28,6 @@ from .model import ModelParams
 from .numerics import Bracket, bracketed_roots, solve_bracketed
 
 
-class CharKind(Enum):
-    AT_ZERO_DDE = "at_zero_dde"
-    AT_KAPPA_DDE = "at_kappa_dde"
-    AT_ZERO_PROFILE = "at_zero_profile"
-    AT_KAPPA_PROFILE_EPS = "at_kappa_profile_eps"
-    AT_KAPPA_PROFILE_C = "at_kappa_profile_c"
-
-
 class TailClass(Enum):
     EVENTUALLY_MONOTONE = "eventually_monotone"
     OSCILLATORY_TAIL = "oscillatory_tail"
@@ -48,42 +39,14 @@ class BracketingError(RuntimeError):
 
 @dataclass(frozen=True)
 class RootReport:
-    """Real roots of one characteristic function inside a certified window.
+    """Negative roots of the profile function at ln p in a certified window.
 
     Roots are sorted ascending and repeated according to multiplicity;
     a double (tangency) root appears twice.
     """
 
-    kind: CharKind
     real_roots: tuple[float, ...]
     search_window: tuple[float, float]
-
-
-def char_value(kind: CharKind, z: float, params: ModelParams,
-               speed: float | None = None) -> float:
-    """Evaluate one of the five characteristic functions at z.
-
-    ``speed`` carries eps for the *_PROFILE_EPS/AT_ZERO_PROFILE kinds and
-    c for AT_KAPPA_PROFILE_C; it is required for profile kinds.
-    """
-    p, tau = params.p, params.tau
-    P = params.P
-    if kind is CharKind.AT_ZERO_DDE:
-        return z + 1.0 - p * math.exp(-z * tau)
-    if kind is CharKind.AT_KAPPA_DDE:
-        return z + 1.0 + P * math.exp(-z * tau)
-    if speed is None:
-        raise ValueError(f"{kind.value} requires the speed parameter")
-    if kind is CharKind.AT_ZERO_PROFILE:
-        eps = speed
-        return eps * z * z - z - 1.0 + p * math.exp(-z * tau)
-    if kind is CharKind.AT_KAPPA_PROFILE_EPS:
-        eps = speed
-        return eps * z * z - z - 1.0 - P * math.exp(-z * tau)
-    if kind is CharKind.AT_KAPPA_PROFILE_C:
-        c = speed
-        return z * z - c * z - 1.0 - P * math.exp(-z * c * tau)
-    raise ValueError(f"unknown kind {kind}")
 
 
 def _mu(p, tau):
@@ -244,12 +207,11 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
     if not c > 0.0:
         raise ValueError(f"speed must be positive, got {c}")
     h = c * tau
-    kind = CharKind.AT_KAPPA_PROFILE_C
 
     if tau == 0.0 or P == 0.0:
         # quadratic z^2 - cz - (1+P): 1 + P = ln p > 0 gives one negative root
         z = 0.5 * (c - math.sqrt(c * c + 4.0 * (1.0 + params.P)))
-        return RootReport(kind, (z,), (z - 1.0, 0.0))
+        return RootReport((z,), (z - 1.0, 0.0))
 
     # Python floats from here on: their products overflow to inf silently
     chi = lambda z: float(_chi(z, P, c, h))
@@ -276,7 +238,7 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
                 break
             z_lo *= 2.0
         z = solve_bracketed(chi, Bracket(z_lo, 0.0), tol=1e-13 * (1.0 + abs(z_lo)))
-        return RootReport(kind, (polish(z),), (z_lo, 0.0))
+        return RootReport((polish(z),), (z_lo, 0.0))
 
     z_lo = float(_certified_window(P, c, h))
 
@@ -311,7 +273,7 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
         if z_m < 0.0 and _touches_zero(chi(z_m), P, c):
             roots = [z_m, z_m]
 
-    return RootReport(kind, tuple(sorted(roots)), (z_lo, 0.0))
+    return RootReport(tuple(sorted(roots)), (z_lo, 0.0))
 
 
 def _touches_zero(chi_max, P, c):

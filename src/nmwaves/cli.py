@@ -18,6 +18,8 @@ import sys
 import time
 from typing import Sequence
 
+from .files import read_csv, write_csv, write_json
+
 USAGE_EXIT = 64
 
 
@@ -77,13 +79,16 @@ def _speed_range(text: str) -> str:
     return text
 
 
-def _write_json(path: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _finite_float(text: str) -> float:
+    """--P value: a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(
+            f"P must be a finite number, got {text!r}")
+    return value
 
 
 def _manifest(subcommand: str, config: dict, outputs: list[str],
@@ -98,10 +103,7 @@ def _manifest(subcommand: str, config: dict, outputs: list[str],
         "wall_time_s": time.time() - started,
         "outputs": outputs,
     }
-    path = outputs[0] + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outputs[0] + ".manifest.json", payload)
 
 
 def _cmd_analyze(args) -> int:
@@ -156,7 +158,7 @@ def _cmd_analyze(args) -> int:
         payload["tail_class"] = report.tail_class.value
         payload["in_dm"] = report.in_dm
         payload["in_ds"] = report.in_ds
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     if args.out:
         _manifest("analyze", {"p": args.p, "tau": args.tau, "c": args.c},
                   [args.out], started)
@@ -164,18 +166,22 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    from .dirichlet import build, write_coefficients_csv, write_profile_csv
+    from .dirichlet import build
     from .model import ModelParams
 
     started = time.time()
     params = ModelParams(p=args.p, tau=args.tau)
     expansion = build(params, n_coeffs=args.n, eps=args.eps)
     coeffs_path, profile_path = args.out
-    write_coefficients_csv(expansion, coeffs_path)
+    write_csv(coeffs_path, ["n", "qbar_n"],
+              enumerate(expansion.coeffs, start=1))
     t_hi = min(0.0, expansion.horizon - 0.5 / expansion.mu)
     t_lo = t_hi - 8.0 / expansion.mu
     ts = [t_lo + (t_hi - t_lo) * i / 199 for i in range(200)]
-    write_profile_csv(expansion, profile_path, ts)
+    # bounds profile below the horizon: u2 < u < u1
+    write_csv(profile_path, ["t", "u2", "u", "u1"],
+              ([t, expansion.u2(t), expansion.evaluate(t), expansion.u1(t)]
+               for t in ts))
     _manifest("series",
               {"p": args.p, "tau": args.tau, "n": args.n,
                "eps": expansion.eps, "horizon": expansion.horizon},
@@ -185,8 +191,7 @@ def _cmd_series(args) -> int:
 
 def _cmd_heteroclinic(args) -> int:
     from .dirichlet import build
-    from .heteroclinic import (crossings, first_maximum, integrate,
-                               write_trajectory_csv)
+    from .heteroclinic import crossings, first_maximum, integrate
     from .model import ModelParams
 
     started = time.time()
@@ -196,7 +201,8 @@ def _cmd_heteroclinic(args) -> int:
     report = crossings(traj)
     first_max = first_maximum(traj)
     traj_path, cross_path = args.out
-    write_trajectory_csv(traj, traj_path)
+    write_csv(traj_path, ["t", "u", "du"],
+              zip(traj.t.tolist(), traj.u.tolist(), traj.du.tolist()))
     payload = {
         "level": report.level,
         "crossings": [{"t": t, "slope_sign": s} for t, s in report.crossings],
@@ -207,9 +213,7 @@ def _cmd_heteroclinic(args) -> int:
         "tail_class": report.tail_class.value,
         "anomalies": list(report.anomalies),
     }
-    with open(cross_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(cross_path, payload)
     _manifest("heteroclinic",
               {"p": args.p, "tau": args.tau, "t_end": args.t_end, "k": args.k},
               [traj_path, cross_path], started)
@@ -223,10 +227,8 @@ def _cmd_atlas(args) -> int:
     taus = _parse_range(args.tau)
     ps = _parse_range(args.p)
     rows = region_grid(taus, ps)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("tau,lnlnp,flag\n")
-        for tau, lnlnp, flag in rows:
-            fh.write(f"{tau!r},{lnlnp!r},{int(flag)}\n")
+    write_csv(args.out, ["tau", "lnlnp", "flag"],
+              ((tau, lnlnp, int(flag)) for tau, lnlnp, flag in rows))
     _manifest("atlas", {"tau": args.tau, "p": args.p}, [args.out], started)
     return 0
 
@@ -245,10 +247,9 @@ def _cmd_boundaries(args) -> int:
     ts = T_star(P) if P > 0.0 else math.nan
     T_cs = T_of_c(P, c_arr).tolist() if P > 0.0 else nan
     tau_cs = tau_of_c(P, c_arr).tolist() if P > 1.0 else nan
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        fh.write("c,T_of_c,tau_of_c,tau_hat,T_star\n")
-        for c, T_c, tau_c in zip(cs, T_cs, tau_cs):
-            fh.write(f"{c!r},{T_c!r},{tau_c!r},{th!r},{ts!r}\n")
+    write_csv(args.out, ["c", "T_of_c", "tau_of_c", "tau_hat", "T_star"],
+              ((c, T_c, tau_c, th, ts)
+               for c, T_c, tau_c in zip(cs, T_cs, tau_cs)))
     _manifest("boundaries", {"P": P, "c": args.c}, [args.out], started)
     return 0
 
@@ -274,26 +275,26 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    import numpy as np
+
     from .diagnostics import (classify_profile, diagnose, diagnostics_to_dict,
                               front_position)
     from .model import ModelParams
-    from .pde import SpacetimeRecord, read_snapshots_csv, tracking_level
+    from .pde import SpacetimeRecord, tracking_level
 
     started = time.time()
     params = ModelParams(p=args.p, tau=args.tau)
-    x, snaps = read_snapshots_csv(args.infile)
+    header, rows = read_csv(args.infile)
+    x = np.array([float(v) for v in header[1:]])
+    snaps = [(row[0], np.array(row[1:])) for row in rows]
     if not snaps:
         raise ValueError(f"no snapshots in {args.infile}")
     level = tracking_level(params)
-    track = []
     if args.front:
-        with open(args.front, "r", encoding="utf-8") as fh:
-            fh.readline()
-            for line in fh:
-                cells = line.strip().split(",")
-                if len(cells) == 2:
-                    track.append((float(cells[0]), float(cells[1])))
+        track = [tuple(row) for row in read_csv(args.front)[1]
+                 if len(row) == 2]
     else:
+        track = []
         for t, u in snaps:
             try:
                 track.append((t, front_position(x, u, level)))
@@ -310,7 +311,7 @@ def _cmd_diagnose(args) -> int:
                    "speed_error": str(exc),
                    "shape": classify_profile(x, u_last, params).value,
                    "overshoot": float(max(u_last)) - params.kappa}
-    _write_json(args.out, payload)
+    write_json(args.out, payload)
     if args.out:
         _manifest("diagnose", {"in": args.infile, "p": args.p, "tau": args.tau},
                   [args.out], started)
@@ -323,11 +324,9 @@ def _cmd_verify(args) -> int:
     started = time.time()
     ok, margins = run_suite(args.suite, grid=args.grid)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            fh.write("check,margin,threshold,status\n")
-            for name, margin, threshold, passed in margins:
-                fh.write(f"{name},{margin!r},{threshold!r},"
-                         f"{'pass' if passed else 'FAIL'}\n")
+        write_csv(args.out, ["check", "margin", "threshold", "status"],
+                  ((name, margin, threshold, "pass" if passed else "FAIL")
+                   for name, margin, threshold, passed in margins))
         _manifest("verify", {"suite": args.suite, "grid": args.grid},
                   [args.out], started)
     for name, margin, threshold, passed in margins:
@@ -339,13 +338,14 @@ def _cmd_verify(args) -> int:
 
 def _domain_errors() -> tuple[type[Exception], ...]:
     """Exceptions that report an input outside what the methods handle."""
+    from .atlas import MembershipInconsistency
     from .charroots import BracketingError
     from .dirichlet import CoefficientOverflow
     from .heteroclinic import BlowUpError, InconclusiveTail
 
     return (ValueError, FileNotFoundError, OverflowError, FloatingPointError,
             BlowUpError, InconclusiveTail, CoefficientOverflow,
-            BracketingError)
+            BracketingError, MembershipInconsistency)
 
 
 @functools.cache
@@ -390,7 +390,7 @@ def build_parser() -> CliParser:
     g.set_defaults(func=_cmd_atlas)
 
     b = sub.add_parser("boundaries", help="boundary curves over c")
-    b.add_argument("--P", type=float, required=True)
+    b.add_argument("--P", type=_finite_float, required=True)
     b.add_argument("--c", type=_speed_range, required=True, help="LO:HI:N")
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_boundaries)

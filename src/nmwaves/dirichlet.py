@@ -20,10 +20,8 @@ closed form and its direct quadrature form.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -283,22 +281,3 @@ def zeta_by_quadrature(params: ModelParams) -> float:
     integral = integrate_adaptive(f, -params.tau, 0.0, tol=1e-12)
     return (1.0 + qb2) * math.exp(-params.tau) + params.p * integral
 
-
-def write_coefficients_csv(expansion: DirichletExpansion, path: str) -> None:
-    """Dump (n, qbar_n) rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["n", "qbar_n"])
-        for n, q in enumerate(expansion.coeffs, start=1):
-            w.writerow([n, repr(q)])
-
-
-def write_profile_csv(expansion: DirichletExpansion, path: str,
-                      ts: Sequence[float]) -> None:
-    """Dump (t, u2, u, u1) rows on the supplied grid (t below horizon)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "u2", "u", "u1"])
-        for t in ts:
-            w.writerow([repr(t), repr(expansion.u2(t)),
-                        repr(expansion.evaluate(t)), repr(expansion.u1(t))])

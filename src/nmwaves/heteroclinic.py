@@ -23,7 +23,6 @@ interpolant, and nm_verdict, which reports no time, never does.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -384,11 +383,3 @@ def nm_verdict(params: ModelParams, run: bool = True) -> NmVerdict:
                      zeta_gt_lnp=z_gt, verdict=in_window and z_gt,
                      max_u=max_u, tail_class=tail, crossing_count=n_cross)
 
-
-def write_trajectory_csv(traj: Trajectory, path: str) -> None:
-    """Dump (t, u, du) rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t", "u", "du"])
-        for ti, ui, dui in zip(traj.t, traj.u, traj.du):
-            w.writerow([repr(float(ti)), repr(float(ui)), repr(float(dui))])

@@ -99,18 +99,14 @@ def schwarz(u: float, params: ModelParams) -> float:
     return (3.0 - u) / (1.0 - u) - 1.5 * r * r
 
 
-# subintervals of the dense grid in feedback_holds
-FEEDBACK_GRID_POINTS = 10_000
-
-
 def feedback_holds(params: ModelParams) -> bool:
     """Negative feedback of f around kappa on the invariant interval.
 
     Checks (f(x) - kappa)*(x - kappa) < 0 for x in the open interval
     (f(f(1)), f(1)) excluding kappa itself. The interval endpoints are
     the second and first iterates of the maximum of f, so f maps the
-    interval into itself. Combines a dense grid with the closed-form
-    endpoint analysis that the unimodality of f makes conclusive:
+    interval into itself. The unimodality of f makes the closed-form
+    endpoint analysis conclusive:
 
     * p >= e (kappa >= 1): the x > kappa side always holds since f is
       decreasing past its maximum; the x < kappa side holds iff
@@ -130,22 +126,9 @@ def feedback_holds(params: ModelParams) -> bool:
 
     if b - a <= tol:
         return True  # empty (or pointlike) interval, vacuous
-
     if kappa >= 1.0 - tol:
-        analytic = f(a) >= kappa - tol
-    else:
-        analytic = a <= kappa + tol
-
-    # dense grid over the open interval, kappa excluded
-    ok = True
-    for i in range(1, FEEDBACK_GRID_POINTS):
-        x = a + (b - a) * i / FEEDBACK_GRID_POINTS
-        if abs(x - kappa) <= tol:
-            continue
-        if (f(x) - kappa) * (x - kappa) >= tol * tol:
-            ok = False
-            break
-    return analytic and ok
+        return f(a) >= kappa - tol
+    return a <= kappa + tol
 
 
 def gsc_holds(params: ModelParams) -> bool:

@@ -30,13 +30,13 @@ both ends every stage.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from .files import write_csv, write_json
 from .model import ModelParams
 from .numerics import ToeplitzTridiagonal, crossing_points
 
@@ -364,35 +364,13 @@ def preset(name: str) -> SimConfig:
 
 def write_snapshots_csv(record: SpacetimeRecord, path: str) -> None:
     """Header row of x values; one row per snapshot, t in the first column."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("t," + ",".join(repr(float(v)) for v in record.x) + "\n")
-        for t, u in record.snapshots:
-            fh.write(repr(float(t)) + ","
-                     + ",".join(repr(float(v)) for v in u) + "\n")
-
-
-def read_snapshots_csv(path: str) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        x = np.array([float(v) for v in header[1:]])
-        snaps = []
-        for line in fh:
-            cells = line.strip().split(",")
-            if not cells or cells == [""]:
-                continue
-            snaps.append((float(cells[0]),
-                          np.array([float(v) for v in cells[1:]])))
-    return x, snaps
+    write_csv(path, ["t", *record.x.tolist()],
+              ([float(t), *u.tolist()] for t, u in record.snapshots))
 
 
 def write_front_csv(record: SpacetimeRecord, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("t,front_x\n")
-        for t, pos in record.front_track:
-            fh.write(f"{t!r},{pos!r}\n")
+    write_csv(path, ["t", "front_x"], record.front_track)
 
 
 def write_metadata_json(record: SpacetimeRecord, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record.metadata, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, record.metadata)

@@ -6,43 +6,17 @@ import random
 import numpy as np
 import pytest
 
-from nmwaves.charroots import (CharKind, TailClass, char_value, classify_tail,
+from nmwaves.charroots import (TailClass, classify_tail,
                                linear_spreading_speed, minimal_speed, mu_root,
                                negative_root_exists, negative_roots_at_kappa,
                                _profile_min_over_positive)
 from nmwaves.model import ModelParams
 
 
-def test_char_values_at_zero():
-    assert abs(char_value(CharKind.AT_ZERO_DDE, 0.0,
-                          ModelParams(p=2.0, tau=0.3)) - (-1.0)) <= 1e-15
-    params = ModelParams(p=365.0, tau=0.07)
-    # at the positive equilibrium the value at z = 0 is 1 + P = ln p
-    assert abs(char_value(CharKind.AT_KAPPA_DDE, 0.0, params)
-               - math.log(365.0)) <= 1e-12
-
-
-def test_char_profile_requires_speed():
-    params = ModelParams(p=2.0, tau=0.1)
-    with pytest.raises(ValueError):
-        char_value(CharKind.AT_KAPPA_PROFILE_C, 1.0, params)
-
-
-def test_frame_scaling_identity():
-    # eps-frame value at cz with eps = 1/c^2 equals the wave-frame value at z
-    rng = random.Random(2)
-    params = ModelParams(p=365.0, tau=0.07)
-    for _ in range(50):
-        z = rng.uniform(-20.0, 20.0)
-        c = rng.uniform(0.3, 60.0)
-        eps = c ** -2
-        a = char_value(CharKind.AT_KAPPA_PROFILE_EPS, c * z, params, speed=eps)
-        b = char_value(CharKind.AT_KAPPA_PROFILE_C, z, params, speed=c)
-        assert abs(a - b) <= 1e-10 * (1.0 + abs(b))
-        a0 = char_value(CharKind.AT_ZERO_PROFILE, c * z, params, speed=eps)
-        b0 = (z * z - c * z - 1.0
-              + params.p * math.exp(-z * c * params.tau))
-        assert abs(a0 - b0) <= 1e-10 * (1.0 + abs(b0))
+def _chi_kappa(z, params, c):
+    """The wave-frame characteristic function at ln p, written out."""
+    return (z * z - c * z - 1.0
+            - params.P * math.exp(-z * c * params.tau))
 
 
 def test_mu_example_values():
@@ -50,7 +24,7 @@ def test_mu_example_values():
     mu = mu_root(params)
     assert abs(mu - 33.64) <= 0.01
     # residual and local sign change
-    chi = lambda z: char_value(CharKind.AT_ZERO_DDE, z, params)
+    chi = lambda z: z + 1.0 - params.p * math.exp(-z * params.tau)
     assert abs(chi(mu)) <= 1e-9
     assert chi(mu - 1e-6) < 0.0 < chi(mu + 1e-6)
     # residual at machine level over the domain, including a large-delay
@@ -106,7 +80,7 @@ def test_negative_roots_single_for_small_p():
         assert len(report.real_roots) == 1
         z = report.real_roots[0]
         assert z < 0.0
-        val = char_value(CharKind.AT_KAPPA_PROFILE_C, z, params, speed=3.0)
+        val = _chi_kappa(z, params, 3.0)
         assert abs(val) <= 1e-9 * (1.0 + z * z)
 
 
@@ -116,7 +90,7 @@ def test_negative_roots_nonempty_at_example():
     assert len(report.real_roots) == 2
     for z in report.real_roots:
         assert z < 0.0
-        val = char_value(CharKind.AT_KAPPA_PROFILE_C, z, params, speed=50.0)
+        val = _chi_kappa(z, params, 50.0)
         assert abs(val) <= 1e-9 * (1.0 + z * z)
 
 
@@ -249,7 +223,7 @@ def test_root_report_residuals_random_sweep():
         assert list(report.real_roots) == sorted(report.real_roots)
         for z in report.real_roots:
             assert report.search_window[0] <= z < 0.0
-            val = char_value(CharKind.AT_KAPPA_PROFILE_C, z, params, speed=c)
+            val = _chi_kappa(z, params, c)
             assert abs(val) <= 1e-9 * (1.0 + z * z), (p, tau, c, z)
 
 

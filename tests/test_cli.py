@@ -484,7 +484,12 @@ def test_import_leaves_scipy_linalg_unloaded():
     # scipy is a test dependency only: its import would otherwise dominate
     # the start-up of every command, and the Crank-Nicolson run of the
     # fast-front commands is the one place that used it
-    code = ("import sys, nmwaves; print('scipy.linalg' in sys.modules)\n"
+    # the package root imports nothing, so every module is imported here
+    code = ("import importlib, pkgutil, sys, nmwaves\n"
+            "for m in pkgutil.iter_modules(nmwaves.__path__):\n"
+            "    importlib.import_module('nmwaves.' + m.name)\n"
+            "assert 'nmwaves.cli' in sys.modules\n"
+            "print('scipy.linalg' in sys.modules)\n"
             "from nmwaves.pde import Scheme, preset, simulate\n"
             "cfg = preset('fast-front-smoke')\n"
             "assert cfg.scheme is Scheme.CRANK_NICOLSON\n"
@@ -493,3 +498,45 @@ def test_import_leaves_scipy_linalg_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True, env=_child_env())
     assert proc.stdout.split() == ["False", "False"]
+
+
+def _loaded_after(imports: str, names) -> list[str]:
+    """Which of names are in sys.modules after imports, in a new process."""
+    code = (f"import json, sys, {imports}\n"
+            f"print(json.dumps([n for n in {list(names)!r} "
+            f"if n in sys.modules]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=_child_env())
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    # --help and usage errors need no numerics
+    assert _loaded_after("nmwaves.cli", ["numpy"]) == []
+
+
+def test_simulation_layers_load_no_analysis_layer():
+    layers = ["nmwaves." + m for m in ("atlas", "charroots", "dirichlet",
+                                      "heteroclinic", "verify")]
+    assert _loaded_after("nmwaves.pde, nmwaves.diagnostics", layers) == []
+
+
+def test_membership_disagreement_exits_1_with_one_line(capsys):
+    # tau lies 2.2e-5 above T(c), where the root test still finds a double
+    # root: the two membership routes disagree
+    assert run_cli("analyze", "--p", "8.028024095968561",
+                   "--tau", "0.26155954980657276",
+                   "--c", "767.5744060944412") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("P", ["nan", "inf", "-inf"])
+def test_boundaries_amplitude_must_be_finite(tmp_path, capsys, P):
+    out = tmp_path / "b.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("boundaries", f"--P={P}", "--c", "1:10:3", "--out", str(out))
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "P must be a finite number" in err
+    assert not out.exists()

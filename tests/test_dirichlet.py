@@ -311,17 +311,19 @@ def test_build_requires_positive_delay():
 
 
 def test_csv_dumps(tmp_path):
-    from nmwaves.dirichlet import write_coefficients_csv, write_profile_csv
+    from nmwaves.cli import main
 
     expansion = build(EXAMPLE, n_coeffs=5)
     cpath = tmp_path / "coeffs.csv"
     ppath = tmp_path / "profile.csv"
-    write_coefficients_csv(expansion, str(cpath))
+    assert main(["series", "--p", "365", "--tau", "0.07", "--n", "5",
+                 "--out", f"{cpath},{ppath}"]) == 0
     lines = cpath.read_text().splitlines()
     assert lines[0] == "n,qbar_n"
     assert len(lines) == 6
     assert float(lines[1].split(",")[1]) == 1.0
-    write_profile_csv(expansion, str(ppath), [-0.2, -0.1])
+    assert [float(line.split(",")[1]) for line in lines[1:]] \
+        == list(expansion.coeffs)
     rows = ppath.read_text().splitlines()
     assert rows[0] == "t,u2,u,u1"
     t, u2, u, u1 = (float(v) for v in rows[1].split(","))

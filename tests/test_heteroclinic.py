@@ -399,11 +399,16 @@ def test_node_level_tail_without_crossings(monkeypatch, u, tail):
 
 
 def test_trajectory_csv(tmp_path):
-    from nmwaves.heteroclinic import write_trajectory_csv
+    from nmwaves.cli import main
+    from nmwaves.files import read_csv
 
-    traj = _example_run(t_end=0.5)
+    traj = _example_run()
     path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, str(path))
+    assert main(["heteroclinic", "--p", "365", "--tau", "0.07",
+                 "--out", f"{path},{tmp_path / 'crossings.json'}"]) == 0
     lines = path.read_text().splitlines()
     assert lines[0] == "t,u,du"
     assert len(lines) == len(traj.t) + 1
+    header, rows = read_csv(str(path))
+    assert np.array_equal(np.array(rows),
+                          np.column_stack([traj.t, traj.u, traj.du]))

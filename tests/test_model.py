@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from nmwaves.model import ModelParams, birth, feedback_holds, gsc_holds, schwarz
@@ -124,6 +125,38 @@ def test_feedback_examples():
 def test_feedback_threshold_flip():
     assert feedback_holds(ModelParams(p=16.0, tau=0.1)) is True
     assert feedback_holds(ModelParams(p=18.0, tau=0.1)) is False
+
+
+def _feedback_on_grid(params, points=10_000):
+    """The feedback condition checked on a dense grid of the open interval
+    (f(f(1)), f(1)), kappa excluded: the reference for the endpoint
+    analysis of feedback_holds, with its interval and tolerance."""
+    f = lambda x: params.p * x * np.exp(-x)
+    kappa = params.kappa
+    b = birth(1.0, 0, params)
+    a = birth(b, 0, params)
+    tol = 1e-9 * (1.0 + kappa)
+    if b - a <= tol:
+        return True
+    x = a + (b - a) * np.arange(1, points) / points
+    x = x[np.abs(x - kappa) > tol]
+    return bool(np.all((f(x) - kappa) * (x - kappa) < tol * tol))
+
+
+def test_feedback_matches_dense_grid():
+    rng = random.Random(1616)
+    ps = [1e6 ** (1.0 - rng.random()) for _ in range(3000)]  # (1, 1e6]
+    ps += [math.e * (1.0 - 1e-9), math.e * (1.0 + 1e-9)]
+    ps += [16.0 + 0.01 * k for k in range(301)]
+    holds = [feedback_holds(ModelParams(p=p, tau=0.1)) for p in ps]
+    grid = [_feedback_on_grid(ModelParams(p=p, tau=0.1)) for p in ps]
+    # ANDing the grid in never changes the endpoint answer: no violation
+    # on the grid where the endpoint analysis finds none
+    for p, h, g in zip(ps, holds, grid):
+        assert (h and g) is h, p
+    # the grid alone cannot decide: from p = 17 on, the violating
+    # interval next to f(f(1)) is narrower than its spacing
+    assert 0 < sum(holds) < sum(grid) < len(ps)
 
 
 def test_gsc_examples():

@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from nmwaves.files import read_csv
 from nmwaves.model import ModelParams
 from nmwaves.pde import (DirichletBC, Heaviside, Scheme, SimConfig,
-                         SmoothStep, config_from_dict, preset,
-                         read_snapshots_csv, simulate, write_front_csv,
-                         write_metadata_json, write_snapshots_csv)
+                         SmoothStep, config_from_dict, preset, simulate,
+                         write_front_csv, write_metadata_json,
+                         write_snapshots_csv)
 
 PARAMS = ModelParams(p=365.0, tau=0.07)
 LNP = PARAMS.kappa
@@ -205,18 +206,25 @@ def test_config_roundtrip():
 
 
 def test_csv_roundtrip(tmp_path):
+    # every float cell reads back with the bits it was written with, NaN
+    # (a front-track time with no crossing) included
     rec = simulate(preset("fast-front-smoke"))
-    spath = tmp_path / "snaps.csv"
+    track = list(rec.front_track)
+    track[3] = (track[3][0], math.nan)
+    rec = dataclasses.replace(rec, front_track=track)
+    spath, fpath = tmp_path / "snaps.csv", tmp_path / "front.csv"
     write_snapshots_csv(rec, str(spath))
-    x, snaps = read_snapshots_csv(str(spath))
-    assert np.allclose(x, rec.x)
-    assert len(snaps) == len(rec.snapshots)
-    t0, u0 = snaps[0]
-    assert t0 == rec.snapshots[0][0]
-    assert np.array_equal(u0, rec.snapshots[0][1])
-    fpath = tmp_path / "front.csv"
+    header, rows = read_csv(str(spath))
+    assert header[0] == "t"
+    x = np.array([float(v) for v in header[1:]])
+    assert x.tobytes() == rec.x.tobytes()
+    want = np.array([[t, *u] for t, u in rec.snapshots])
+    assert np.array(rows).tobytes() == want.tobytes()
     write_front_csv(rec, str(fpath))
-    assert fpath.read_text().splitlines()[0] == "t,front_x"
+    header, rows = read_csv(str(fpath))
+    assert header == ["t", "front_x"]
+    assert np.array(rows).tobytes() == np.array(track).tobytes()
+    assert math.isnan(rows[3][1])
     mpath = tmp_path / "meta.json"
     write_metadata_json(rec, str(mpath))
     import json

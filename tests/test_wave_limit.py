@@ -9,20 +9,22 @@ to within the discretization error of the simulation.
 
 import numpy as np
 
-import nmwaves as nw
-from nmwaves.diagnostics import front_position
+from nmwaves.diagnostics import diagnose, front_position
+from nmwaves.dirichlet import build
+from nmwaves.heteroclinic import integrate
+from nmwaves.model import ModelParams
 from nmwaves.pde import preset, simulate
 
-PARAMS = nw.ModelParams(p=365.0, tau=0.07)
+PARAMS = ModelParams(p=365.0, tau=0.07)
 
 
 def test_rescaled_wave_matches_heteroclinic_limit():
     lnp = PARAMS.kappa
-    expansion = nw.build(PARAMS)
-    traj = nw.integrate(expansion)
+    expansion = build(PARAMS)
+    traj = integrate(expansion)
 
     record = simulate(preset("fast-front"))
-    diag = nw.diagnose(record)
+    diag = diagnose(record)
     c = diag.speed.speed
     t_last, u_last = record.snapshots[-1]
     s = (record.x - diag.speed.slope * t_last) / c
