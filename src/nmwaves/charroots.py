@@ -180,8 +180,8 @@ def _certified_window(P: float, c, h):
                           f"(P={P}, c={np.asarray(c)[pending][0]})")
 
 
-# relative depth (scaled by 1 + |P| + c^2) below zero at which a hump
-# maximum still counts as a double root
+# depth below zero, relative to the hump's own size (_touches_zero), at
+# which a hump maximum still counts as a double root
 TANGENCY_TOL = 1e-9
 
 
@@ -198,10 +198,11 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
       two roots, one double root at tangency, or none.
 
     The search window's left edge is certified so that the exponential
-    term dominates below it. A hump maximum within ``TANGENCY_TOL`` of
-    zero (where the derivative also vanishes) is reported as a double
-    root, so boundary cases count as "root exists". The commands run
-    negative_root_exists; this listing is its reference in the tests.
+    term dominates below it. A hump maximum (where the derivative also
+    vanishes) within ``TANGENCY_TOL`` of zero, relative to the hump's
+    size, is reported as a double root, so boundary cases count as "root
+    exists". The commands run negative_root_exists; this listing is its
+    reference in the tests.
     """
     P, tau, c = params.P, float(params.tau), float(c)
     if not c > 0.0:
@@ -270,15 +271,20 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
     if not roots and crit:
         # tangency: the hump maximum touching zero counts as a double root
         z_m = max(crit, key=chi)
-        if z_m < 0.0 and _touches_zero(chi(z_m), P, c):
+        if z_m < 0.0 and _touches_zero(chi(z_m), z_m, c):
             roots = [z_m, z_m]
 
     return RootReport(tuple(sorted(roots)), (z_lo, 0.0))
 
 
-def _touches_zero(chi_max, P, c):
-    """Whether a hump maximum chi_max counts as reaching zero."""
-    return chi_max >= -TANGENCY_TOL * (1.0 + abs(P) + c * c)
+def _touches_zero(chi_max, z_m, c):
+    """Whether the hump maximum chi_max, at z_m, counts as reaching zero.
+
+    The hump's size is 1 + z_m^2 + c |z_m|, the size of the quadratic
+    part of chi at z_m, which the exponential part cancels there when
+    the maximum is near zero: the scale of chi's rounding error at z_m.
+    """
+    return chi_max >= -TANGENCY_TOL * (1.0 + z_m * z_m + c * np.abs(z_m))
 
 
 def negative_root_exists(p: float, tau, c):
@@ -321,7 +327,7 @@ def negative_root_exists(p: float, tau, c):
         # a lane without a hump gets the empty bracket [right, right]
         z_m = bracketed_roots(lambda z: _dchi(z, P, cs, h),
                               np.where(hump, z_lo, right), right)
-        return no_delay | (hump & _touches_zero(_chi(z_m, P, cs, h), P, cs))
+        return no_delay | (hump & _touches_zero(_chi(z_m, P, cs, h), z_m, cs))
 
 
 def tail_of(has_root) -> TailClass:

@@ -342,10 +342,11 @@ def _domain_errors() -> tuple[type[Exception], ...]:
     from .charroots import BracketingError
     from .dirichlet import CoefficientOverflow
     from .heteroclinic import BlowUpError, InconclusiveTail
+    from .numerics import QuadratureError
 
     return (ValueError, FileNotFoundError, OverflowError, FloatingPointError,
             BlowUpError, InconclusiveTail, CoefficientOverflow,
-            BracketingError, MembershipInconsistency)
+            BracketingError, MembershipInconsistency, QuadratureError)
 
 
 @functools.cache

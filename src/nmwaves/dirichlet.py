@@ -266,18 +266,26 @@ def zeta(params: ModelParams) -> float:
 def zeta_by_quadrature(params: ModelParams) -> float:
     """Peak lower bound via direct quadrature of its defining integral.
 
-    Independent route used to cross-check the closed form; it shares mu
-    but never reads the cached closed-form zeta:
+    Independent route used to cross-check the closed form: it shares mu
+    and qbar_2 but no incomplete gamma function and never reads the
+    cached closed-form zeta:
 
         zeta = (1 + qbar_2) e^{-tau}
              + p * integral(-tau..0) e^{mu s} e^s (1 + qbar_2 e^{mu s})
                    exp(-e^{mu s}) ds
+
+    The integrand carries the factor p, so the quadrature's target
+    1e-12 (1 + |result|) is 1e-12 (1/p + |integral|) on the integral: the
+    tolerance scaled by 1/p, plus 1e-12 relative, so that the target for
+    zeta never falls below rounding when zeta is large.
     """
     mu = params.mu
+    p = params.p
     qb2 = qbar2_closed_form(params)
-    f = lambda s: (math.exp(mu * s) * math.exp(s)
-                   * (1.0 + qb2 * math.exp(mu * s))
-                   * math.exp(-math.exp(mu * s)))
-    integral = integrate_adaptive(f, -params.tau, 0.0, tol=1e-12)
-    return (1.0 + qb2) * math.exp(-params.tau) + params.p * integral
 
+    def f(s):
+        x = np.exp(mu * s)
+        return p * x * np.exp(s) * (1.0 + qb2 * x) * np.exp(-x)
+
+    return ((1.0 + qb2) * math.exp(-params.tau)
+            + integrate_adaptive(f, -params.tau, 0.0, tol=1e-12))

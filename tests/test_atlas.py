@@ -12,6 +12,7 @@ from nmwaves.atlas import (Phi, SpeedFrame, T_of_c, T_star,
                            membership, membership_grid, nm_necessary,
                            region_grid, region_report, tau_hat, tau_of_c,
                            tau_star, verify_inclusion)
+from nmwaves.charroots import negative_root_exists
 from nmwaves.dirichlet import zeta
 from nmwaves.heteroclinic import p_window
 from nmwaves.model import ModelParams
@@ -243,6 +244,22 @@ def test_membership_and_grid_agree_next_to_the_boundary():
             assert not disagree[i, j]
             point = membership(ModelParams(p=p, tau=tau), cs[j])
             assert point == (in_dm[i, j], in_ds[i, j]), (p, tau, cs[j])
+
+
+def test_root_flag_matches_the_boundary_off_a_relative_band():
+    # the root test alone, at tau = T(c) -+ k 1e-5 (1 + T(c)): the hump
+    # maximum must fall below zero by more than the tangency rule allows
+    # as soon as tau leaves that band, also at large c
+    rng = random.Random(29)
+    offsets = np.array([1.0, 1.5, 3.0, 10.0, 100.0, -1.0, -1.5, -3.0, -10.0,
+                        -100.0])[:, None] * 1e-5
+    for _ in range(100):
+        p = math.exp(rng.uniform(math.log(3.0), math.log(1e6)))
+        c = np.exp([rng.uniform(math.log(0.01), math.log(1e3))
+                    for _ in range(20)])
+        T = T_of_c(math.log(p) - 1.0, c)
+        tau = np.maximum(T + offsets * (1.0 + T), 0.0)
+        assert np.array_equal(negative_root_exists(p, tau, c), tau <= T), p
 
 
 def test_regions_suite_raises_no_warnings():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nmwaves
@@ -521,14 +522,48 @@ def test_simulation_layers_load_no_analysis_layer():
     assert _loaded_after("nmwaves.pde, nmwaves.diagnostics", layers) == []
 
 
-def test_membership_disagreement_exits_1_with_one_line(capsys):
-    # tau lies 2.2e-5 above T(c), where the root test still finds a double
-    # root: the two membership routes disagree
+def test_membership_disagreement_exits_1_with_one_line(monkeypatch, capsys):
+    # a root test that finds no root, although tau lies below T(c) =
+    # 0.0704, makes the two membership routes disagree
+    from nmwaves import atlas
+
+    monkeypatch.setattr(atlas, "negative_root_exists",
+                        lambda p, tau, c: np.zeros(np.shape(tau), dtype=bool))
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07",
+                   "--c", "50") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: root test says") and err.count("\n") == 1
+
+
+def test_membership_just_above_the_boundary_at_large_speed(tmp_path):
+    # tau lies 2.2e-5 above T(c) = 0.2615318: the hump maximum of the
+    # root test is 5e-4 below zero, which is no root at c = 767
+    out = tmp_path / "a.json"
     assert run_cli("analyze", "--p", "8.028024095968561",
                    "--tau", "0.26155954980657276",
-                   "--c", "767.5744060944412") == 1
+                   "--c", "767.5744060944412", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert payload["in_dm"] is False
+    assert payload["tail_class"] == "oscillatory_tail"
+
+
+@pytest.mark.parametrize("command", [
+    ("analyze", "--p", "365", "--tau", "0.07"),
+    ("verify", "--suite", "series"),
+])
+def test_unconverged_zeta_quadrature_exits_1_with_one_line(
+        command, monkeypatch, capsys):
+    from nmwaves import dirichlet
+
+    quadrature = dirichlet.integrate_adaptive
+    monkeypatch.setattr(
+        dirichlet, "integrate_adaptive",
+        lambda f, a, b, tol: quadrature(lambda s: np.full_like(s, np.nan),
+                                        a, b, tol))
+    assert run_cli(*command) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: quadrature did not converge")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("P", ["nan", "inf", "-inf"])

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -263,10 +264,74 @@ def test_zeta_gamma_form_vs_quadrature():
         p = rng.uniform(9.0, 900.0)
         tau = rng.uniform(0.02, 0.2)
         cases.append(ModelParams(p=p, tau=tau))
+    # log-uniform over the box that `analyze` is benchmarked on; zeta
+    # reaches 3.5e5 at its large-p, large-tau corner
+    rng = random.Random(17)
+    for _ in range(300):
+        p = math.exp(rng.uniform(math.log(1.001), math.log(1e6)))
+        tau = math.exp(rng.uniform(math.log(1e-6), math.log(50.0)))
+        cases.append(ModelParams(p=p, tau=tau))
     for params in cases:
         a = zeta(params)
         b = zeta_by_quadrature(params)
         assert abs(a - b) <= 1e-10, (params.p, params.tau)
+
+
+def _zeta_mpmath(p, tau):
+    # the defining integral at 40 digits, with mu and qbar_2 solved there
+    with mp.workdps(40):
+        p, tau = mp.mpf(p), mp.mpf(tau)
+        mu = mp.findroot(lambda z: z + 1 - p * mp.exp(-z * tau),
+                         mu_root(ModelParams(p=float(p), tau=float(tau))))
+        e2 = p * mp.exp(-2 * mu * tau)
+        qb2 = -e2 / (2 * mu + 1 - e2)
+
+        def f(s):
+            x = mp.exp(mu * s)
+            return x * mp.exp(s) * (1 + qb2 * x) * mp.exp(-x)
+
+        integral = mp.quad(f, mp.linspace(-tau, 0, 40))
+        return (1 + qb2) * mp.exp(-tau) + p * integral
+
+
+@pytest.mark.parametrize("p, tau", [(8.4e5, 0.017), (4.0e5, 0.093),
+                                    (3.6e5, 7.7), (1.93e5, 42.4)])
+def test_zeta_by_quadrature_against_mpmath(p, tau):
+    got = zeta_by_quadrature(ModelParams(p=p, tau=tau))
+    want = _zeta_mpmath(p, tau)
+    assert abs(got - want) <= 1e-12 * (1.0 + abs(got))
+
+
+def test_zeta_by_quadrature_passes_at_the_example(monkeypatch):
+    from nmwaves import dirichlet
+
+    passes = []
+    quadrature = dirichlet.integrate_adaptive
+
+    def counted(f, a, b, tol):
+        def f_counted(s):
+            passes.append(1)
+            return f(s)
+        return quadrature(f_counted, a, b, tol)
+
+    monkeypatch.setattr(dirichlet, "integrate_adaptive", counted)
+    zeta_by_quadrature(ModelParams(p=365.0, tau=0.07))
+    assert 1 <= len(passes) <= 8
+
+
+def test_zeta_by_quadrature_needs_no_gamma_form(monkeypatch):
+    from nmwaves import dirichlet, numerics
+
+    want = zeta(ModelParams(p=365.0, tau=0.07))
+
+    def refuse(*args):
+        raise AssertionError("the quadrature route used the gamma form")
+
+    monkeypatch.setattr(dirichlet, "_zeta", refuse)
+    monkeypatch.setattr(dirichlet, "lower_incomplete_gamma", refuse)
+    monkeypatch.setattr(numerics, "lower_incomplete_gamma", refuse)
+    got = zeta_by_quadrature(ModelParams(p=365.0, tau=0.07))
+    assert abs(got - want) <= 1e-10
 
 
 def test_zeta_makes_one_incomplete_gamma_call(monkeypatch):

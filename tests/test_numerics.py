@@ -200,12 +200,12 @@ def test_bracket_requires_order():
 
 
 def test_integrate_exponential():
-    got = integrate_adaptive(lambda t: math.exp(-t), 0.0, 1.0, tol=1e-13)
+    got = integrate_adaptive(lambda t: np.exp(-t), 0.0, 1.0, tol=1e-13)
     assert abs(got - (1.0 - math.exp(-1.0))) <= 1e-13
 
 
 def test_integrate_empty_interval():
-    assert integrate_adaptive(math.sin, 2.0, 2.0) == 0.0
+    assert integrate_adaptive(np.sin, 2.0, 2.0) == 0.0
 
 
 def test_integrate_orientation():
@@ -217,15 +217,35 @@ def test_integrate_orientation():
 
 def test_integrate_mixed_tolerance_contract():
     # large-magnitude integral: error must scale with 1 + |result|
-    got = integrate_adaptive(lambda t: 1e6 * math.cos(t), 0.0, 1.0, tol=1e-12)
+    got = integrate_adaptive(lambda t: 1e6 * np.cos(t), 0.0, 1.0, tol=1e-12)
     want = 1e6 * math.sin(1.0)
     assert abs(got - want) <= 1e-12 * (1.0 + abs(want)) * 20
 
 
 def test_integrate_depth_limit_carries_estimate():
     with pytest.raises(QuadratureError) as info:
-        integrate_adaptive(math.exp, 0.0, 1.0, tol=0.0, max_depth=6)
+        integrate_adaptive(np.exp, 0.0, 1.0, tol=0.0, max_depth=6)
     assert abs(info.value.estimate - (math.e - 1.0)) <= 1e-6
+
+
+def test_integrate_steep_exponential():
+    # all of the mass lies within a few 1/30 of the right end of [-50, 0]
+    got = integrate_adaptive(lambda s: np.exp(30.0 * s), -50.0, 0.0)
+    assert abs(got * 30.0 - 1.0) <= 1e-14
+
+
+def test_integrate_evaluates_15_nodes_per_pending_subinterval():
+    shapes = []
+
+    def f(t):
+        shapes.append(t.shape)
+        return np.exp(30.0 * t)
+
+    integrate_adaptive(f, -50.0, 0.0)
+    # one call per pass; each pass halves only what it did not accept
+    assert shapes[0] == (1, 15)
+    assert all(m == 15 and 0 < n2 <= 2 * n1
+               for (n1, _), (n2, m) in zip(shapes, shapes[1:]))
 
 
 @pytest.mark.parametrize("u, want", [
