@@ -9,9 +9,11 @@ fourth order. The history on [t0 - tau, t0] is seeded from the series
 expansion, which represents the exact solution there, so no derivative
 discontinuities propagate from the handoff. Within one delay interval
 every delayed value is already known, so each Runge-Kutta step is an
-affine map u_{n+1} = R u_n + g_n (the method of steps taken literally):
-the birth terms of a whole interval are evaluated as arrays and only the
-scalar recurrence runs node by node.
+affine map u_{n+1} = R u_n + g_n (the method of steps taken literally).
+Unrolled over a chunk of min(K, 64) steps, the recurrence is one linear
+map from the chunk's delayed birth terms and its first node to its new
+nodes, built once per run: each chunk is one matrix-vector product, and
+the range check is one array pass after the last chunk.
 
 Also here: crossings of ln p with the tail class, the first interior
 maximum, and the combined verdict for existence of a non-monotone
@@ -33,6 +35,12 @@ from .dirichlet import DirichletExpansion
 from .model import ModelParams
 from .numerics import (bisect_lockstep, hermite_cubic, hermite_cubic_deriv,
                        is_monotone, level_crossings, level_tol)
+
+
+# steps advanced by one matrix-vector product (fewer when K is smaller)
+CHUNK = 64
+# nodes one run may allocate: t, u, u' and f(u) take 32 bytes each
+MAX_NODES = 20_000_000
 
 
 class BlowUpError(RuntimeError):
@@ -121,9 +129,11 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
 
     The handoff t0 = min(0, horizon - 0.5/mu) keeps a safety margin
     inside the certified horizon; the history on [t0 - tau, t0] is
-    evaluated from the series directly. Raises BlowUpError at the first
-    node where |u| > max(1e6, 2 p/e) or u is not finite, an overflowing
-    birth term included.
+    evaluated from the series directly. The range is checked once all
+    chunks are stepped; BlowUpError names the first node where
+    |u| > max(1e6, 2 p/e) or u is not finite, an overflowing birth term
+    included, found by stepping its chunk again node by node. Raises
+    ValueError, before allocating, for more than MAX_NODES nodes.
     """
     if K < 20:
         raise ValueError(f"need at least 20 steps per delay interval, got {K}")
@@ -143,6 +153,10 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     h = tau / K
     n_steps = int(math.ceil((t_end - t0) / h - 1e-12))
     n_total = K + n_steps + 1  # history nodes + integrated nodes
+    if n_total > MAX_NODES:
+        raise ValueError(f"the run needs K + n_steps + 1 = {n_total} nodes "
+                         f"(K = {K}, n_steps = {n_steps}), above the cap of "
+                         f"{MAX_NODES}")
     t = np.empty(n_total)
     t[:K + 1] = t0 - tau + np.arange(K + 1) * h
     t[K + 1:] = t0 + np.arange(1, n_steps + 1) * h
@@ -151,36 +165,69 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     u[:K + 1] = expansion.evaluate(t[:K + 1])
     du[:K + 1] = expansion.derivative(t[:K + 1])
 
-    # Within one delay interval the delayed terms F0 = f(u(t_n - tau)),
-    # Fh = f(u(t_n + h/2 - tau)) and F1 = f(u(t_n + h - tau)) are known, so
-    # each RK4 step is affine in u: u_{n+1} = R u_n + g_n.
+    # The delayed terms F0 = f(u(t_n - tau)), Fh = f(u(t_n + h/2 - tau)) and
+    # F1 = f(u(t_n + h - tau)) of the next K steps are known, so each RK4
+    # step is affine in u: u_{n+1} = R u_n + g_n with
+    # g_n = c0 F0 + ch Fh + c1 F1. Unrolled over a chunk of B <= K steps,
+    # u_{n+i} = R^i u_n + sum_k R^{i-1-k} g_{n+k}, one matrix W maps the
+    # chunk's inputs z = [f(u) at its B+1 delayed nodes, dh e^{-dh} at its
+    # B delayed half-nodes, u_n] to its B new nodes.
     R = 1.0 - h + h * h / 2.0 - h ** 3 / 6.0 + h ** 4 / 24.0
     c0 = h / 6.0 * (1.0 - h + h * h / 2.0 - h ** 3 / 4.0)
     ch = h / 6.0 * (4.0 - 2.0 * h + h * h / 2.0)
     c1 = h / 6.0
+    B = min(K, CHUNK)
+    powers = R ** np.arange(B + 1)
+    lag = np.subtract.outer(np.arange(B), np.arange(B))
+    prop = np.tril(powers[np.abs(lag)])  # R^{i-k} for k <= i
+    W = np.zeros((B, 2 * B + 2))
+    W[:, :B] = c0 * prop
+    W[:, 1:B + 1] += c1 * prop
+    W[:, B + 1:2 * B + 1] = ch * p * prop
+    W[:, -1] = powers[1:]
+    z = np.zeros(2 * B + 2)
+
+    def chunk_inputs(n, m):
+        """z for the m <= B steps from node n. Past m, z keeps inputs of
+        the chunk before, which meet zero columns of W[:m] (they are finite
+        unless that chunk fails the range check itself)."""
+        j = n - K  # delayed node of the chunk's first step
+        # delayed half-node values from the Hermite cubic on [t_j, t_j+1]
+        dh = (0.5 * (u[j:j + m] + u[j + 1:j + m + 1])
+              + 0.125 * h * (du[j:j + m] - du[j + 1:j + m + 1]))
+        z[:m + 1] = fu[j:j + m + 1]
+        z[B + 1:B + 1 + m] = dh * np.exp(-dh)
+        z[-1] = u[n]
+        return z
+
     fu = np.empty(n_total)  # f(u) at each node, filled one delay ahead
     with np.errstate(over="ignore", invalid="ignore"):
         fu[:K + 1] = p * u[:K + 1] * np.exp(-u[:K + 1])
-        for n in range(K, K + n_steps, K):
-            m = min(K, K + n_steps - n)
-            j = n - K  # delayed node of the block's first step
-            # delayed half-node values from the Hermite cubic on [t_j, t_j+1]
-            dh = (0.5 * (u[j:j + m] + u[j + 1:j + m + 1])
-                  + 0.125 * h * (du[j:j + m] - du[j + 1:j + m + 1]))
-            F1 = fu[j + 1:j + m + 1]
-            g = c0 * fu[j:j + m] + ch * (p * dh * np.exp(-dh)) + c1 * F1
-            un = float(u[n])
-            block = []
-            for gn in g.tolist():
-                un = R * un + gn
-                if not abs(un) <= bound:  # also catches inf and nan
-                    raise BlowUpError(f"|u| exceeded {bound_text} at "
-                                      f"t = {t[n + 1 + len(block)]}")
-                block.append(un)
+        for n in range(K, K + n_steps, B):
+            m = min(B, K + n_steps - n)
             new = u[n + 1:n + m + 1]
-            new[:] = block
-            du[n + 1:n + m + 1] = F1 - new
+            W[:m].dot(chunk_inputs(n, m), out=new)
+            du[n + 1:n + m + 1] = fu[n + 1 - K:n + m + 1 - K] - new
             fu[n + 1:n + m + 1] = p * new * np.exp(-new)
+
+        # One pass checks the range. A non-finite input turns the whole
+        # chunk's product into nan (0 * inf), so the first flagged chunk
+        # is stepped again node by node from its start to find the node
+        # (the flagged one stands if rounding puts the two on either side).
+        bad = np.flatnonzero(~(np.abs(u[K + 1:]) <= bound))
+        if bad.size:
+            n = K + int(bad[0]) // B * B
+            i = K + 1 + int(bad[0])
+            m = min(B, K + n_steps - n)
+            zc = chunk_inputs(n, m)
+            g = c0 * zc[:m] + ch * (p * zc[B + 1:B + 1 + m]) + c1 * zc[1:m + 1]
+            un = float(u[n])
+            for k, gk in enumerate(g.tolist()):
+                un = R * un + gk
+                if not abs(un) <= bound:  # also catches inf and nan
+                    i = n + 1 + k
+                    break
+            raise BlowUpError(f"|u| exceeded {bound_text} at t = {t[i]}")
 
     provenance = {
         "mu": expansion.mu,

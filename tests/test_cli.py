@@ -437,6 +437,32 @@ def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("option", [("--t-end", "1e9"),
+                                    ("--k", "1000000000")],
+                         ids=["t_end", "k"])
+def test_heteroclinic_over_the_node_cap_exits_1_unallocated(
+        option, tmp_path, capsys):
+    import tracemalloc
+
+    argv = ("heteroclinic", "--p", "365", "--tau", "0.07", *option,
+            "--out", f"{tmp_path / 'traj.csv'},{tmp_path / 'crossings.json'}")
+    run_cli(*argv)  # the command's lazy imports allocate on a first call
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = run_cli(*argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the run needs K + n_steps + 1 = ")
+    assert err.endswith(", above the cap of 20000000\n")
+    assert err.count("\n") == 1
+    assert peak < 2**20
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("c", ["1e-300", "1e300", "inf"])
 def test_extreme_speed_exits_1_with_one_line(c, capsys):
     # the root window at ln p cannot be certified at these speeds

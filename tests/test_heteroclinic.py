@@ -96,22 +96,29 @@ def test_oscillating_case():
         assert a != b
 
 
-def _scalar_rk4(expansion, K=64):
+def _scalar_rk4(expansion, K=64, t_end=None):
     """Reference integrator: one RK4 step per node, scalar arithmetic.
 
     Same grid, history and half-node Hermite values as ``integrate``, with
-    the stages formed one by one instead of as the affine recurrence.
+    the stages formed one by one instead of as a chunk map. An overflowing
+    birth term is -inf, as in numpy, and stepping goes on past it.
     """
     params = expansion.params
     p, tau = params.p, params.tau
     t0 = min(0.0, expansion.horizon - 0.5 / expansion.mu)
-    t_end = t0 + max(10.0, 20.0 * tau, 5.0)
+    if t_end is None:
+        t_end = t0 + max(10.0, 20.0 * tau, 5.0)
     h = tau / K
     n_steps = int(math.ceil((t_end - t0) / h - 1e-12))
     t = [t0 - tau + i * h for i in range(K + 1)]
     u = [expansion.evaluate(ti) for ti in t]
     du = [expansion.derivative(ti) for ti in t]
-    f = lambda x: p * x * math.exp(-x)
+
+    def f(x):
+        try:
+            return p * x * math.exp(-x)
+        except OverflowError:  # only for x < -709
+            return -math.inf
     for n in range(K, K + n_steps):
         j = n - K
         dh = 0.5 * (u[j] + u[j + 1]) + 0.125 * h * (du[j] - du[j + 1])
@@ -147,6 +154,54 @@ def test_leaving_the_range_is_a_blow_up(p, tau):
         warnings.simplefilter("error")
         with pytest.raises(BlowUpError, match=r"at t = \d"):
             integrate(expansion)
+
+
+@pytest.mark.parametrize("K", [20, 64, 200])
+@pytest.mark.parametrize("steps", ["1", "B-1", "B", "B+1", "K+1"])
+def test_chunk_edges_match_scalar_rk4(K, steps):
+    # B = min(K, 64) steps per chunk; K = 200 runs chunks shorter than the
+    # delay and ends on a partial one
+    B = min(K, heteroclinic.CHUNK)
+    n_steps = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "K+1": K + 1}[steps]
+    expansion = build(EXAMPLE)
+    t0 = min(0.0, expansion.horizon - 0.5 / expansion.mu)
+    t_end = t0 + n_steps * EXAMPLE.tau / K
+    traj = integrate(expansion, t_end=t_end, K=K)
+    t_ref, u_ref = _scalar_rk4(expansion, K=K, t_end=t_end)
+    assert len(traj.t) == K + n_steps + 1
+    assert np.array_equal(traj.t, t_ref)
+    scale = max(1.0, float(np.max(np.abs(u_ref))))
+    assert np.max(np.abs(traj.u - u_ref)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("p, tau", [(28283.22052526588, 18.846158543278428),
+                                    (16700.719092785555, 26.037402816997748),
+                                    (27844.493488658532, 17.158862525850758),
+                                    (872148.4091340867, 41.073480062349276)])
+def test_blow_up_names_the_first_node_out_of_range(p, tau):
+    # a non-finite input spoils its whole chunk's product, so the chunk is
+    # stepped again node by node to name the node a scalar run would
+    params = ModelParams(p=p, tau=tau)
+    expansion = build(params)
+    t_ref, u_ref = _scalar_rk4(expansion)
+    bound = max(1e6, 2.0 * params.f_max)
+    first = int(np.flatnonzero(~(np.abs(u_ref) <= bound))[0])
+    with pytest.raises(BlowUpError) as exc:
+        integrate(expansion)
+    assert str(exc.value).endswith(f" at t = {t_ref[first]}")
+
+
+def test_node_cap_names_the_node_count_and_the_cap():
+    # the count includes the K + 1 history nodes; the CLI test checks that
+    # nothing is allocated
+    expansion = build(EXAMPLE)
+    with pytest.raises(ValueError, match=r"= 82285714\d\d nodes \(K = 64, "
+                                         r"n_steps = 82285714\d\d\), above "
+                                         r"the cap of 20000000$"):
+        integrate(expansion, t_end=9e6)
+    with pytest.raises(ValueError, match=r"= 20000002 nodes \(K = 20000000, "
+                                         r"n_steps = 1\)"):
+        integrate(expansion, t_end=1e-9, K=20_000_000)
 
 
 @pytest.mark.parametrize("p, tau", [(math.e, 3.0), (365.0, 0.01),
