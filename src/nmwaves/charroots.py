@@ -89,6 +89,17 @@ def _profile_min_over_positive(params: ModelParams, c: float) -> tuple[float, fl
     return z_m, val
 
 
+def _speed_bracket(g, what: str) -> float:
+    """The first of c = 1, 2, 4, ..., 2^60 with g(c) <= 0, for g positive
+    at small speeds: the upper end of a root bracket."""
+    c_hi = 1.0
+    for _ in range(61):
+        if not g(c_hi) > 0.0:
+            return c_hi
+        c_hi *= 2.0
+    raise BracketingError(f"no {what} found up to c = {c_hi}")
+
+
 def minimal_speed(params: ModelParams) -> float:
     """Smallest c > 0 for which z^2 - cz - 1 + p e^{-zc tau} has a positive root.
 
@@ -99,15 +110,7 @@ def minimal_speed(params: ModelParams) -> float:
     and solve_bracketed finds the tangency point at its sign change.
     """
     g = lambda c: _profile_min_over_positive(params, c)[1]
-    c_hi = 1.0
-    grow = 0
-    while g(c_hi) > 0.0:
-        c_hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise BracketingError(
-                f"no positive-root onset found up to c = {c_hi}; "
-                f"min residual {g(c_hi / 2.0)}")
+    c_hi = _speed_bracket(g, "positive-root onset")
     c_lo = 1e-8
     if g(c_lo) <= 0.0:
         return c_lo
@@ -125,13 +128,7 @@ def linear_spreading_speed(params: ModelParams, beta: float) -> float:
         raise ValueError(f"decay rate must be positive, got {beta}")
     p, tau = params.p, params.tau
     F = lambda c: beta * beta - c * beta - 1.0 + p * math.exp(-beta * c * tau)
-    c_hi = 1.0
-    grow = 0
-    while F(c_hi) > 0.0:
-        c_hi *= 2.0
-        grow += 1
-        if grow > 60:
-            raise BracketingError(f"no spreading speed found up to c = {c_hi}")
+    c_hi = _speed_bracket(F, "spreading speed")
     return solve_bracketed(F, Bracket(0.0, c_hi), tol=1e-12 * (1.0 + c_hi))
 
 

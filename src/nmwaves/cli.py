@@ -2,8 +2,8 @@
 
 Subcommands map one-to-one onto the library surface: analyze, series,
 heteroclinic, atlas, boundaries, simulate, diagnose, verify. Data files
-carry no timestamps so byte-identical reruns are possible; wall time and
-resolved configuration go into a sibling run manifest.
+carry no timestamps so byte-identical reruns are possible; the wall time
+(lazy imports included) and configuration go into a run manifest.
 
 Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
 """
@@ -67,16 +67,20 @@ def _path_list(n: int):
     return parse
 
 
-def _speed_range(text: str) -> str:
-    """--c value: a LO:HI:N range of speeds, all finite and > 0."""
-    try:
-        ok = all(0.0 < c < math.inf for c in _parse_range(text))
-    except ValueError:
-        ok = False
-    if not ok:
-        raise argparse.ArgumentTypeError(
-            f"speeds must be a LO:HI:N range of finite c > 0, got {text!r}")
-    return text
+def _range_of(what: str, domain: str, holds):
+    """Type of a LO:HI:N range option whose values are all finite and
+    satisfy holds; the error names the values and their domain."""
+    def parse(text: str) -> str:
+        try:
+            ok = all(math.isfinite(v) and holds(v) for v in _parse_range(text))
+        except ValueError:
+            ok = False
+        if not ok:
+            raise argparse.ArgumentTypeError(
+                f"{what} must be a LO:HI:N range of finite {domain}, "
+                f"got {text!r}")
+        return text
+    return parse
 
 
 def _finite_float(text: str) -> float:
@@ -93,6 +97,8 @@ def _finite_float(text: str) -> float:
 
 def _manifest(subcommand: str, config: dict, outputs: list[str],
               started: float) -> None:
+    """<first output>.manifest.json; nothing if there is no output file."""
+    outputs = [path for path in outputs if path is not None]
     if not outputs:
         return
     from . import __version__
@@ -106,14 +112,14 @@ def _manifest(subcommand: str, config: dict, outputs: list[str],
     write_json(outputs[0] + ".manifest.json", payload)
 
 
-def _cmd_analyze(args) -> int:
+# each _cmd_* returns (exit code, config, output paths) for main's manifest
+def _cmd_analyze(args) -> tuple[int, dict, list]:
     from .atlas import region_report
     from .charroots import minimal_speed
     from .dirichlet import qbar2_closed_form, zeta_by_quadrature
     from .heteroclinic import nm_verdict
     from .model import ModelParams
 
-    started = time.time()
     params = ModelParams(p=args.p, tau=args.tau)
     verdict = nm_verdict(params, run=params.tau > 0.0)
     report = region_report(params, c=args.c)
@@ -159,42 +165,34 @@ def _cmd_analyze(args) -> int:
         payload["in_dm"] = report.in_dm
         payload["in_ds"] = report.in_ds
     write_json(args.out, payload)
-    if args.out:
-        _manifest("analyze", {"p": args.p, "tau": args.tau, "c": args.c},
-                  [args.out], started)
-    return 0
+    return 0, {"p": args.p, "tau": args.tau, "c": args.c}, [args.out]
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args) -> tuple[int, dict, list]:
     from .dirichlet import build
     from .model import ModelParams
 
-    started = time.time()
     params = ModelParams(p=args.p, tau=args.tau)
     expansion = build(params, n_coeffs=args.n, eps=args.eps)
     coeffs_path, profile_path = args.out
     write_csv(coeffs_path, ["n", "qbar_n"],
               enumerate(expansion.coeffs, start=1))
-    t_hi = min(0.0, expansion.horizon - 0.5 / expansion.mu)
+    t_hi = expansion.handoff
     t_lo = t_hi - 8.0 / expansion.mu
     ts = [t_lo + (t_hi - t_lo) * i / 199 for i in range(200)]
     # bounds profile below the horizon: u2 < u < u1
     write_csv(profile_path, ["t", "u2", "u", "u1"],
               ([t, expansion.u2(t), expansion.evaluate(t), expansion.u1(t)]
                for t in ts))
-    _manifest("series",
-              {"p": args.p, "tau": args.tau, "n": args.n,
-               "eps": expansion.eps, "horizon": expansion.horizon},
-              [coeffs_path, profile_path], started)
-    return 0
+    return 0, {"p": args.p, "tau": args.tau, "n": args.n,
+               "eps": expansion.eps, "horizon": expansion.horizon}, args.out
 
 
-def _cmd_heteroclinic(args) -> int:
+def _cmd_heteroclinic(args) -> tuple[int, dict, list]:
     from .dirichlet import build
     from .heteroclinic import crossings, first_maximum, integrate
     from .model import ModelParams
 
-    started = time.time()
     params = ModelParams(p=args.p, tau=args.tau)
     expansion = build(params)
     traj = integrate(expansion, t_end=args.t_end, K=args.k)
@@ -214,31 +212,26 @@ def _cmd_heteroclinic(args) -> int:
         "anomalies": list(report.anomalies),
     }
     write_json(cross_path, payload)
-    _manifest("heteroclinic",
-              {"p": args.p, "tau": args.tau, "t_end": args.t_end, "k": args.k},
-              [traj_path, cross_path], started)
-    return 0
+    return (0, {"p": args.p, "tau": args.tau, "t_end": args.t_end,
+                "k": args.k}, args.out)
 
 
-def _cmd_atlas(args) -> int:
+def _cmd_atlas(args) -> tuple[int, dict, list]:
     from .atlas import region_grid
 
-    started = time.time()
     taus = _parse_range(args.tau)
     ps = _parse_range(args.p)
     rows = region_grid(taus, ps)
     write_csv(args.out, ["tau", "lnlnp", "flag"],
               ((tau, lnlnp, int(flag)) for tau, lnlnp, flag in rows))
-    _manifest("atlas", {"tau": args.tau, "p": args.p}, [args.out], started)
-    return 0
+    return 0, {"tau": args.tau, "p": args.p}, [args.out]
 
 
-def _cmd_boundaries(args) -> int:
+def _cmd_boundaries(args) -> tuple[int, dict, list]:
     import numpy as np
 
     from .atlas import T_of_c, T_star, tau_hat, tau_of_c
 
-    started = time.time()
     P = args.P
     cs = _parse_range(args.c)
     c_arr = np.array(cs)
@@ -250,15 +243,13 @@ def _cmd_boundaries(args) -> int:
     write_csv(args.out, ["c", "T_of_c", "tau_of_c", "tau_hat", "T_star"],
               ((c, T_c, tau_c, th, ts)
                for c, T_c, tau_c in zip(cs, T_cs, tau_cs)))
-    _manifest("boundaries", {"P": P, "c": args.c}, [args.out], started)
-    return 0
+    return 0, {"P": P, "c": args.c}, [args.out]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, dict, list]:
     from .pde import (config_from_dict, preset, simulate, write_front_csv,
                       write_metadata_json, write_snapshots_csv)
 
-    started = time.time()
     if args.preset is not None:
         config = preset(args.preset)
     else:
@@ -269,20 +260,16 @@ def _cmd_simulate(args) -> int:
     write_snapshots_csv(record, snaps_path)
     write_front_csv(record, front_path)
     write_metadata_json(record, meta_path)
-    _manifest("simulate", record.config.to_dict(),
-              [snaps_path, front_path, meta_path], started)
-    return 0
+    return 0, record.config.to_dict(), args.out
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args) -> tuple[int, dict, list]:
     import numpy as np
 
-    from .diagnostics import (classify_profile, diagnose, diagnostics_to_dict,
-                              front_position)
+    from .diagnostics import classify_profile, diagnose, diagnostics_to_dict
     from .model import ModelParams
-    from .pde import SpacetimeRecord, tracking_level
+    from .pde import SpacetimeRecord, front_position, tracking_level
 
-    started = time.time()
     params = ModelParams(p=args.p, tau=args.tau)
     header, rows = read_csv(args.infile)
     x = np.array([float(v) for v in header[1:]])
@@ -294,14 +281,9 @@ def _cmd_diagnose(args) -> int:
         track = [tuple(row) for row in read_csv(args.front)[1]
                  if len(row) == 2]
     else:
-        track = []
-        for t, u in snaps:
-            try:
-                track.append((t, front_position(x, u, level)))
-            except ValueError:
-                track.append((t, math.nan))
+        track = [(t, front_position(x, u, level)) for t, u in snaps]
     record = SpacetimeRecord(x=x, snapshots=snaps, front_track=track,
-                             history=[], config=None)
+                             config=None)
     try:
         payload = diagnostics_to_dict(diagnose(record, params))
     except ValueError as exc:
@@ -312,28 +294,22 @@ def _cmd_diagnose(args) -> int:
                    "shape": classify_profile(x, u_last, params).value,
                    "overshoot": float(max(u_last)) - params.kappa}
     write_json(args.out, payload)
-    if args.out:
-        _manifest("diagnose", {"in": args.infile, "p": args.p, "tau": args.tau},
-                  [args.out], started)
-    return 0
+    return 0, {"in": args.infile, "p": args.p, "tau": args.tau}, [args.out]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict, list]:
     from .verify import run_suite
 
-    started = time.time()
     ok, margins = run_suite(args.suite, grid=args.grid)
     if args.out:
         write_csv(args.out, ["check", "margin", "threshold", "status"],
                   ((name, margin, threshold, "pass" if passed else "FAIL")
                    for name, margin, threshold, passed in margins))
-        _manifest("verify", {"suite": args.suite, "grid": args.grid},
-                  [args.out], started)
     for name, margin, threshold, passed in margins:
         status = "pass" if passed else "FAIL"
         sys.stdout.write(f"{status:4s}  {name}: margin {margin:.6g} "
                          f"(threshold {threshold:.6g})\n")
-    return 0 if ok else 2
+    return 0 if ok else 2, {"suite": args.suite, "grid": args.grid}, [args.out]
 
 
 def _domain_errors() -> tuple[type[Exception], ...]:
@@ -385,14 +361,17 @@ def build_parser() -> CliParser:
     h.set_defaults(func=_cmd_heteroclinic)
 
     g = sub.add_parser("atlas", help="(tau, p) region map")
-    g.add_argument("--tau", required=True, help="LO:HI:N")
-    g.add_argument("--p", required=True, help="LO:HI:N")
+    g.add_argument("--tau", required=True, help="LO:HI:N",
+                   type=_range_of("delays", "tau >= 0", lambda t: t >= 0.0))
+    g.add_argument("--p", required=True, help="LO:HI:N",
+                   type=_range_of("amplitudes", "p > 1", lambda p: p > 1.0))
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_atlas)
 
     b = sub.add_parser("boundaries", help="boundary curves over c")
     b.add_argument("--P", type=_finite_float, required=True)
-    b.add_argument("--c", type=_speed_range, required=True, help="LO:HI:N")
+    b.add_argument("--c", required=True, help="LO:HI:N",
+                   type=_range_of("speeds", "c > 0", lambda c: c > 0.0))
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_boundaries)
 
@@ -428,11 +407,14 @@ def build_parser() -> CliParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        code, config, outputs = args.func(args)
     except _domain_errors() as exc:  # evaluated only once something raised
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    _manifest(args.command, config, outputs, started)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Front position, speed, comoving profile and shape class extraction.
+"""Front speed, comoving profile and shape class extraction.
 
 Works on plain arrays so it applies equally to simulation snapshots and
 to heteroclinic trajectories. The shape taxonomy: Monotone profiles never
@@ -43,18 +43,6 @@ class FrontDiagnostics:
     shape: ProfileShape
     overshoot: float            # max u - ln p
     crossings_of_kappa: int
-
-
-def front_position(x: Sequence[float], u: Sequence[float], level: float) -> float:
-    """First x (scanning left to right) where u crosses the level.
-
-    Linear interpolation between the bracketing grid points
-    (numerics.crossing_points). Raises if the snapshot never crosses.
-    """
-    points = crossing_points(x, u, level)
-    if not points:
-        raise ValueError(f"snapshot never crosses level {level}")
-    return points[0]
 
 
 def estimate_speed(times: Sequence[float],

@@ -26,16 +26,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, birth
-from .numerics import (golden_section_max, integrate_adaptive,
-                       lower_incomplete_gamma)
+from .numerics import (Bracket, integrate_adaptive, lower_incomplete_gamma,
+                       solve_bracketed)
 
 
 class CoefficientOverflow(RuntimeError):
-    """A series coefficient exceeded the sanity bound; partial list attached."""
-
-    def __init__(self, message: str, partial: list[float]):
-        super().__init__(message)
-        self.partial = partial
+    """A series coefficient exceeded the sanity bound."""
 
 
 def _chi(z: float, params: ModelParams) -> float:
@@ -75,8 +71,7 @@ def coefficients(params: ModelParams, n_coeffs: int,
         q_next = p * w / _chi((n + 1) * mu, params)
         if abs(q_next) > overflow_bound:
             raise CoefficientOverflow(
-                f"|qbar_{n + 1}| = {abs(q_next):.3e} exceeds {overflow_bound:.0e}",
-                partial=qb)
+                f"|qbar_{n + 1}| = {abs(q_next):.3e} exceeds {overflow_bound:.0e}")
         qb.append(q_next)
     return qb
 
@@ -101,29 +96,29 @@ def qbar3_closed_form(params: ModelParams) -> float:
 
 
 def _horizon_value(mu: float, tau: float, qb2: float, eps: float) -> float:
+    """Horizon T(eps); eps must lie in (0, e^{mu tau} - 1)."""
+    hi = math.exp(mu * tau) - 1.0
+    if not 0.0 < eps < hi:
+        raise ValueError(f"eps must lie in (0, {hi:.6g}), got {eps}")
     inner = eps / (1.0 + eps) * math.log(1.0 + 1.0 / (abs(qb2) * (1.0 + eps)))
     return tau + math.log(inner) / mu
 
 
 def _best_eps(mu: float, tau: float, qb2: float) -> float:
-    """Maximize the horizon over the admissible eps interval.
+    """The eps in (0, e^{mu tau} - 1) that maximizes the horizon.
 
-    Coarse log-spaced scan followed by golden-section refinement around
-    the best grid point.
+    With a = 1/|qbar_2| and r = a/(1 + eps), the horizon is
+    tau + ln((1 - r/a) ln(1 + r))/mu, and its derivative vanishes exactly
+    where r + (1 + r) ln(1 + r) = a. The left side increases from 0, so
+    the root is unique and lies in (0, a]; the horizon tends to -infinity
+    at both ends of eps's range, so the root is the maximum. Past the
+    cap e^{mu tau} - 1 the horizon increases all the way up to it.
     """
+    a = 1.0 / abs(qb2)
+    r = solve_bracketed(lambda r: r + (1.0 + r) * math.log1p(r) - a,
+                        Bracket(0.0, a), tol=0.0)
     hi = math.exp(mu * tau) - 1.0
-    lo = hi * 1e-8
-    n = 200
-    best_i, best_v = 0, -math.inf
-    grid = [lo * (hi / lo) ** (i / (n - 1)) * (1.0 - 1e-12) for i in range(n)]
-    g = lambda e: _horizon_value(mu, tau, qb2, e)
-    for i, e in enumerate(grid):
-        v = g(e)
-        if v > best_v:
-            best_i, best_v = i, v
-    a = grid[max(best_i - 1, 0)]
-    b = grid[min(best_i + 1, n - 1)]
-    return golden_section_max(g, a, b, tol=1e-12 * (1.0 + hi))
+    return min(a / r - 1.0, hi * (1.0 - 1e-12))
 
 
 @dataclass(frozen=True)
@@ -139,6 +134,12 @@ class DirichletExpansion:
     @property
     def qbar2(self) -> float:
         return self.coeffs[1]
+
+    @property
+    def handoff(self) -> float:
+        """min(0, horizon - 0.5/mu): the last time the series is used,
+        a safety margin inside the certified horizon."""
+        return min(0.0, self.horizon - 0.5 / self.mu)
 
     def u1(self, t: float) -> float:
         """Upper bound e^{mu t}, valid for all t."""
@@ -209,25 +210,15 @@ def build(params: ModelParams, n_coeffs: int = 40,
     if qb[1] == 0.0:
         raise ValueError(f"qbar_2 underflows to 0 at p = {params.p:g}, tau = "
                          f"{params.tau:g}; the series horizon is undefined")
-    hi = math.exp(mu * params.tau) - 1.0
     if eps is None:
         eps = _best_eps(mu, params.tau, qb[1])
-    elif not 0.0 < eps < hi:
-        raise ValueError(
-            f"eps must lie in (0, {hi:.6g}), got {eps}")
     T = _horizon_value(mu, params.tau, qb[1], eps)
     return DirichletExpansion(params=params, mu=mu, coeffs=tuple(qb),
                               eps=eps, horizon=T)
 
 
 def horizon(expansion: DirichletExpansion, eps: float) -> float:
-    """Convergence horizon for an explicit growth parameter eps.
-
-    eps must lie in (0, e^{mu tau} - 1).
-    """
-    hi = math.exp(expansion.mu * expansion.params.tau) - 1.0
-    if not 0.0 < eps < hi:
-        raise ValueError(f"eps must lie in (0, {hi:.6g}), got {eps}")
+    """Convergence horizon for a growth parameter eps in (0, e^{mu tau} - 1)."""
     return _horizon_value(expansion.mu, expansion.params.tau,
                           expansion.qbar2, eps)
 

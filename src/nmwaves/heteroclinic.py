@@ -62,8 +62,7 @@ class Trajectory:
     """Dense-output record at uniform step h = tau / K.
 
     Samples cover [t0 - tau, t_end]; u' is the equation right-hand side
-    evaluated on the grid. provenance carries the series metadata the
-    history was seeded from.
+    evaluated on the grid.
     """
 
     t: np.ndarray
@@ -72,7 +71,6 @@ class Trajectory:
     t0: float
     h: float
     params: ModelParams
-    provenance: dict
 
     def interpolate(self, t: float) -> float:
         """Cubic Hermite evaluation anywhere inside the sample range."""
@@ -114,26 +112,19 @@ class CrossingReport:
     anomalies: tuple[str, ...]
 
 
-def default_t_end(params: ModelParams, t0: float) -> float:
-    """Default integration end: t0 + max(10, 20 tau).
-
-    Time is already measured in units of the linear decay rate, so a
-    fixed budget covers both the excursion and the settling tail.
-    """
-    return t0 + max(10.0, 20.0 * params.tau)
-
-
 def integrate(expansion: DirichletExpansion, t_end: float | None = None,
               K: int = 64) -> Trajectory:
     """Integrate forward from the series handoff time.
 
-    The handoff t0 = min(0, horizon - 0.5/mu) keeps a safety margin
-    inside the certified horizon; the history on [t0 - tau, t0] is
-    evaluated from the series directly. The range is checked once all
-    chunks are stepped; BlowUpError names the first node where
-    |u| > max(1e6, 2 p/e) or u is not finite, an overflowing birth term
-    included, found by stepping its chunk again node by node. Raises
-    ValueError, before allocating, for more than MAX_NODES nodes.
+    The history on [t0 - tau, t0], t0 = expansion.handoff, is evaluated
+    from the series directly. t_end defaults to t0 + max(10, 20 tau):
+    time is in units of the linear decay rate, so a fixed budget covers
+    both the excursion and the settling tail. The range is checked once all chunks are
+    stepped; BlowUpError names the first node where |u| > max(1e6, 2 p/e)
+    or u is not finite, an overflowing birth term included, found by
+    stepping its chunk again node by node. Raises ValueError, before
+    allocating, for a t_end that is not finite or more than MAX_NODES
+    nodes.
     """
     if K < 20:
         raise ValueError(f"need at least 20 steps per delay interval, got {K}")
@@ -144,9 +135,11 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     p = params.p
     bound = max(1e6, 2.0 * params.f_max)
     bound_text = "1e6" if bound == 1e6 else f"2p/e = {bound:.6g}"
-    t0 = min(0.0, expansion.horizon - 0.5 / expansion.mu)
+    t0 = expansion.handoff
     if t_end is None:
-        t_end = default_t_end(params, t0)
+        t_end = t0 + max(10.0, 20.0 * tau)
+    if not math.isfinite(t_end):
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if not t_end > t0:
         raise ValueError(f"t_end = {t_end} must exceed the handoff t0 = {t0}")
 
@@ -229,16 +222,7 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
                     break
             raise BlowUpError(f"|u| exceeded {bound_text} at t = {t[i]}")
 
-    provenance = {
-        "mu": expansion.mu,
-        "eps": expansion.eps,
-        "horizon": expansion.horizon,
-        "n_coeffs": len(expansion.coeffs),
-        "t0": t0,
-        "K": K,
-    }
-    return Trajectory(t=t, u=u, du=du, t0=t0, h=h, params=params,
-                      provenance=provenance)
+    return Trajectory(t=t, u=u, du=du, t0=t0, h=h, params=params)
 
 
 def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:

@@ -16,7 +16,7 @@ from functools import cached_property
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Birth amplitude p > 1 and delay tau >= 0.
+    """Finite birth amplitude p > 1 and finite delay tau >= 0.
 
     Derived constants: kappa = ln p is the positive equilibrium of
     u' = -u + f(u(t-tau)); P = ln p - 1 is minus the slope of f at kappa;
@@ -30,10 +30,10 @@ class ModelParams:
     tau: float
 
     def __post_init__(self):
-        if not self.p > 1.0:
-            raise ValueError(f"p must exceed 1, got {self.p}")
-        if not self.tau >= 0.0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"p must be finite and exceed 1, got {self.p}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
     @property
     def kappa(self) -> float:

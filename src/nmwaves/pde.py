@@ -31,7 +31,7 @@ both ends every stage.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -50,6 +50,10 @@ class Scheme(Enum):
 class Heaviside:
     """Step initial datum: 0 for x < 0, ``level`` for x >= 0."""
     level: float
+    kind: str = field(default="heaviside", init=False)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x >= 0.0, self.level, 0.0)
 
 
 @dataclass(frozen=True)
@@ -57,6 +61,10 @@ class ExpTail:
     """Exponential leading edge: e^{beta x} for x < 0, ``cap`` for x >= 0."""
     beta: float
     cap: float
+    kind: str = field(default="exp_tail", init=False)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x >= 0.0, self.cap, np.exp(self.beta * x))
 
 
 @dataclass(frozen=True)
@@ -64,6 +72,13 @@ class SmoothStep:
     """Smooth sigmoid level/(1 + e^{-x/width}); used by convergence studies."""
     level: float
     width: float = 1.0
+    kind: str = field(default="smooth_step", init=False)
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.level / (1.0 + np.exp(-x / self.width))
+
+
+IC_KINDS = {ic.kind: ic for ic in (Heaviside, ExpTail, SmoothStep)}
 
 
 @dataclass(frozen=True)
@@ -73,6 +88,9 @@ class DirichletBC:
 
 
 CFL_SAFETY = 0.9
+# values (delay_steps + 1) x nodes one run may store: the history ring and,
+# for Crank-Nicolson, the birth term of each level take 16 bytes a value
+MAX_HISTORY_VALUES = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -117,6 +135,11 @@ class SimConfig:
                 f"dx = {self.dx} does not divide the domain length {span}")
         if round(cells) < 2:
             raise ValueError(f"dx = {self.dx} leaves no interior grid node")
+        values = (self.delay_steps + 1) * (round(cells) + 1)
+        if values > MAX_HISTORY_VALUES:
+            raise ValueError(f"the run stores (delay_steps + 1) x nodes = "
+                             f"{values} values, above the cap of "
+                             f"{MAX_HISTORY_VALUES}")
         for ts in self.snapshot_times:
             if ts < 0.0 or ts > self.t_end + 0.5 * self.dt:
                 raise ValueError(
@@ -132,69 +155,65 @@ class SimConfig:
         return self.x_lo + self.dx * np.arange(n + 1)
 
     def initial_values(self, x: np.ndarray) -> np.ndarray:
-        if isinstance(self.ic, Heaviside):
-            u = np.where(x >= 0.0, self.ic.level, 0.0)
-        elif isinstance(self.ic, ExpTail):
-            u = np.where(x >= 0.0, self.ic.cap, np.exp(self.ic.beta * x))
-        else:
-            u = self.ic.level / (1.0 + np.exp(-x / self.ic.width))
-        u = u.astype(float)
+        u = self.ic.values(x).astype(float)
         u[0] = self.bc.u_lo
         u[-1] = self.bc.u_hi
         return u
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.params.p, "tau": self.params.tau,
-            "x_lo": self.x_lo, "x_hi": self.x_hi,
-            "dx": self.dx, "dt": self.dt, "t_end": self.t_end,
-            "scheme": self.scheme.value,
-            "ic": self._ic_dict(),
-            "bc": {"u_lo": self.bc.u_lo, "u_hi": self.bc.u_hi},
-            "snapshot_times": list(self.snapshot_times),
-            "label": self.label,
-            "notes": self.notes,
-        }
+        """JSON form: p and tau at the top level, the scheme by its value."""
+        d = asdict(self)
+        params = d.pop("params")
+        return {**params, **d, "scheme": self.scheme.value,
+                "snapshot_times": list(self.snapshot_times)}
 
-    def _ic_dict(self) -> dict:
-        if isinstance(self.ic, Heaviside):
-            return {"kind": "heaviside", "level": self.ic.level}
-        if isinstance(self.ic, ExpTail):
-            return {"kind": "exp_tail", "beta": self.ic.beta, "cap": self.ic.cap}
-        return {"kind": "smooth_step", "level": self.ic.level,
-                "width": self.ic.width}
+
+def _read(d, key: str, where: str = "", convert=float, default=MISSING):
+    """convert(d[key]), or default if the key is absent; a ValueError names
+    the field, or the object where ("ic.", "bc.", "") if d is no dict."""
+    if not isinstance(d, dict):
+        raise ValueError(f"config {where[:-1] or 'file'} must be a JSON "
+                         f"object, got {type(d).__name__}")
+    if key not in d:
+        if default is MISSING:
+            raise ValueError(f"config field {where + key!r} is missing")
+        return default
+    try:
+        return convert(d[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"config field {where + key!r}: {exc}") from None
 
 
 def config_from_dict(d: dict) -> SimConfig:
-    params = ModelParams(p=float(d["p"]), tau=float(d["tau"]))
-    ic_d = d["ic"]
-    if ic_d["kind"] == "heaviside":
-        ic = Heaviside(level=float(ic_d["level"]))
-    elif ic_d["kind"] == "exp_tail":
-        ic = ExpTail(beta=float(ic_d["beta"]), cap=float(ic_d["cap"]))
-    elif ic_d["kind"] == "smooth_step":
-        ic = SmoothStep(level=float(ic_d["level"]),
-                        width=float(ic_d.get("width", 1.0)))
-    else:
+    """SimConfig from its to_dict form (parsed JSON); ValueError names a
+    missing or malformed field."""
+    ic_d = _read(d, "ic", convert=lambda v: v)
+    ic_cls = _read(ic_d, "kind", "ic.", IC_KINDS.get)
+    if ic_cls is None:
         raise ValueError(f"unknown initial condition kind {ic_d['kind']!r}")
+    ic = ic_cls(**{f.name: _read(ic_d, f.name, "ic.", default=f.default)
+                   for f in fields(ic_cls) if f.init})
+    bc_d = _read(d, "bc", convert=lambda v: v)
     return SimConfig(
-        params=params, x_lo=float(d["x_lo"]), x_hi=float(d["x_hi"]),
-        dx=float(d["dx"]), dt=float(d["dt"]), t_end=float(d["t_end"]),
-        scheme=Scheme(d["scheme"]), ic=ic,
-        bc=DirichletBC(u_lo=float(d["bc"]["u_lo"]), u_hi=float(d["bc"]["u_hi"])),
-        snapshot_times=tuple(float(t) for t in d.get("snapshot_times", ())),
-        label=str(d.get("label", "custom")),
-        notes=str(d.get("notes", "")))
+        params=ModelParams(p=_read(d, "p"), tau=_read(d, "tau")),
+        x_lo=_read(d, "x_lo"), x_hi=_read(d, "x_hi"), dx=_read(d, "dx"),
+        dt=_read(d, "dt"), t_end=_read(d, "t_end"),
+        scheme=_read(d, "scheme", convert=Scheme), ic=ic,
+        bc=DirichletBC(u_lo=_read(bc_d, "u_lo", "bc."),
+                       u_hi=_read(bc_d, "u_hi", "bc.")),
+        snapshot_times=_read(d, "snapshot_times", "",
+                             lambda ts: tuple(map(float, ts)), ()),
+        label=_read(d, "label", "", str, "custom"),
+        notes=_read(d, "notes", "", str, ""))
 
 
 @dataclass
 class SpacetimeRecord:
-    """Grid, requested snapshots, front track and final history levels."""
+    """Grid, requested snapshots and front track of a run."""
 
     x: np.ndarray
     snapshots: list[tuple[float, np.ndarray]]
     front_track: list[tuple[float, float]]
-    history: list[np.ndarray]
     config: SimConfig
     metadata: dict = field(default_factory=dict)
 
@@ -205,7 +224,10 @@ def tracking_level(params: ModelParams) -> float:
     return 0.5 * params.kappa
 
 
-def _first_crossing(x: np.ndarray, u: np.ndarray, level: float) -> float:
+def front_position(x, u, level: float) -> float:
+    """First x (scanning left to right) where u crosses the level, linear
+    between the bracketing grid points (numerics.crossing_points); NaN
+    if the snapshot never crosses."""
     points = crossing_points(x, u, level)
     return points[0] if points else math.nan
 
@@ -245,7 +267,7 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
     front: list[tuple[float, float]] = []
     if 0 in snap_steps:
         snapshots.append((0.0, u.copy()))
-    front.append((0.0, _first_crossing(x, u, level)))
+    front.append((0.0, front_position(x, u, level)))
 
     # interior_step(u, now, nxt) advances u by dt; rows now and nxt hold
     # the levels at t - tau and t + dt - tau, and row now receives the new
@@ -288,7 +310,7 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
         if not np.isfinite(u).all():
             raise FloatingPointError(
                 f"simulation produced non-finite values at t = {step * dt:g}")
-        front.append((step * dt, _first_crossing(x, u, level)))
+        front.append((step * dt, front_position(x, u, level)))
         if step in snap_steps:
             snapshots.append((snap_steps[step], u.copy()))
 
@@ -298,10 +320,8 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
         "tracking_level": level,
         "steps": n_steps,
     }
-    # chronological: the oldest stored level is t_{n_steps - K}
-    history = list(ring[(n_steps + 1 + np.arange(slots)) % slots])
     return SpacetimeRecord(x=x, snapshots=snapshots, front_track=front,
-                           history=history, config=config, metadata=metadata)
+                           config=config, metadata=metadata)
 
 
 def preset(name: str) -> SimConfig:

@@ -102,9 +102,8 @@ def _suite_series(grid: int | None) -> list[Check]:
                          abs(zeta(params) - zeta_by_quadrature(params)))
         # sandwich bounds checked down to 12 e-folds, where the gaps are
         # still resolvable in double precision
-        t_hi = min(0.0, expansion.horizon - 0.5 / expansion.mu)
         for i in range(60):
-            t = t_hi - 12.0 / expansion.mu * i / 59
+            t = expansion.handoff - 12.0 / expansion.mu * i / 59
             u = expansion.evaluate(t)
             worst_bound = min(worst_bound, expansion.u1(t) - u,
                               u - expansion.u2(t))
@@ -112,9 +111,8 @@ def _suite_series(grid: int | None) -> list[Check]:
         # term is the next coefficient times chi((N+1) mu) x^{N+1}, so
         # the 10x budget is visible above rounding only for small N
         short = build(params, n_coeffs=6)
-        base = min(0.0, short.horizon - 0.5 / short.mu)
         for k in (0.5, 1.0, 1.5):
-            t = base - k / short.mu
+            t = short.handoff - k / short.mu
             _, last = short.evaluate_with_tail(t)
             worst_defect = min(worst_defect,
                                10.0 * last - abs(short.defect(t)))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import itertools
 import json
 import math
 import os
@@ -346,6 +347,60 @@ def _simulate_config(tmp_path, cfg):
     return run_cli("simulate", "--config", str(cfg_path), "--out", out)
 
 
+_SMALL_CONFIG = {
+    "p": 365.0, "tau": 0.07, "x_lo": -10.0, "x_hi": 10.0, "dx": 0.2,
+    "dt": 0.01, "t_end": 0.1, "scheme": "crank_nicolson",
+    "ic": {"kind": "exp_tail", "beta": 0.7, "cap": 5.9},
+    "bc": {"u_lo": 0.0, "u_hi": 5.9},
+}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"tau": None}, "config field 'tau' is missing"),
+    ({"ic": {"kind": "exp_tail", "cap": 5.9}},
+     "config field 'ic.beta' is missing"),
+    ({"ic": {"kind": "ramp"}}, "unknown initial condition kind 'ramp'"),
+    ({"bc": None}, "config bc must be a JSON object, got NoneType"),
+    ({"dx": "wide"}, "config field 'dx': could not convert string to float"),
+    ({"scheme": "euler"}, "config field 'scheme': 'euler' is not a valid"),
+    ({"snapshot_times": 0.1}, "config field 'snapshot_times': "),
+], ids=["no_tau", "no_beta", "ic_kind", "bc_null", "dx_text", "scheme",
+        "snapshots"])
+def test_simulate_config_schema_errors_exit_1_with_one_line(
+        tmp_path, capsys, change, message):
+    cfg = {k: v for k, v in {**_SMALL_CONFIG, **change}.items()
+           if v is not None or k == "bc"}
+    assert _simulate_config(tmp_path, cfg) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_simulate_config_that_is_no_object_exits_1(tmp_path, capsys):
+    assert _simulate_config(tmp_path, [_SMALL_CONFIG]) == 1
+    assert capsys.readouterr().err == (
+        "error: config file must be a JSON object, got list\n")
+
+
+def test_simulate_over_the_history_cap_exits_1_unallocated(tmp_path, capsys):
+    import tracemalloc
+
+    # 8 history levels of 8e8 + 1 nodes: never run, only rejected
+    cfg = {**_SMALL_CONFIG, "x_lo": -40.0, "x_hi": 40.0, "dx": 1e-7}
+    _simulate_config(tmp_path, _SMALL_CONFIG)  # the lazy imports allocate
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        code = _simulate_config(tmp_path, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: the run stores (delay_steps + 1) x nodes = 6400000008 "
+        "values, above the cap of 20000000\n")
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("scheme, dt", [("crank_nicolson", 0.01),
                                         ("method_of_lines", 0.0175)])
 def test_simulate_non_finite_run_exits_1(tmp_path, capsys, scheme, dt):
@@ -461,6 +516,65 @@ def test_heteroclinic_over_the_node_cap_exits_1_unallocated(
     assert err.count("\n") == 1
     assert peak < 2**20
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("t_end", ["inf", "-inf", "nan"])
+def test_heteroclinic_non_finite_t_end_exits_1(t_end, tmp_path, capsys):
+    assert run_cli("heteroclinic", "--p", "365", "--tau", "0.07",
+                   f"--t-end={t_end}", "--out",
+                   f"{tmp_path / 'traj.csv'},{tmp_path / 'x.json'}") == 1
+    assert capsys.readouterr().err == (
+        f"error: t_end must be finite, got {float(t_end)}\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("option, name", [("--p", "p"), ("--tau", "tau")])
+def test_non_finite_parameter_exits_1_with_one_line(option, name, capsys):
+    argv = {"--p": "365", "--tau": "0.07", option: "inf"}
+    assert run_cli("analyze", *itertools.chain(*argv.items())) == 1
+    assert capsys.readouterr().err == (
+        f"error: {name} must be finite and "
+        f"{'exceed 1' if name == 'p' else '>= 0'}, got inf\n")
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--tau", "0.03:0.12:x"), ("--tau", "0.03:0.12"), ("--tau", "-1:1:3"),
+    ("--tau", "0:inf:2"), ("--p", "8:1200:x"), ("--p", "1:3:2"),
+    ("--p", "nan:3:2")])
+def test_atlas_bad_range_is_a_usage_error(option, value, tmp_path, capsys):
+    ranges = {"--tau": "0.03:0.12:3", "--p": "8:1200:3", option: value}
+    with pytest.raises(SystemExit) as exc:
+        run_cli("atlas", *itertools.chain(*ranges.items()),
+                "--out", str(tmp_path / "map.csv"))
+    assert exc.value.code == 64
+    assert f"argument {option}: " in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_analyze_to_stdout_writes_no_manifest(tmp_path, capsys,
+                                              monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07") == 0
+    assert json.loads(capsys.readouterr().out)["nm_verdict"] is True
+    assert not list(tmp_path.iterdir())
+
+
+def test_failed_verify_writes_its_csv_and_manifest(tmp_path, monkeypatch,
+                                                   capsys):
+    from nmwaves import verify
+
+    monkeypatch.setattr(verify, "run_suite", lambda name, grid=None: (
+        False, [("always_fails", -1.0, 0.0, False)]))
+    out = tmp_path / "margins.csv"
+    assert run_cli("verify", "--suite", "model", "--out", str(out)) == 2
+    assert out.read_text() == ("check,margin,threshold,status\n"
+                               "always_fails,-1.0,0.0,FAIL\n")
+    manifest = json.loads((tmp_path / "margins.csv.manifest.json").read_text())
+    assert manifest["subcommand"] == "verify"
+    assert manifest["config"] == {"suite": "model", "grid": None}
+    assert manifest["outputs"] == [str(out)]
+    assert manifest["wall_time_s"] >= 0.0
+    assert "FAIL  always_fails" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("c", ["1e-300", "1e300", "inf"])

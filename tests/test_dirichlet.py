@@ -14,7 +14,8 @@ from nmwaves.dirichlet import (CoefficientOverflow, _qbar2, _zeta, build,
                                qbar3_closed_form, zeta, zeta_by_quadrature)
 from nmwaves.charroots import _mu, mu_root
 from nmwaves.model import ModelParams, birth
-from nmwaves.numerics import PowerSeries, lower_incomplete_gamma
+from nmwaves.numerics import (PowerSeries, golden_section_max,
+                              lower_incomplete_gamma)
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
 
@@ -165,6 +166,35 @@ def test_default_eps_maximizes_horizon():
     assert T_best >= grid_best - 1e-9
 
 
+def _scan_and_golden_eps(expansion):
+    """The horizon maximizer by a 200-point log scan of (1e-8 hi, hi),
+    refined by golden-section search around the best scan point."""
+    hi = math.exp(expansion.mu * expansion.params.tau) - 1.0
+    T = lambda eps: horizon(expansion, eps)
+    grid = [hi * 1e-8 ** (1.0 - i / 199) * (1.0 - 1e-12) for i in range(200)]
+    i = max(range(200), key=lambda i: T(grid[i]))
+    return golden_section_max(T, grid[max(i - 1, 0)], grid[min(i + 1, 199)],
+                              tol=1e-12 * (1.0 + hi))
+
+
+def test_default_eps_matches_scan_and_golden_reference():
+    # the root of r + (1 + r) ln(1 + r) = 1/|qbar_2| is the maximizer: no
+    # scan finds a larger horizon, also where eps sits at the cap
+    rng = random.Random(19)
+    at_cap = 0
+    for _ in range(400):
+        p = math.exp(rng.uniform(math.log(1.001), math.log(1e6)))
+        tau = math.exp(rng.uniform(math.log(1e-4), math.log(50.0)))
+        expansion = build(ModelParams(p=p, tau=tau), n_coeffs=2)
+        hi = math.exp(expansion.mu * tau) - 1.0
+        assert 0.0 < expansion.eps < hi
+        at_cap += expansion.eps == hi * (1.0 - 1e-12)
+        T_ref = horizon(expansion, _scan_and_golden_eps(expansion))
+        # both evaluate tau + ln(...)/mu: rounding-level slack only
+        assert expansion.horizon >= T_ref - 1e-15 * (tau + abs(T_ref))
+    assert 0 < at_cap < 400
+
+
 def test_evaluate_at_deep_left_is_leading_term():
     expansion = build(EXAMPLE)
     t = -2.0
@@ -178,7 +208,7 @@ def test_bounds_sandwich():
     u0 = expansion.evaluate(0.0)
     assert expansion.u2(0.0) < u0 < 1.0
     # dense grid down to 12 e-folds below the handoff
-    t_hi = min(0.0, expansion.horizon - 0.5 / expansion.mu)
+    t_hi = expansion.handoff
     for i in range(200):
         t = t_hi - 12.0 / expansion.mu * i / 199
         u = expansion.evaluate(t)
@@ -201,8 +231,7 @@ def test_array_evaluation_matches_the_scalar_sums(p, tau):
     # the integrator's history nodes in one call, against the term-by-term
     # float sums of u and u'
     expansion = build(ModelParams(p=p, tau=tau))
-    t = min(0.0, expansion.horizon - 0.5 / expansion.mu) - tau * (
-        1.0 - np.arange(65) / 64)
+    t = expansion.handoff - tau * (1.0 - np.arange(65) / 64)
     mu = expansion.mu
     u_ref, du_ref = [], []
     for ti in t:
@@ -238,7 +267,7 @@ def test_evaluate_against_ode_integration():
 
 def test_series_defect_budget_short_expansion():
     short = build(EXAMPLE, n_coeffs=6)
-    base = min(0.0, short.horizon - 0.5 / short.mu)
+    base = short.handoff
     for k in (0.5, 1.0, 1.5):
         t = base - k / short.mu
         _, last = short.evaluate_with_tail(t)

@@ -58,12 +58,12 @@ def test_positivity():
 def test_upper_bound_by_leading_exponential():
     traj = _example_run()
     for t, u in zip(traj.t, traj.u):
-        e = traj.provenance["mu"] * t
+        e = traj.params.mu * t
         if e < math.log(1e6):
             assert u < math.exp(e) or t > 0.0 and math.exp(e) > 1e6
     # explicit check for t <= 0
     sel = traj.t <= 0.0
-    bound = np.exp(traj.provenance["mu"] * traj.t[sel])
+    bound = np.exp(traj.params.mu * traj.t[sel])
     assert np.all(traj.u[sel] < bound)
 
 
@@ -105,7 +105,7 @@ def _scalar_rk4(expansion, K=64, t_end=None):
     """
     params = expansion.params
     p, tau = params.p, params.tau
-    t0 = min(0.0, expansion.horizon - 0.5 / expansion.mu)
+    t0 = expansion.handoff
     if t_end is None:
         t_end = t0 + max(10.0, 20.0 * tau, 5.0)
     h = tau / K
@@ -164,7 +164,7 @@ def test_chunk_edges_match_scalar_rk4(K, steps):
     B = min(K, heteroclinic.CHUNK)
     n_steps = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "K+1": K + 1}[steps]
     expansion = build(EXAMPLE)
-    t0 = min(0.0, expansion.horizon - 0.5 / expansion.mu)
+    t0 = expansion.handoff
     t_end = t0 + n_steps * EXAMPLE.tau / K
     traj = integrate(expansion, t_end=t_end, K=K)
     t_ref, u_ref = _scalar_rk4(expansion, K=K, t_end=t_end)
@@ -245,7 +245,7 @@ def test_rounding_level_sign_changes_are_not_crossings():
     t = np.arange(0.0, 16.0, h)
     u = 3.0 + 1e-15 * np.where(np.arange(len(t)) % 2 == 0, 1.0, -1.0)
     traj = Trajectory(t=t, u=u, du=np.zeros_like(t), t0=0.0, h=h,
-                      params=params, provenance={})
+                      params=params)
     report = crossings(traj, level=3.0)
     assert report.crossings == ()
 
@@ -285,8 +285,7 @@ def test_crossings_synthetic_sine():
     t = np.arange(0.0, 16.0, h)
     u = 3.0 + np.exp(-0.2 * t) * np.cos(t)
     du = np.gradient(u, h)
-    traj = Trajectory(t=t, u=u, du=du, t0=0.0, h=h, params=params,
-                      provenance={})
+    traj = Trajectory(t=t, u=u, du=du, t0=0.0, h=h, params=params)
     report = crossings(traj, level=3.0)
     assert len(report.crossings) == 5
     signs = [s for _, s in report.crossings]
@@ -301,8 +300,7 @@ def test_first_max_on_a_node_with_zero_derivative():
     u = 3.0 + 2.0 * np.exp(-0.1 * t) * np.sin(t)
     du = 2.0 * np.exp(-0.1 * t) * (np.cos(t) - 0.1 * np.sin(t))
     du[5] = 0.0  # t = 1.25, the last node before the first peak
-    traj = Trajectory(t=t, u=u, du=du, t0=0.0, h=0.25, params=params,
-                      provenance={})
+    traj = Trajectory(t=t, u=u, du=du, t0=0.0, h=0.25, params=params)
     assert first_maximum(traj) == (1.25, float(u[5]))
 
 
@@ -405,8 +403,7 @@ def _synthetic(monkeypatch, u, du):
     place of the integration; the last quarter starts at t = 7.5."""
     params = ModelParams(p=math.e ** 3, tau=1.0)
     t = -1.0 + 0.2 * np.arange(56)
-    traj = Trajectory(t=t, u=u(t), du=du(t), t0=0.0, h=0.2, params=params,
-                      provenance={})
+    traj = Trajectory(t=t, u=u(t), du=du(t), t0=0.0, h=0.2, params=params)
     monkeypatch.setattr(heteroclinic, "integrate", lambda *a, **k: traj)
     return _node_level(params), _refined(traj)
 

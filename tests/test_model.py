@@ -17,6 +17,15 @@ def test_params_validation():
         ModelParams(p=2.0, tau=-0.1)
 
 
+@pytest.mark.parametrize("p, tau, name", [(math.inf, 0.1, "p"),
+                                          (math.nan, 0.1, "p"),
+                                          (2.0, math.inf, "tau"),
+                                          (2.0, math.nan, "tau")])
+def test_params_must_be_finite(p, tau, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        ModelParams(p=p, tau=tau)
+
+
 def test_derived_constants():
     params = ModelParams(p=365.0, tau=0.07)
     assert abs(params.kappa - math.log(365.0)) <= 1e-15

@@ -1,6 +1,7 @@
 """Tests for the delayed reaction-diffusion simulator."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -8,10 +9,10 @@ import pytest
 
 from nmwaves.files import read_csv
 from nmwaves.model import ModelParams
-from nmwaves.pde import (DirichletBC, Heaviside, Scheme, SimConfig,
-                         SmoothStep, config_from_dict, preset, simulate,
-                         write_front_csv, write_metadata_json,
-                         write_snapshots_csv)
+from nmwaves.pde import (MAX_HISTORY_VALUES, DirichletBC, ExpTail, Heaviside,
+                         Scheme, SimConfig, SmoothStep, config_from_dict,
+                         preset, simulate, write_front_csv,
+                         write_metadata_json, write_snapshots_csv)
 
 PARAMS = ModelParams(p=365.0, tau=0.07)
 LNP = PARAMS.kappa
@@ -151,23 +152,6 @@ def test_scheme_cross_agreement():
     assert abs(s_cn - s_mol) / s_cn <= 0.01
 
 
-def test_history_ring_length():
-    cfg = preset("fast-front-smoke")
-    rec = simulate(cfg)
-    assert len(rec.history) == cfg.delay_steps + 1
-    t_last, u_last = rec.snapshots[-1]
-    assert t_last == cfg.t_end
-    assert np.array_equal(rec.history[-1], u_last)
-    # snapshots at every stored level: the history is in time order
-    K = cfg.delay_steps
-    last = dataclasses.replace(cfg, snapshot_times=tuple(
-        cfg.t_end - k * cfg.dt for k in range(K, -1, -1)))
-    rec = simulate(last)
-    assert len(rec.snapshots) == K + 1
-    for level, (_, snap) in zip(rec.history, rec.snapshots):
-        assert np.array_equal(level, snap)
-
-
 def test_front_track_monotone_leftward():
     rec = simulate(preset("fast-front-smoke"))
     xs = [x for _, x in rec.front_track if math.isfinite(x)]
@@ -203,6 +187,50 @@ def test_config_roundtrip():
                        ic=SmoothStep(level=LNP, width=2.0),
                        bc=DirichletBC(0.0, LNP))
     assert config_from_dict(smooth.to_dict()) == smooth
+
+
+@pytest.mark.parametrize("ic", [Heaviside(level=LNP),
+                                ExpTail(beta=0.7, cap=LNP),
+                                SmoothStep(level=LNP, width=2.0)],
+                         ids=lambda ic: ic.kind)
+def test_config_roundtrip_every_ic_kind(ic):
+    cfg = SimConfig(params=PARAMS, x_lo=-5.0, x_hi=5.0, dx=0.1, dt=0.01,
+                    t_end=0.1, scheme=Scheme.CRANK_NICOLSON, ic=ic,
+                    bc=DirichletBC(0.0, LNP), snapshot_times=(0.05, 0.1))
+    d = cfg.to_dict()
+    assert d["ic"]["kind"] == ic.kind and d["bc"] == {"u_lo": 0.0, "u_hi": LNP}
+    assert (d["p"], d["tau"], d["scheme"]) == (365.0, 0.07, "crank_nicolson")
+    assert config_from_dict(json.loads(json.dumps(d))) == cfg
+    # each kind draws its own initial values, boundary values pinned
+    x = cfg.grid()
+    u = cfg.initial_values(x)
+    assert np.array_equal(u[1:-1], ic.values(x)[1:-1])
+    assert (u[0], u[-1]) == (0.0, LNP)
+
+
+def test_config_roundtrip_smooth_step_default_width():
+    d = dataclasses.replace(preset("fast-front-smoke"),
+                            ic=SmoothStep(level=LNP)).to_dict()
+    del d["ic"]["width"]
+    assert config_from_dict(d).ic == SmoothStep(level=LNP, width=1.0)
+
+
+def test_history_cap_rejects_before_allocating():
+    import tracemalloc
+
+    cfg = preset("fast-front-smoke")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="above the cap of 20000000$"):
+            dataclasses.replace(cfg, x_lo=-40.0, x_hi=40.0, dx=1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    # the largest preset, fast-front, stores 8 levels of 6,001 nodes
+    stored = [(c.delay_steps + 1) * len(c.grid()) for c in map(preset, (
+        "minimal-front", "fast-front", "fast-front-smoke"))]
+    assert max(stored) == 8 * 6001 < MAX_HISTORY_VALUES / 400
 
 
 def test_csv_roundtrip(tmp_path):

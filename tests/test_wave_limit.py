@@ -9,11 +9,11 @@ to within the discretization error of the simulation.
 
 import numpy as np
 
-from nmwaves.diagnostics import diagnose, front_position
+from nmwaves.diagnostics import diagnose
 from nmwaves.dirichlet import build
 from nmwaves.heteroclinic import integrate
 from nmwaves.model import ModelParams
-from nmwaves.pde import preset, simulate
+from nmwaves.pde import front_position, preset, simulate
 
 PARAMS = ModelParams(p=365.0, tau=0.07)
 
