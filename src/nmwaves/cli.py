@@ -3,9 +3,11 @@
 Subcommands map one-to-one onto the library surface: analyze, series,
 heteroclinic, atlas, boundaries, simulate, diagnose, verify. Data files
 carry no timestamps so byte-identical reruns are possible; the wall time
-(lazy imports included) and configuration go into a run manifest.
+(lazy imports included) and configuration go into a run manifest beside
+the first output, when that output is a regular file.
 
-Exit codes: 0 success, 1 domain error, 2 verification failure, 64 usage.
+Exit codes: 0 success, 1 domain error or a path that cannot be read or
+written, 2 verification failure, 64 usage.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 import time
 from typing import Sequence
@@ -97,9 +100,10 @@ def _finite_float(text: str) -> float:
 
 def _manifest(subcommand: str, config: dict, outputs: list[str],
               started: float) -> None:
-    """<first output>.manifest.json; nothing if there is no output file."""
+    """<first output>.manifest.json; nothing unless the first output is a
+    regular file (none for stdout, /dev/null or a pipe)."""
     outputs = [path for path in outputs if path is not None]
-    if not outputs:
+    if not outputs or not os.path.isfile(outputs[0]):
         return
     from . import __version__
     payload = {
@@ -313,14 +317,15 @@ def _cmd_verify(args) -> tuple[int, dict, list]:
 
 
 def _domain_errors() -> tuple[type[Exception], ...]:
-    """Exceptions that report an input outside what the methods handle."""
+    """Exceptions that report an input outside what the methods handle,
+    or an input or output path that cannot be read or written."""
     from .atlas import MembershipInconsistency
     from .charroots import BracketingError
     from .dirichlet import CoefficientOverflow
     from .heteroclinic import BlowUpError, InconclusiveTail
     from .numerics import QuadratureError
 
-    return (ValueError, FileNotFoundError, OverflowError, FloatingPointError,
+    return (ValueError, OSError, OverflowError, FloatingPointError,
             BlowUpError, InconclusiveTail, CoefficientOverflow,
             BracketingError, MembershipInconsistency, QuadratureError)
 
@@ -410,10 +415,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     started = time.time()
     try:
         code, config, outputs = args.func(args)
+        _manifest(args.command, config, outputs, started)
     except _domain_errors() as exc:  # evaluated only once something raised
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    _manifest(args.command, config, outputs, started)
     return code
 
 

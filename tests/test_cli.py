@@ -715,3 +715,73 @@ def test_boundaries_amplitude_must_be_finite(tmp_path, capsys, P):
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "P must be a finite number" in err
     assert not out.exists()
+
+
+def _assert_one_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_directory_output_exits_1_with_one_line(tmp_path, capsys):
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07",
+                   "--out", str(tmp_path)) == 1
+    _assert_one_error_line(capsys, "Is a directory", str(tmp_path))
+    out = ",".join([str(tmp_path), str(tmp_path / "f.csv"),
+                    str(tmp_path / "m.json")])
+    assert run_cli("simulate", "--preset", "fast-front-smoke",
+                   "--out", out) == 1
+    _assert_one_error_line(capsys, "Is a directory", str(tmp_path))
+    assert not list(tmp_path.iterdir())
+
+
+def test_over_long_manifest_name_exits_1_with_one_line(tmp_path, capsys):
+    # the data file's name fits in 255 bytes, its manifest's does not
+    out = tmp_path / ("a" * 250 + ".json")
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07",
+                   "--out", str(out)) == 1
+    _assert_one_error_line(capsys, "File name too long")
+    assert json.loads(out.read_text())["nm_verdict"] is True
+    assert [path.name for path in tmp_path.iterdir()] == [out.name]
+
+
+def test_rerun_over_a_longer_output_gives_the_fresh_bytes(tmp_path):
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07",
+                   "--out", str(fresh)) == 0
+    reused.write_text(" " * 20_000)
+    Path(str(reused) + ".manifest.json").write_text("{}" * 5_000)
+    assert run_cli("analyze", "--p", "365", "--tau", "0.07",
+                   "--out", str(reused)) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    manifest = json.loads(Path(str(reused) + ".manifest.json").read_text())
+    assert manifest["outputs"] == [str(reused)]
+
+
+def test_device_output_writes_no_manifest():
+    stray = Path(os.devnull + ".manifest.json")
+    before = stray.stat().st_mtime_ns if stray.exists() else None
+    try:
+        assert run_cli("analyze", "--p", "365", "--tau", "0.07",
+                       "--out", os.devnull) == 0
+        after = stray.stat().st_mtime_ns if stray.exists() else None
+        assert after == before
+    finally:
+        if before is None:
+            stray.unlink(missing_ok=True)
+
+
+def test_stdout_device_output_writes_json_and_no_manifest(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "nmwaves.cli", "analyze", "--p", "365",
+         "--tau", "0.07", "--out", "/dev/stdout"],
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path)
+    stray = Path("/dev/stdout.manifest.json")
+    try:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["nm_verdict"] is True
+        assert not stray.exists()
+    finally:
+        stray.unlink(missing_ok=True)
