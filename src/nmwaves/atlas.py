@@ -31,10 +31,10 @@ import numpy as np
 from .charroots import TailClass, _mu, negative_root_exists, tail_of
 from .dirichlet import _zeta
 from .model import ModelParams, gsc_holds
-from .numerics import Bracket, PowerSeries, bracketed_roots, solve_bracketed
+from .numerics import DomainError, PowerSeries, bracketed_roots, double_until
 
 
-class MembershipInconsistency(RuntimeError):
+class MembershipInconsistency(DomainError):
     """The two region-membership computations disagree off the boundary band."""
 
 
@@ -73,9 +73,8 @@ def _speed_roots(c):
 
 
 def tau_star() -> float:
-    """Root of tau e^{1+tau} = 1, the universal delay cap for nm-waves."""
-    f = lambda t: t * math.exp(1.0 + t) - 1.0
-    return solve_bracketed(f, Bracket(0.0, 1.0), tol=1e-14)
+    """Root of tau e^{1+tau} = 1, the nm-wave delay cap: T_star at P = 1."""
+    return T_star(1.0)
 
 
 @dataclass(frozen=True)
@@ -118,38 +117,32 @@ def _phi(tau, lam, nu):
 
 
 def tau_of_c(P, c):
-    """Unique positive root of Phi(tau, c) = 1 - 1/P (requires P > 1).
+    """Unique positive root of Phi(tau, c) = 1 - 1/P (1 < P <= 2^26).
 
     Float P and c give a float, numpy arrays broadcast; every lane is
-    solved to rounding level (_boundary_roots).
+    solved to rounding level (_boundary_roots). Rounding 1 - 1/P costs
+    tau(c) about P 1e-16 of relative accuracy, hence the bound on P.
     """
-    if not np.all(P > 1.0):
-        raise ValueError(f"the threshold 1 - 1/P needs P > 1, got {P}")
+    if not np.all((P > 1.0) & (P <= 2.0 ** 26)):
+        raise ValueError(f"tau(c) needs 1 < P <= 2^26, got {P}")
     if not np.all(c > 0.0):
         raise ValueError(f"speed must be positive, got {c}")
     lam, nu = _speed_roots(c)
     target = 1.0 - 1.0 / P
     return _boundary_roots(lambda t: target - _phi(t, lam, nu),
-                           np.broadcast(P, c).shape,
-                           "Phi failed to fall below the threshold")
+                           np.broadcast(P, c).shape, "bracketing tau(c)")
 
 
-def _boundary_roots(g, shape, message):
+@np.errstate(all="ignore")
+def _boundary_roots(g, shape, what):
     """Root in tau > 0 of g, increasing from g(0) < 0, per lane of shape.
 
-    Each lane doubles hi from 1 until g(hi) >= 0 (RuntimeError with
-    ``message`` past 1e9), and numerics.bracketed_roots solves the
-    brackets [0, hi] to rounding level: a float for shape (), an array
-    otherwise.
+    numerics.double_until doubles each lane's end hi from 1 until
+    g(hi) >= 0 (a NaN does not count), and numerics.bracketed_roots
+    solves [0, hi] to rounding level: a float for shape (), an array
+    otherwise. g may overflow; its values decide, so numpy stays quiet.
     """
-    hi = np.ones(shape)[()]  # a numpy scalar for shape ()
-    while True:
-        short = g(hi) < 0.0
-        if not short.any():
-            break
-        hi = hi * (1.0 + short)  # doubles the short lanes
-        if np.any(hi > 1e9):
-            raise RuntimeError(message)
+    hi = double_until(lambda t: g(t) >= 0.0, np.ones(shape)[()], what)
     return bracketed_roots(g, np.zeros(shape), hi)
 
 
@@ -177,17 +170,16 @@ def _monotone_boundary_lhs(tau, c):
 def T_of_c(P, c):
     """Unique positive root in tau of the monotone-tail boundary equation.
 
-    The left side increases strictly from 0, so bisection on the sign
-    change against 1/P always succeeds (requires P > 0). Float P and c
-    give a float, numpy arrays broadcast; every lane is solved to
-    rounding level (_boundary_roots).
+    The left side increases strictly from 0, so its crossing of 1/P is
+    unique (requires P > 0); BracketingError where it overflows first,
+    at c^2 tau past about 1e154. Float P and c give a float, numpy arrays
+    broadcast; every lane is solved to rounding level (_boundary_roots).
     """
     if not np.all(P > 0.0):
         raise ValueError(f"the boundary needs P > 0, got {P}")
     target = 1.0 / P
     return _boundary_roots(lambda t: _monotone_boundary_lhs(t, c) - target,
-                           np.broadcast(P, c).shape,
-                           "boundary left side failed to reach 1/P")
+                           np.broadcast(P, c).shape, "bracketing T(c)")
 
 
 def T_star(P: float) -> float:
@@ -195,7 +187,7 @@ def T_star(P: float) -> float:
     if not P > 0.0:
         raise ValueError(f"T_star needs P > 0, got {P}")
     g = lambda t: P * math.e * t * np.exp(t) - 1.0
-    return _boundary_roots(g, (), "P e T e^T failed to reach 1")
+    return _boundary_roots(g, (), "bracketing T_star")
 
 
 # width of the strip around T(c) where the boundary comparison decides

@@ -25,16 +25,13 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams
-from .numerics import Bracket, bracketed_roots, solve_bracketed
+from .numerics import (Bracket, BracketingError, bracketed_roots,
+                       double_until, solve_bracketed)
 
 
 class TailClass(Enum):
     EVENTUALLY_MONOTONE = "eventually_monotone"
     OSCILLATORY_TAIL = "oscillatory_tail"
-
-
-class BracketingError(RuntimeError):
-    """A root bracket could not be established; details in the message."""
 
 
 @dataclass(frozen=True)
@@ -89,17 +86,6 @@ def _profile_min_over_positive(params: ModelParams, c: float) -> tuple[float, fl
     return z_m, val
 
 
-def _speed_bracket(g, what: str) -> float:
-    """The first of c = 1, 2, 4, ..., 2^60 with g(c) <= 0, for g positive
-    at small speeds: the upper end of a root bracket."""
-    c_hi = 1.0
-    for _ in range(61):
-        if not g(c_hi) > 0.0:
-            return c_hi
-        c_hi *= 2.0
-    raise BracketingError(f"no {what} found up to c = {c_hi}")
-
-
 def minimal_speed(params: ModelParams) -> float:
     """Smallest c > 0 for which z^2 - cz - 1 + p e^{-zc tau} has a positive root.
 
@@ -110,7 +96,7 @@ def minimal_speed(params: ModelParams) -> float:
     and solve_bracketed finds the tangency point at its sign change.
     """
     g = lambda c: _profile_min_over_positive(params, c)[1]
-    c_hi = _speed_bracket(g, "positive-root onset")
+    c_hi = double_until(lambda c: g(c) <= 0.0, 1.0, "minimal speed search")
     c_lo = 1e-8
     if g(c_lo) <= 0.0:
         return c_lo
@@ -128,7 +114,7 @@ def linear_spreading_speed(params: ModelParams, beta: float) -> float:
         raise ValueError(f"decay rate must be positive, got {beta}")
     p, tau = params.p, params.tau
     F = lambda c: beta * beta - c * beta - 1.0 + p * math.exp(-beta * c * tau)
-    c_hi = _speed_bracket(F, "spreading speed")
+    c_hi = double_until(lambda c: F(c) <= 0.0, 1.0, "spreading speed search")
     return solve_bracketed(F, Bracket(0.0, c_hi), tol=1e-12 * (1.0 + c_hi))
 
 
@@ -165,16 +151,9 @@ def _certified_window(P: float, c, h):
     Per lane of (c, h) (floats, or arrays of one shape), the smallest edge
     -2 max(1, c) 2^k certified by _window_edge_holds.
     """
-    z_lo = -2.0 * np.maximum(1.0, c)
-    pending = True
     with np.errstate(all="ignore"):
-        for _ in range(400):
-            pending = pending & ~_window_edge_holds(z_lo, P, c, h)
-            if not pending.any():
-                return z_lo
-            z_lo = z_lo * (1.0 + pending)  # doubles the pending lanes
-    raise BracketingError(f"window certification failed "
-                          f"(P={P}, c={np.asarray(c)[pending][0]})")
+        return double_until(lambda z: _window_edge_holds(z, P, c, h),
+                            -2.0 * np.maximum(1.0, c), "window certification")
 
 
 # depth below zero, relative to the hump's own size (_touches_zero), at
@@ -230,11 +209,8 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
 
     if P < 0.0:
         # strictly decreasing on the negative axis; expand until positive
-        z_lo = -max(1.0, c)
-        for _ in range(200):
-            if chi(z_lo) > 0.0:
-                break
-            z_lo *= 2.0
+        z_lo = double_until(lambda z: chi(z) > 0.0, -max(1.0, c),
+                            "negative root search")
         z = solve_bracketed(chi, Bracket(z_lo, 0.0), tol=1e-13 * (1.0 + abs(z_lo)))
         return RootReport((polish(z),), (z_lo, 0.0))
 

@@ -319,15 +319,8 @@ def _cmd_verify(args) -> tuple[int, dict, list]:
 def _domain_errors() -> tuple[type[Exception], ...]:
     """Exceptions that report an input outside what the methods handle,
     or an input or output path that cannot be read or written."""
-    from .atlas import MembershipInconsistency
-    from .charroots import BracketingError
-    from .dirichlet import CoefficientOverflow
-    from .heteroclinic import BlowUpError, InconclusiveTail
-    from .numerics import QuadratureError
-
-    return (ValueError, OSError, OverflowError, FloatingPointError,
-            BlowUpError, InconclusiveTail, CoefficientOverflow,
-            BracketingError, MembershipInconsistency, QuadratureError)
+    from .numerics import DomainError
+    return ValueError, OSError, OverflowError, FloatingPointError, DomainError
 
 
 @functools.cache

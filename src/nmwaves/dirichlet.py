@@ -26,11 +26,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, birth
-from .numerics import (Bracket, integrate_adaptive, lower_incomplete_gamma,
-                       solve_bracketed)
+from .numerics import (Bracket, DomainError, integrate_adaptive,
+                       lower_incomplete_gamma, solve_bracketed)
 
 
-class CoefficientOverflow(RuntimeError):
+class CoefficientOverflow(DomainError):
     """A series coefficient exceeded the sanity bound."""
 
 

@@ -33,8 +33,9 @@ import numpy as np
 
 from .dirichlet import DirichletExpansion
 from .model import ModelParams
-from .numerics import (bisect_lockstep, hermite_cubic, hermite_cubic_deriv,
-                       is_monotone, level_crossings, level_tol)
+from .numerics import (DomainError, bisect_lockstep, hermite_cubic,
+                       hermite_cubic_deriv, is_monotone, level_crossings,
+                       level_tol)
 
 
 # steps advanced by one matrix-vector product (fewer when K is smaller)
@@ -43,12 +44,12 @@ CHUNK = 64
 MAX_NODES = 20_000_000
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(DomainError):
     """The integration left the physical range: |u| above max(1e6, 2 p/e)
     (p/e bounds the invariant range) or not finite."""
 
 
-class InconclusiveTail(RuntimeError):
+class InconclusiveTail(DomainError):
     """Neither convergence nor oscillation was established by t_end."""
 
 
@@ -170,14 +171,15 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     ch = h / 6.0 * (4.0 - 2.0 * h + h * h / 2.0)
     c1 = h / 6.0
     B = min(K, CHUNK)
-    powers = R ** np.arange(B + 1)
-    lag = np.subtract.outer(np.arange(B), np.arange(B))
-    prop = np.tril(powers[np.abs(lag)])  # R^{i-k} for k <= i
-    W = np.zeros((B, 2 * B + 2))
-    W[:, :B] = c0 * prop
-    W[:, 1:B + 1] += c1 * prop
-    W[:, B + 1:2 * B + 1] = ch * p * prop
-    W[:, -1] = powers[1:]
+    with np.errstate(over="ignore", invalid="ignore"):  # R^i may overflow
+        powers = R ** np.arange(B + 1)
+        lag = np.subtract.outer(np.arange(B), np.arange(B))
+        prop = np.tril(powers[np.abs(lag)])  # R^{i-k} for k <= i
+        W = np.zeros((B, 2 * B + 2))
+        W[:, :B] = c0 * prop
+        W[:, 1:B + 1] += c1 * prop
+        W[:, B + 1:2 * B + 1] = ch * p * prop
+        W[:, -1] = powers[1:]
     z = np.zeros(2 * B + 2)
 
     def chunk_inputs(n, m):

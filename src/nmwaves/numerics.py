@@ -1,12 +1,13 @@
 """Shared numerical kernels.
 
 Provides the low-level machinery the rest of the package is built on:
-bracketed root finding (Chandrupatla's method for scalars, lockstep
-bisection over arrays), adaptive Gauss-Kronrod 7/15 quadrature vectorised
-over subintervals, the lower incomplete gamma function (array-valued),
-truncated power-series arithmetic, level crossings and monotonicity of
-samples, a factor-once tridiagonal Toeplitz solve, cubic Hermite
-interpolation and straight-line least squares.
+bracket growth by doubling, bracketed root finding (Chandrupatla's
+method for scalars, lockstep bisection over arrays), adaptive
+Gauss-Kronrod 7/15 quadrature vectorised over subintervals, the lower
+incomplete gamma function (array-valued), truncated power-series
+arithmetic, level crossings and monotonicity of samples, a factor-once
+tridiagonal Toeplitz solve, cubic Hermite interpolation and
+straight-line least squares.
 
 All routines are pure functions of their inputs, except that
 ToeplitzTridiagonal.solve writes into the array it is given. The bracket
@@ -27,7 +28,15 @@ class NoSignChange(ValueError):
     """The supplied bracket does not straddle a sign change."""
 
 
-class QuadratureError(RuntimeError):
+class DomainError(RuntimeError):
+    """Base of the package's own errors: an input the methods cannot handle."""
+
+
+class BracketingError(DomainError):
+    """A root bracket could not be established; details in the message."""
+
+
+class QuadratureError(DomainError):
     """Adaptive refinement hit its depth limit.
 
     The best available estimate is attached as ``.estimate``.
@@ -51,6 +60,33 @@ class Bracket:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
+
+
+def double_until(holds: Callable, start, what: str):
+    """Per lane, the first of start, 2 start, 4 start, ... at which holds.
+
+    start is a float or an array; holds maps a value of start's shape to
+    a bool of that shape, and must be False wherever its inputs give NaN,
+    so that a NaN never ends a search. Lanes stop independently. A lane
+    that would double past the largest float raises BracketingError,
+    whose message starts with what.
+    """
+    failed = f"{what} failed: no bracket within the float range"
+    if np.ndim(start) == 0:
+        x = start
+        while not holds(x):
+            if not abs(x) < 2.0 ** 1023:  # else 2 x overflows
+                raise BracketingError(failed)
+            x = 2.0 * x
+        return x
+    x = np.asarray(start, dtype=float)
+    pending = ~holds(x)
+    while pending.any():
+        if not np.all(np.abs(x[pending]) < 2.0 ** 1023):
+            raise BracketingError(failed)
+        x = x * (1.0 + pending)  # doubles the pending lanes
+        pending &= ~holds(x)
+    return x
 
 
 def solve_bracketed(f: Callable[[float], float], bracket: Bracket,

@@ -16,6 +16,7 @@ from nmwaves.charroots import negative_root_exists
 from nmwaves.dirichlet import zeta
 from nmwaves.heteroclinic import p_window
 from nmwaves.model import ModelParams
+from nmwaves.numerics import BracketingError
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
 
@@ -154,7 +155,7 @@ def test_array_boundaries_keep_the_scalar_errors():
         tau_of_c(2.0, np.array([1.0, 0.0]))
     # at c = 0 the boundary left side is 0 for every tau
     for c in (0.0, np.array([1.0, 0.0])):
-        with pytest.raises(RuntimeError):
+        with pytest.raises(BracketingError, match="^bracketing T\\(c\\)"):
             T_of_c(2.0, c)
 
 

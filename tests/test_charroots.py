@@ -168,6 +168,9 @@ def test_minimal_speed_no_delay_closed_form():
     for p in (2.0, 5.0, 10.0):
         got = minimal_speed(ModelParams(p=p, tau=0.0))
         assert abs(got - 2.0 * math.sqrt(p - 1.0)) <= 1e-9, p
+    # 67 doublings above the bracket search's start at c = 1
+    got = minimal_speed(ModelParams(p=1e40, tau=0.0))
+    assert abs(got / 2e20 - 1.0) <= 1e-10
 
 
 def test_minimal_speed_onset():

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ import pytest
 import nmwaves
 from nmwaves import cli
 from nmwaves.cli import main
+from nmwaves.files import read_csv
 
 
 def run_cli(*argv):
@@ -785,3 +788,84 @@ def test_stdout_device_output_writes_json_and_no_manifest(tmp_path):
         assert not stray.exists()
     finally:
         stray.unlink(missing_ok=True)
+
+
+def _run_child(*argv, cwd=None):
+    """The CLI in a child interpreter: numpy's warnings reach its stderr,
+    which pytest's warning capture would hide from capsys."""
+    return subprocess.run([sys.executable, "-m", "nmwaves.cli", *argv],
+                          capture_output=True, text=True, env=_child_env(),
+                          cwd=cwd)
+
+
+def test_readme_command_line_block_runs_cleanly(tmp_path):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line")[1].split("\n## ")[0]
+    lines = [line.strip() for line in block.splitlines()
+             if line.strip().startswith("nmwaves ")]
+    assert len(lines) >= 12
+    for line in lines:  # in order: diagnose reads what simulate wrote
+        proc = _run_child(*shlex.split(line)[1:], cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, ""), line
+
+
+def _check_boundaries_run(P, c_range, out):
+    """Exit 0 with empty stderr and the inclusion T(c) < tau(c) in every
+    row where P > 1, or exit 1 with one error line; returns the code."""
+    proc = _run_child("boundaries", "--P", repr(P), "--c", c_range,
+                      "--out", str(out))
+    if proc.returncode == 1:
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+        return 1
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = read_csv(out)[1]
+    assert len(rows) == int(c_range.split(":")[2])
+    if P > 1.0:
+        assert all(T_c < tau_c for _, T_c, tau_c, _, _ in rows)
+    return 0
+
+
+@pytest.mark.parametrize("P, c_range, code", [
+    (4.8999, "1e150:1e150:1", 1),      # T(c)'s left side overflows
+    (4.8999, "1e300:1e300:1", 1),
+    (4.8999, "1e-300:1e-300:1", 0),
+    (1.0000000000001, "1e-8:1:3", 0),
+    (1e300, "1e-300:1e300:3", 1),
+    (1e-300, "0.01:1000:5", 0),        # T_star's bracket overflows quietly
+])
+def test_boundaries_at_extreme_inputs(P, c_range, code, tmp_path):
+    assert _check_boundaries_run(P, c_range, tmp_path / "b.csv") == code
+
+
+def test_boundaries_sweep_exits_0_cleanly_or_1_with_one_line(tmp_path):
+    # log10 P in cells on both sides of P = 1 and of tau(c)'s P <= 2^26
+    rng = random.Random(20261019)
+    codes = []
+    for lo, hi in ((-300, -30), (-30, 0), (0, 7.8), (7.8, 30), (30, 300)):
+        for i in range(2):
+            P = 10.0 ** rng.uniform(lo, hi)
+            c_lo, c_hi = sorted(10.0 ** rng.uniform(-300, 300)
+                                for _ in range(2))
+            codes.append(_check_boundaries_run(
+                P, f"{c_lo!r}:{c_hi!r}:3", tmp_path / f"b{lo}_{i}.csv"))
+    assert 0 in codes and 1 in codes
+
+
+def test_overflowing_integrator_matrix_prints_one_line():
+    # at tau = 1e5 the step h is 1562 and R^i overflows in the chunk matrix
+    proc = _run_child("analyze", "--p", "365", "--tau", "1e5")
+    assert proc.returncode == 1
+    assert proc.stderr == "error: |u| exceeded 1e6 at t = 3125.0\n"
+
+
+def test_package_errors_share_one_base():
+    from nmwaves.atlas import MembershipInconsistency
+    from nmwaves.dirichlet import CoefficientOverflow
+    from nmwaves.heteroclinic import BlowUpError, InconclusiveTail
+    from nmwaves.numerics import BracketingError, DomainError, QuadratureError
+
+    for error in (QuadratureError, BracketingError, CoefficientOverflow,
+                  BlowUpError, InconclusiveTail, MembershipInconsistency):
+        assert issubclass(error, DomainError)
+    assert DomainError in cli._domain_errors()

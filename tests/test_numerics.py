@@ -8,10 +8,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nmwaves.numerics import (Bracket, NoSignChange, PowerSeries,
-                              QuadratureError, ToeplitzTridiagonal,
-                              bisect_lockstep,
-                              crossing_points, fit_line,
+from nmwaves.numerics import (Bracket, BracketingError, NoSignChange,
+                              PowerSeries, QuadratureError,
+                              ToeplitzTridiagonal, bisect_lockstep,
+                              crossing_points, double_until, fit_line,
                               golden_section_max, hermite_cubic,
                               hermite_cubic_deriv, integrate_adaptive,
                               is_monotone, level_crossings,
@@ -182,6 +182,65 @@ def test_minimal_speed_is_superlinear(monkeypatch):
     c_star = charroots.minimal_speed(ModelParams(p=365.0, tau=0.07))
     assert abs(c_star - 7.89) <= 0.01
     assert 0 < count[0] <= 300
+
+
+def test_double_until_doubles_exactly():
+    seen = []
+
+    def holds(x):
+        seen.append(x)
+        return x >= 100.0
+
+    assert double_until(holds, 3.0, "search") == 192.0
+    assert seen == [3.0 * 2 ** k for k in range(7)]
+    assert type(seen[-1]) is float
+    assert double_until(lambda z: z <= -10.0, -1.5, "search") == -12.0
+    got = double_until(lambda x: x >= 5.0, np.float64(1.0), "search")
+    assert got == 8.0 and type(got) is np.float64
+
+
+def test_double_until_stops_lanes_independently():
+    need = np.array([[0.5, 5.0], [1000.0, 2.0 ** 600]])
+    calls = []
+
+    def holds(x):
+        calls.append(x.copy())
+        return x >= need
+
+    got = double_until(holds, np.full((2, 2), 1.0), "search")
+    assert got.tolist() == [[1.0, 8.0], [1024.0, 2.0 ** 600]]
+    assert len(calls) == 601
+    # a lane that holds keeps its value while the others double
+    assert all(x[0, 0] == 1.0 and x[0, 1] <= 8.0 for x in calls)
+
+
+def test_double_until_never_accepts_nan():
+    # g is NaN below 64, as an overflowing expression can be; g >= 0 is
+    # False there, so the search goes on to the first value where it holds
+    g = lambda x: np.where(x < 64.0, np.nan, 1.0)
+    assert double_until(lambda x: g(x) >= 0.0, 1.0, "search") == 64.0
+    got = double_until(lambda x: g(x) >= 0.0, np.array([1.0, 128.0]),
+                       "search")
+    assert got.tolist() == [64.0, 128.0]
+
+
+def test_double_until_raises_past_the_float_range():
+    seen = []
+
+    def never(x):
+        seen.append(x)
+        return np.isnan(x)
+
+    with pytest.raises(BracketingError,
+                       match="^bracketing T failed: no bracket within"):
+        double_until(never, 1.0, "bracketing T")
+    # every power of two up to the largest float was tried, then 2^1024
+    # overflowed
+    assert seen == [2.0 ** k for k in range(1024)]
+    with pytest.raises(BracketingError):
+        double_until(lambda x: x <= 1.0, np.array([1.0, 2.0]), "T")
+    with pytest.raises(BracketingError):
+        double_until(lambda z: z >= 0.0, -1.0, "T")
 
 
 def test_bisect_lockstep_reaches_rounding_level():
