@@ -65,11 +65,28 @@ class SpeedFrame:
         return float(_speed_roots(self.c)[1])
 
 
+def _all_finite(x) -> bool:
+    """x < inf everywhere, for x >= 0 or NaN; one comparison for a float
+    (numpy's float64 included) and one reduction for an array, as it runs
+    on every step of the root searches."""
+    if isinstance(x, float):
+        return x < math.inf
+    return x.max() < math.inf  # a NaN maximum compares False too
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _speed_roots(c):
-    """(lam, nu) of SpeedFrame(c), as arrays of c's shape."""
+    """(lam, nu) of SpeedFrame(c), as arrays of c's shape.
+
+    Where c^2 overflows (c past about 1.3e154), lam is -1 to rounding and
+    nu is inf.
+    """
     s = c + np.sqrt(c * c + 4.0)
     # c(c - sqrt(c^2+4))/2 rewritten to avoid cancellation at large c
-    return -2.0 * c / s, 0.5 * c * s
+    lam = -2.0 * c / s
+    if not _all_finite(s):
+        lam = np.where(s < math.inf, lam, -1.0)
+    return lam, 0.5 * c * s
 
 
 def tau_star() -> float:
@@ -112,8 +129,17 @@ def Phi(tau: float, frame: SpeedFrame) -> float:
 
 
 def _phi(tau, lam, nu):
-    """Unchecked Phi from the roots, broadcast over arrays."""
-    return (nu - lam) / (nu * np.exp(-lam * tau) - lam * np.exp(-nu * tau))
+    """Unchecked Phi from the roots, broadcast over arrays.
+
+    Where nu e^{-lam tau} overflows, (lam/nu) e^{-nu tau} is below
+    1e-308 e^{-lam tau}, so dividing through by nu gives Phi =
+    (1 - lam/nu) e^{lam tau} to rounding.
+    """
+    grow = nu * np.exp(-lam * tau)
+    phi = (nu - lam) / (grow - lam * np.exp(-nu * tau))
+    if _all_finite(grow):
+        return phi
+    return np.where(grow < math.inf, phi, (1.0 - lam / nu) * np.exp(lam * tau))
 
 
 def tau_of_c(P, c):
@@ -158,22 +184,36 @@ def _monotone_boundary_lhs(tau, c):
 
     With X = h^2 (c^2 + 4) + 4 the exponent (sqrt(X) - c h)/2 is
     rewritten as 2 (h^2 + 1)/(sqrt(X) + c h) to avoid cancellation at
-    large c. Broadcast over arrays of tau and c.
+    large c. Where X overflows (c^2 h^2 past about 1.8e308), sqrt(X) is
+    c h s with s = sqrt(1 + 4/c^2 + 4/(c h)^2), and the left side is
+    e tau/(s + 2/(c h)) exp(2 (tau + 1/(c h))/(1 + s)), finite for every
+    finite c. Broadcast over arrays of tau and c.
     """
     h = c * tau
     X = h * h * (c * c + 4.0) + 4.0
     sX = np.sqrt(X)
     expo = 2.0 * (h * h + 1.0) / (sX + c * h)
-    return math.e * h * h / (2.0 + sX) * np.exp(expo)
+    lhs = math.e * h * h / (2.0 + sX) * np.exp(expo)
+    if _all_finite(X):
+        return lhs
+    # a = c h; both quotients divided by a^2 (a = 0 at tau = 0, where the
+    # left side is 0 and X is 0 * inf once c^2 overflows)
+    a = np.multiply(c, h)  # numpy division: 1/0 is inf, not an error
+    s = np.sqrt(1.0 + 4.0 / (c * c) + (2.0 / a) ** 2)
+    scaled = (math.e * tau / (s + 2.0 / a)
+              * np.exp(2.0 * (tau + 1.0 / a) / (1.0 + s)))
+    return np.where(X < math.inf, lhs, np.where(a > 0.0, scaled, 0.0))
 
 
 def T_of_c(P, c):
     """Unique positive root in tau of the monotone-tail boundary equation.
 
     The left side increases strictly from 0, so its crossing of 1/P is
-    unique (requires P > 0); BracketingError where it overflows first,
-    at c^2 tau past about 1e154. Float P and c give a float, numpy arrays
-    broadcast; every lane is solved to rounding level (_boundary_roots).
+    unique (requires P > 0); past c^2 tau of about 1e154, where X =
+    (c tau)^2 (c^2 + 4) + 4 overflows, the left side takes a scaled form
+    that is finite for every finite c. Float P and c give a float,
+    numpy arrays broadcast; every lane is solved to rounding level
+    (_boundary_roots).
     """
     if not np.all(P > 0.0):
         raise ValueError(f"the boundary needs P > 0, got {P}")

@@ -98,12 +98,27 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _regular_file(path: str) -> bool:
+    """Whether path is a regular file reached without passing through /dev
+    or /proc: /dev/stdout leads to the file stdout is redirected to, but
+    it names a stream, not an output file."""
+    for _ in range(40):  # symlink hops; a cycle ends as not a file
+        path = os.path.join(os.path.realpath(os.path.dirname(
+            os.path.abspath(path))), os.path.basename(path))
+        if path.startswith(("/dev/", "/proc/")):
+            return False
+        if not os.path.islink(path):
+            return os.path.isfile(path)
+        path = os.path.join(os.path.dirname(path), os.readlink(path))
+    return False
+
+
 def _manifest(subcommand: str, config: dict, outputs: list[str],
               started: float) -> None:
     """<first output>.manifest.json; nothing unless the first output is a
     regular file (none for stdout, /dev/null or a pipe)."""
     outputs = [path for path in outputs if path is not None]
-    if not outputs or not os.path.isfile(outputs[0]):
+    if not outputs or not _regular_file(outputs[0]):
         return
     from . import __version__
     payload = {

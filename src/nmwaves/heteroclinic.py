@@ -12,8 +12,12 @@ every delayed value is already known, so each Runge-Kutta step is an
 affine map u_{n+1} = R u_n + g_n (the method of steps taken literally).
 Unrolled over a chunk of min(K, 64) steps, the recurrence is one linear
 map from the chunk's delayed birth terms and its first node to its new
-nodes, built once per run: each chunk is one matrix-vector product, and
-the range check is one array pass after the last chunk.
+nodes; since u' = f(u(t - tau)) - u, the Hermite half-node values are
+linear in the same inputs, so the same product yields the half-node
+values a later chunk reads. With the node and half-node birth terms
+interleaved in one array, each chunk is one matrix-vector product and
+one exp pass; the map depends on the step alone, not on p, and the
+range check is one array pass after the last chunk.
 
 Also here: crossings of ln p with the tail class, the first interior
 maximum, and the combined verdict for existence of a non-monotone
@@ -40,7 +44,8 @@ from .numerics import (DomainError, bisect_lockstep, hermite_cubic,
 
 # steps advanced by one matrix-vector product (fewer when K is smaller)
 CHUNK = 64
-# nodes one run may allocate: t, u, u' and f(u) take 32 bytes each
+# nodes one run may allocate: t, u, u' and the two interleaved birth
+# terms take 40 bytes per node
 MAX_NODES = 20_000_000
 
 
@@ -120,7 +125,12 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     The history on [t0 - tau, t0], t0 = expansion.handoff, is evaluated
     from the series directly. t_end defaults to t0 + max(10, 20 tau):
     time is in units of the linear decay rate, so a fixed budget covers
-    both the excursion and the settling tail. The range is checked once all chunks are
+    both the excursion and the settling tail.
+
+    Each chunk of min(K, 64) steps is one product of _chunk_matrix(h, B),
+    which does not depend on p, with the chunk's interleaved delayed
+    birth terms and first node: it yields the new nodes and the half-node
+    values a later chunk reads. The range is checked once all chunks are
     stepped; BlowUpError names the first node where |u| > max(1e6, 2 p/e)
     or u is not finite, an overflowing birth term included, found by
     stepping its chunk again node by node. Raises ValueError, before
@@ -159,51 +169,34 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     u[:K + 1] = expansion.evaluate(t[:K + 1])
     du[:K + 1] = expansion.derivative(t[:K + 1])
 
-    # The delayed terms F0 = f(u(t_n - tau)), Fh = f(u(t_n + h/2 - tau)) and
-    # F1 = f(u(t_n + h - tau)) of the next K steps are known, so each RK4
-    # step is affine in u: u_{n+1} = R u_n + g_n with
-    # g_n = c0 F0 + ch Fh + c1 F1. Unrolled over a chunk of B <= K steps,
-    # u_{n+i} = R^i u_n + sum_k R^{i-1-k} g_{n+k}, one matrix W maps the
-    # chunk's inputs z = [f(u) at its B+1 delayed nodes, dh e^{-dh} at its
-    # B delayed half-nodes, u_n] to its B new nodes.
-    R = 1.0 - h + h * h / 2.0 - h ** 3 / 6.0 + h ** 4 / 24.0
-    c0 = h / 6.0 * (1.0 - h + h * h / 2.0 - h ** 3 / 4.0)
-    ch = h / 6.0 * (4.0 - 2.0 * h + h * h / 2.0)
-    c1 = h / 6.0
+    # G interleaves the birth terms f(u) = p u e^{-u} at nodes and
+    # half-nodes: G[2i] = f(u_i) and G[2i+1] = f(d_i), d_i = u(t_i + h/2).
     B = min(K, CHUNK)
-    with np.errstate(over="ignore", invalid="ignore"):  # R^i may overflow
-        powers = R ** np.arange(B + 1)
-        lag = np.subtract.outer(np.arange(B), np.arange(B))
-        prop = np.tril(powers[np.abs(lag)])  # R^{i-k} for k <= i
-        W = np.zeros((B, 2 * B + 2))
-        W[:, :B] = c0 * prop
-        W[:, 1:B + 1] += c1 * prop
-        W[:, B + 1:2 * B + 1] = ch * p * prop
-        W[:, -1] = powers[1:]
-    z = np.zeros(2 * B + 2)
-
-    def chunk_inputs(n, m):
-        """z for the m <= B steps from node n. Past m, z keeps inputs of
-        the chunk before, which meet zero columns of W[:m] (they are finite
-        unless that chunk fails the range check itself)."""
-        j = n - K  # delayed node of the chunk's first step
-        # delayed half-node values from the Hermite cubic on [t_j, t_j+1]
-        dh = (0.5 * (u[j:j + m] + u[j + 1:j + m + 1])
-              + 0.125 * h * (du[j:j + m] - du[j + 1:j + m + 1]))
-        z[:m + 1] = fu[j:j + m + 1]
-        z[B + 1:B + 1 + m] = dh * np.exp(-dh)
-        z[-1] = u[n]
-        return z
-
-    fu = np.empty(n_total)  # f(u) at each node, filled one delay ahead
+    W = _chunk_matrix(h, B)
+    G = np.empty(2 * n_total - 1)
+    y = np.empty(2 * B)  # d_n, u_{n+1}, d_{n+1}, ..., u_{n+B}
+    z = np.empty(2 * B + 2)
+    dh = 0.5 * (u[:K] + u[1:K + 1]) + 0.125 * h * (du[:K] - du[1:K + 1])
     with np.errstate(over="ignore", invalid="ignore"):
-        fu[:K + 1] = p * u[:K + 1] * np.exp(-u[:K + 1])
+        G[:2 * K + 1:2] = p * u[:K + 1] * np.exp(-u[:K + 1])
+        G[1:2 * K:2] = p * dh * np.exp(-dh)
         for n in range(K, K + n_steps, B):
             m = min(B, K + n_steps - n)
-            new = u[n + 1:n + m + 1]
-            W[:m].dot(chunk_inputs(n, m), out=new)
-            du[n + 1:n + m + 1] = fu[n + 1 - K:n + m + 1 - K] - new
-            fu[n + 1:n + m + 1] = p * new * np.exp(-new)
+            # B <= K: every delayed input is known when the chunk starts
+            z[:-1] = G[2 * (n - K):2 * (n - K + B) + 1]
+            z[-1] = u[n]
+            if m < B:  # a short last chunk reads only its own inputs
+                z[2 * m + 1:-1] = 0.0
+            ym = y[:2 * m]
+            W[:2 * m].dot(z, out=ym)
+            if n == K:  # like the history, d_K takes u'_K from the series
+                ym[0] += 0.125 * h * (du[K] - (z[0] - u[K]))
+            g = G[2 * n + 1:2 * (n + m) + 1]
+            np.exp(-ym, out=g)
+            g *= ym
+            g *= p
+            u[n + 1:n + m + 1] = ym[1::2]
+        np.subtract(G[2:2 * n_steps + 1:2], u[K + 1:], out=du[K + 1:])
 
         # One pass checks the range. A non-finite input turns the whole
         # chunk's product into nan (0 * inf), so the first flagged chunk
@@ -214,8 +207,10 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
             n = K + int(bad[0]) // B * B
             i = K + 1 + int(bad[0])
             m = min(B, K + n_steps - n)
-            zc = chunk_inputs(n, m)
-            g = c0 * zc[:m] + ch * (p * zc[B + 1:B + 1 + m]) + c1 * zc[1:m + 1]
+            Gc = G[2 * (n - K):2 * (n - K + m) + 1]
+            # the first node row of W is one RK4 step
+            c0, ch, c1, R = W[1, [0, 1, 2, -1]].tolist()
+            g = c0 * Gc[:-1:2] + ch * Gc[1::2] + c1 * Gc[2::2]
             un = float(u[n])
             for k, gk in enumerate(g.tolist()):
                 un = R * un + gk
@@ -225,6 +220,40 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
             raise BlowUpError(f"|u| exceeded {bound_text} at t = {t[i]}")
 
     return Trajectory(t=t, u=u, du=du, t0=t0, h=h, params=params)
+
+
+def _chunk_matrix(h: float, B: int) -> np.ndarray:
+    """The 2B x (2B+2) map of B RK4 steps from node n; j = n - K.
+
+    Its input is z = [G[2j], G[2j+1], ..., G[2j+2B], u_n], the birth
+    terms at the chunk's delayed nodes and half-nodes (known, as B <= K)
+    and its first node. Each step is affine in u: u_{n+1} = R u_n +
+    c0 G[2j] + ch G[2j+1] + c1 G[2j+2]. As u'_i = G[2(i-K)] - u_i, the
+    Hermite half-node value d_i = (u_i + u_{i+1})/2 + h (u'_i - u'_{i+1})/8
+    is linear in z too, so the rows alternate d_{n+k} and u_{n+k+1}.
+    p enters only through G.
+    """
+    R = 1.0 - h + h * h / 2.0 - h ** 3 / 6.0 + h ** 4 / 24.0
+    c0 = h / 6.0 * (1.0 - h + h * h / 2.0 - h ** 3 / 4.0)
+    ch = h / 6.0 * (4.0 - 2.0 * h + h * h / 2.0)
+    c1 = h / 6.0
+    with np.errstate(over="ignore", invalid="ignore"):  # R^i may overflow
+        powers = R ** np.arange(B + 1)
+        lag = np.subtract.outer(np.arange(B), np.arange(B))
+        prop = np.tril(powers[np.abs(lag)])  # R^{i-k} for k <= i
+        U = np.zeros((B + 1, 2 * B + 2))  # u_n, ..., u_{n+B}
+        U[0, -1] = 1.0
+        U[1:, 0:2 * B:2] = c0 * prop
+        U[1:, 2:2 * B + 1:2] += c1 * prop
+        U[1:, 1:2 * B:2] = ch * prop
+        U[1:, -1] = powers[1:]
+        W = np.empty((2 * B, 2 * B + 2))
+        W[1::2] = U[1:]
+        W[0::2] = (0.5 - 0.125 * h) * U[:-1] + (0.5 + 0.125 * h) * U[1:]
+        k = np.arange(B)
+        W[2 * k, 2 * k] += 0.125 * h
+        W[2 * k, 2 * k + 2] -= 0.125 * h
+    return W
 
 
 def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:

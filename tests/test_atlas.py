@@ -159,6 +159,20 @@ def test_array_boundaries_keep_the_scalar_errors():
             T_of_c(2.0, c)
 
 
+def test_boundaries_past_the_overflow_of_c_squared():
+    # one array holds lanes on both sides of the overflow of c^2 (about
+    # 1.3e154) and of (c T)^2 (c^2 + 4); lanes are solved independently
+    P = 4.8999
+    c = np.array([1e3, 1e150, 1.2e154, 1e155, 1e300, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T, tau = T_of_c(P, c), tau_of_c(P, c)
+    assert T[0] == T_of_c(P, c[:1])[0]
+    assert tau[0] == tau_of_c(P, c[:1])[0]
+    assert np.all(np.abs(T[1:] / T_star(P) - 1.0) <= 1e-12)
+    assert np.all(np.abs(tau[1:] / tau_hat(P) - 1.0) <= 1e-12)
+
+
 def test_tau_hat_exceeds_T_star():
     # P e tau_hat e^{tau_hat} = e P^2 ln(P/(P-1))/(P-1) > 1
     for P in (1.1, 2.0, 4.8999, 50.0):

@@ -790,6 +790,41 @@ def test_stdout_device_output_writes_json_and_no_manifest(tmp_path):
         stray.unlink(missing_ok=True)
 
 
+def test_stdout_redirected_to_a_file_writes_no_manifest(tmp_path):
+    # /dev/stdout then leads to a regular file, but names a stream
+    stray = Path("/dev/stdout.manifest.json")
+    before = stray.exists()
+    redirected = tmp_path / "redirected.csv"
+    try:
+        with open(redirected, "w") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "nmwaves.cli", "boundaries", "--P",
+                 "4.8999", "--c", "1:2:2", "--out", "/dev/stdout"],
+                stdout=stdout, stderr=subprocess.PIPE, text=True,
+                env=_child_env(), cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert read_csv(redirected)[0][0] == "c"
+        assert stray.exists() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "redirected.csv"]
+    finally:
+        if not before:
+            stray.unlink(missing_ok=True)
+
+
+def test_symlink_to_a_regular_file_keeps_the_manifest(tmp_path):
+    target = tmp_path / "data" / "b.csv"
+    target.parent.mkdir()
+    target.write_text("")
+    link = tmp_path / "b.csv"
+    link.symlink_to(target)
+    assert main(["boundaries", "--P", "4.8999", "--c", "1:2:2",
+                 "--out", str(link)]) == 0
+    manifest = json.loads((tmp_path / "b.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(link)]
+    assert read_csv(target)[0][0] == "c"
+
+
 def _run_child(*argv, cwd=None):
     """The CLI in a child interpreter: numpy's warnings reach its stderr,
     which pytest's warning capture would hide from capsys."""
@@ -827,8 +862,8 @@ def _check_boundaries_run(P, c_range, out):
 
 
 @pytest.mark.parametrize("P, c_range, code", [
-    (4.8999, "1e150:1e150:1", 1),      # T(c)'s left side overflows
-    (4.8999, "1e300:1e300:1", 1),
+    (4.8999, "1e150:1e150:1", 0),      # X in T(c)'s left side overflows
+    (4.8999, "1e300:1e300:1", 0),      # and c^2 in tau(c)'s roots as well
     (4.8999, "1e-300:1e-300:1", 0),
     (1.0000000000001, "1e-8:1:3", 0),
     (1e300, "1e-300:1e300:3", 1),
@@ -836,6 +871,20 @@ def _check_boundaries_run(P, c_range, out):
 ])
 def test_boundaries_at_extreme_inputs(P, c_range, code, tmp_path):
     assert _check_boundaries_run(P, c_range, tmp_path / "b.csv") == code
+
+
+@pytest.mark.parametrize("c", ["1e150", "1e300"])
+def test_boundaries_at_huge_speeds_print_the_limits(c, tmp_path):
+    # T(c) and tau(c) equal their large-speed limits to every digit there
+    out = tmp_path / "b.csv"
+    proc = _run_child("boundaries", "--P", "4.8999", "--c", f"{c}:{c}:1",
+                      "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    [(c_out, T_c, tau_c, tau_hat, T_star)] = read_csv(out)[1]
+    assert c_out == float(c)
+    assert T_star == pytest.approx(0.0700029596969, rel=1e-12)
+    assert T_c == pytest.approx(T_star, rel=1e-12)
+    assert tau_c == pytest.approx(tau_hat, rel=1e-12)
 
 
 def test_boundaries_sweep_exits_0_cleanly_or_1_with_one_line(tmp_path):

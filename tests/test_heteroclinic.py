@@ -1,5 +1,6 @@
 """Tests for the method-of-steps integrator and shape diagnostics."""
 
+import inspect
 import math
 import warnings
 
@@ -143,6 +144,46 @@ def test_affine_recurrence_matches_scalar_rk4(p, tau):
     assert np.array_equal(traj.t, t_ref)
     scale = max(1.0, float(np.max(np.abs(u_ref))))
     assert np.max(np.abs(traj.u - u_ref)) <= 1e-11 * scale
+
+
+@pytest.mark.parametrize("p, tau", [(365.0, 0.07), (2.0, 0.1), (365.0, 0.2),
+                                    (50.0, 1.0), (1000.0, 5.0)])
+def test_derivative_is_the_equation_right_hand_side(p, tau):
+    expansion = build(ModelParams(p=p, tau=tau))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(expansion)
+    K = 64
+    u = traj.u
+    birth = p * u[1:-K] * np.exp(-u[1:-K])
+    scale = max(float(np.max(np.abs(birth))), float(np.max(np.abs(u))))
+    assert np.max(np.abs(traj.du[K + 1:] - (birth - u[K + 1:]))) <= (
+        4.0 * np.spacing(scale))
+
+
+@pytest.mark.parametrize("K", [20, 64, 200])
+def test_chunk_matrix_half_node_rows_are_hermite_values(K):
+    # rows alternate d_{n+k} and u_{n+k+1}; z interleaves the birth terms
+    # at delayed nodes (even entries) and half-nodes (odd) and ends in u_n
+    B = min(K, heteroclinic.CHUNK)
+    h = 0.07 / K
+    W = heteroclinic._chunk_matrix(h, B)
+    assert W.shape == (2 * B, 2 * B + 2)
+    rng = np.random.default_rng(K)
+    for _ in range(20):
+        z = rng.uniform(-3.0, 3.0, 2 * B + 2)
+        nodes = np.concatenate([[z[-1]], W[1::2] @ z])  # u_n .. u_{n+B}
+        du = z[0::2][:B + 1] - nodes  # u'_i = f(u_{i-K}) - u_i
+        hermite = (0.5 * (nodes[:-1] + nodes[1:])
+                   + 0.125 * h * (du[:-1] - du[1:]))
+        half = W[0::2] @ z
+        assert np.all(np.abs(half - hermite) <= 1e-14 * np.abs(hermite))
+
+
+def test_chunk_matrix_takes_no_p():
+    # one matrix serves every p at a given step and chunk length
+    params = list(inspect.signature(heteroclinic._chunk_matrix).parameters)
+    assert params == ["h", "B"]
 
 
 @pytest.mark.parametrize("p, tau", [(28283.22052526588, 18.846158543278428),
