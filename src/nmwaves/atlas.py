@@ -173,10 +173,11 @@ def _boundary_roots(g, shape, what):
 
 
 def tau_hat(P: float) -> float:
-    """Large-speed limit ln(P/(P-1)) of tau(c) (requires P > 1)."""
+    """Large-speed limit ln(P/(P-1)) = log1p(1/(P-1)) of tau(c), P > 1; the
+    log1p form is within an ulp for every P, also where P - 1 rounds to P."""
     if not P > 1.0:
         raise ValueError(f"tau_hat needs P > 1, got {P}")
-    return math.log(P / (P - 1.0))
+    return math.log1p(1.0 / (P - 1.0))
 
 
 def _monotone_boundary_lhs(tau, c):

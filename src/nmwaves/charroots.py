@@ -25,8 +25,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ModelParams
-from .numerics import (Bracket, BracketingError, bracketed_roots,
-                       double_until, solve_bracketed)
+from .numerics import bracketed_roots, double_until, solve_bracketed
 
 
 class TailClass(Enum):
@@ -81,7 +80,7 @@ def _profile_min_over_positive(params: ModelParams, c: float) -> tuple[float, fl
     h = c * tau
     domega = lambda z: 2.0 * z - c - p * h * math.exp(-z * h)
     z_hi = 0.5 * (c + p * h) + 1.0
-    z_m = solve_bracketed(domega, Bracket(0.0, z_hi), tol=1e-13 * (1.0 + z_hi))
+    z_m = solve_bracketed(domega, 0.0, z_hi, tol=1e-13 * (1.0 + z_hi))
     val = z_m * z_m - c * z_m - 1.0 + p * math.exp(-z_m * h)
     return z_m, val
 
@@ -100,7 +99,7 @@ def minimal_speed(params: ModelParams) -> float:
     c_lo = 1e-8
     if g(c_lo) <= 0.0:
         return c_lo
-    return solve_bracketed(g, Bracket(c_lo, c_hi), tol=1e-11 * (1.0 + c_hi))
+    return solve_bracketed(g, c_lo, c_hi, tol=1e-11 * (1.0 + c_hi))
 
 
 def linear_spreading_speed(params: ModelParams, beta: float) -> float:
@@ -115,7 +114,7 @@ def linear_spreading_speed(params: ModelParams, beta: float) -> float:
     p, tau = params.p, params.tau
     F = lambda c: beta * beta - c * beta - 1.0 + p * math.exp(-beta * c * tau)
     c_hi = double_until(lambda c: F(c) <= 0.0, 1.0, "spreading speed search")
-    return solve_bracketed(F, Bracket(0.0, c_hi), tol=1e-12 * (1.0 + c_hi))
+    return solve_bracketed(F, 0.0, c_hi, tol=1e-12 * (1.0 + c_hi))
 
 
 def _chi(z, P, c, h):
@@ -211,7 +210,7 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
         # strictly decreasing on the negative axis; expand until positive
         z_lo = double_until(lambda z: chi(z) > 0.0, -max(1.0, c),
                             "negative root search")
-        z = solve_bracketed(chi, Bracket(z_lo, 0.0), tol=1e-13 * (1.0 + abs(z_lo)))
+        z = solve_bracketed(chi, z_lo, 0.0, tol=1e-13 * (1.0 + abs(z_lo)))
         return RootReport((polish(z),), (z_lo, 0.0))
 
     z_lo = float(_certified_window(P, c, h))
@@ -227,7 +226,7 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
     for a, b in zip(seams[:-1], seams[1:]):
         fa, fb = dchi(a), dchi(b)
         if fa * fb < 0.0:
-            crit.append(solve_bracketed(dchi, Bracket(a, b),
+            crit.append(solve_bracketed(dchi, a, b,
                                         tol=1e-13 * (1.0 + abs(a))))
 
     nodes = [z_lo] + sorted(crit) + [0.0]
@@ -237,8 +236,7 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
             continue
         fa, fb = chi(a), chi(b)
         if fa * fb < 0.0:
-            z = solve_bracketed(chi, Bracket(a, b),
-                                tol=1e-13 * (1.0 + abs(a)))
+            z = solve_bracketed(chi, a, b, tol=1e-13 * (1.0 + abs(a)))
             roots.append(polish(z))
 
     if not roots and crit:

@@ -33,29 +33,36 @@ class CliParser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+MAX_RANGE = 10 ** 6  # values in a LO:HI:N range, points in an atlas grid
+
+
+def _range_values(text: str):
+    """(value, N) of a LO:HI:N inclusive linear range, value(i) being its
+    i-th value; ValueError unless it has that form and N <= MAX_RANGE."""
+    lo, hi, n = text.split(":")
+    lo, hi, n = float(lo), float(hi), int(n)
+    if not 1 <= n <= MAX_RANGE:
+        raise ValueError(f"range count must be from 1 to {MAX_RANGE}")
+    return (lambda i: lo if n == 1 else lo + (hi - lo) * i / (n - 1)), n
+
+
 def _parse_range(text: str) -> list[float]:
     """LO:HI:N inclusive linear range."""
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range must be LO:HI:N, got {text!r}")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    if n < 1:
-        raise ValueError("range count must be >= 1")
-    if n == 1:
-        return [lo]
-    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+    value, n = _range_values(text)
+    return [value(i) for i in range(n)]
 
 
-def _grid_size(text: str) -> int:
-    """--grid value: an integer >= 2, since grids span both ends of a range."""
-    try:
-        n = int(text)
-    except ValueError:
-        n = 0
-    if n < 2:
-        raise argparse.ArgumentTypeError(
-            f"grid must be an integer >= 2, got {text!r}")
-    return n
+def _checked(convert, holds, must: str):
+    """Option type: convert(text) if that holds, else "<must>, got <text>"."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if holds(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{must}, got {text!r}")
+    return parse
 
 
 def _path_list(n: int):
@@ -72,30 +79,14 @@ def _path_list(n: int):
 
 def _range_of(what: str, domain: str, holds):
     """Type of a LO:HI:N range option whose values are all finite and
-    satisfy holds; the error names the values and their domain."""
-    def parse(text: str) -> str:
-        try:
-            ok = all(math.isfinite(v) and holds(v) for v in _parse_range(text))
-        except ValueError:
-            ok = False
-        if not ok:
-            raise argparse.ArgumentTypeError(
-                f"{what} must be a LO:HI:N range of finite {domain}, "
-                f"got {text!r}")
-        return text
-    return parse
-
-
-def _finite_float(text: str) -> float:
-    """--P value: a finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(
-            f"P must be a finite number, got {text!r}")
-    return value
+    satisfy holds. Rounded arithmetic is monotone and each domain a
+    half-line, so the first and last values, computed alone, decide."""
+    def ends_hold(text: str) -> bool:
+        value, n = _range_values(text)
+        return all(math.isfinite(v) and holds(v)
+                   for v in (value(0), value(n - 1)))
+    return _checked(str, ends_hold,
+                    f"{what} must be a LO:HI:N range of finite {domain}")
 
 
 def _regular_file(path: str) -> bool:
@@ -140,7 +131,7 @@ def _cmd_analyze(args) -> tuple[int, dict, list]:
     from .model import ModelParams
 
     params = ModelParams(p=args.p, tau=args.tau)
-    verdict = nm_verdict(params, run=params.tau > 0.0)
+    verdict = nm_verdict(params)
     report = region_report(params, c=args.c)
     nec = report.nm_necessary
     payload = {
@@ -240,6 +231,9 @@ def _cmd_atlas(args) -> tuple[int, dict, list]:
 
     taus = _parse_range(args.tau)
     ps = _parse_range(args.p)
+    if len(taus) * len(ps) > MAX_RANGE:
+        raise ValueError(f"atlas grid of {len(taus)} x {len(ps)} points is "
+                         f"above the cap of {MAX_RANGE}")
     rows = region_grid(taus, ps)
     write_csv(args.out, ["tau", "lnlnp", "flag"],
               ((tau, lnlnp, int(flag)) for tau, lnlnp, flag in rows))
@@ -374,16 +368,17 @@ def build_parser() -> CliParser:
     h.set_defaults(func=_cmd_heteroclinic)
 
     g = sub.add_parser("atlas", help="(tau, p) region map")
-    g.add_argument("--tau", required=True, help="LO:HI:N",
+    g.add_argument("--tau", required=True, help="LO:HI:N, N <= 10^6",
                    type=_range_of("delays", "tau >= 0", lambda t: t >= 0.0))
-    g.add_argument("--p", required=True, help="LO:HI:N",
+    g.add_argument("--p", required=True, help="LO:HI:N, N <= 10^6",
                    type=_range_of("amplitudes", "p > 1", lambda p: p > 1.0))
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_atlas)
 
     b = sub.add_parser("boundaries", help="boundary curves over c")
-    b.add_argument("--P", type=_finite_float, required=True)
-    b.add_argument("--c", required=True, help="LO:HI:N",
+    b.add_argument("--P", required=True, type=_checked(
+        float, math.isfinite, "P must be a finite number"))
+    b.add_argument("--c", required=True, help="LO:HI:N, N <= 10^6",
                    type=_range_of("speeds", "c > 0", lambda c: c > 0.0))
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_boundaries)
@@ -409,7 +404,9 @@ def build_parser() -> CliParser:
     v = sub.add_parser("verify", help="certified sweeps and property suites")
     v.add_argument("--suite", choices=["regions", "series", "model"],
                    required=True)
-    v.add_argument("--grid", type=_grid_size, default=None,
+    v.add_argument("--grid", default=None,
+                   type=_checked(int, lambda n: n >= 2,
+                                 "grid must be an integer >= 2"),
                    help="override sweep grid resolution")
     v.add_argument("--out", default=None, help="margins CSV")
     v.set_defaults(func=_cmd_verify)

@@ -26,8 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, birth
-from .numerics import (Bracket, DomainError, integrate_adaptive,
+from .numerics import (DomainError, integrate_adaptive,
                        lower_incomplete_gamma, solve_bracketed)
+
+OVERFLOW_BOUND = 1e12  # the sanity bound on |qbar_n|
 
 
 class CoefficientOverflow(DomainError):
@@ -38,8 +40,7 @@ def _chi(z: float, params: ModelParams) -> float:
     return z + 1.0 - params.p * math.exp(-z * params.tau)
 
 
-def coefficients(params: ModelParams, n_coeffs: int,
-                 overflow_bound: float = 1e12) -> list[float]:
+def coefficients(params: ModelParams, n_coeffs: int) -> list[float]:
     """First n_coeffs coefficients qbar_1..qbar_N, qbar_1 = 1.
 
     With v_j = qbar_j e^{-j mu tau}, the coefficient of order n+1 in
@@ -69,9 +70,9 @@ def coefficients(params: ModelParams, n_coeffs: int,
             if v[i] != 0.0:
                 w += v[i] * b[n + 1 - i]
         q_next = p * w / _chi((n + 1) * mu, params)
-        if abs(q_next) > overflow_bound:
+        if abs(q_next) > OVERFLOW_BOUND:
             raise CoefficientOverflow(
-                f"|qbar_{n + 1}| = {abs(q_next):.3e} exceeds {overflow_bound:.0e}")
+                f"|qbar_{n + 1}| = {abs(q_next):.3e} exceeds {OVERFLOW_BOUND:.0e}")
         qb.append(q_next)
     return qb
 
@@ -115,8 +116,8 @@ def _best_eps(mu: float, tau: float, qb2: float) -> float:
     cap e^{mu tau} - 1 the horizon increases all the way up to it.
     """
     a = 1.0 / abs(qb2)
-    r = solve_bracketed(lambda r: r + (1.0 + r) * math.log1p(r) - a,
-                        Bracket(0.0, a), tol=0.0)
+    r = solve_bracketed(lambda r: r + (1.0 + r) * math.log1p(r) - a, 0.0, a,
+                        tol=0.0)
     hi = math.exp(mu * tau) - 1.0
     return min(a / r - 1.0, hi * (1.0 - 1e-12))
 
@@ -258,8 +259,8 @@ def zeta_by_quadrature(params: ModelParams) -> float:
     """Peak lower bound via direct quadrature of its defining integral.
 
     Independent route used to cross-check the closed form: it shares mu
-    and qbar_2 but no incomplete gamma function and never reads the
-    cached closed-form zeta:
+    and qbar_2 but no incomplete gamma function and never calls the
+    closed-form zeta:
 
         zeta = (1 + qbar_2) e^{-tau}
              + p * integral(-tau..0) e^{mu s} e^s (1 + qbar_2 e^{mu s})

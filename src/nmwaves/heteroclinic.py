@@ -22,9 +22,9 @@ range check is one array pass after the last chunk.
 Also here: crossings of ln p with the tail class, the first interior
 maximum, and the combined verdict for existence of a non-monotone
 non-oscillating wave.
-The crossing count, the global maximum and the tail class come from the
-grid nodes alone; only crossings() refines crossing times on the
-interpolant, and nm_verdict, which reports no time, never does.
+Crossing count and tail class come from the grid nodes alone, and every
+maximum from _peak, in closed form; only crossings() refines crossing
+times on the interpolant, and nm_verdict, which reports no time, never does.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dirichlet import DirichletExpansion
+from .dirichlet import CoefficientOverflow, DirichletExpansion, build, zeta
 from .model import ModelParams
 from .numerics import (DomainError, bisect_lockstep, hermite_cubic,
                        hermite_cubic_deriv, is_monotone, level_crossings,
@@ -82,13 +82,8 @@ class Trajectory:
         """Cubic Hermite evaluation anywhere inside the sample range."""
         if t < self.t[0] or t > self.t[-1]:
             raise ValueError(f"t = {t} outside sampled range")
-        return self._hermite(hermite_cubic, t)
-
-    def _hermite(self, kernel, t):
-        # the Hermite kernel on the segment of each t, elementwise
-        i = ((t - self.t[0]) / self.h).astype(np.int64)
-        i = np.maximum(np.minimum(i, len(self.t) - 2), 0)
-        return kernel(*self._segments(i), t)
+        i = min(int((t - self.t[0]) / self.h), len(self.t) - 2)
+        return hermite_cubic(*self._segments(i), t)
 
     def _segments(self, i):
         """(t, u, u') at both ends of the sample segments i."""
@@ -104,7 +99,7 @@ class CrossingReport:
         times are refined on the interpolant, which crossings() alone
         does.
     gaps: consecutive crossing-time differences.
-    global_max: largest sampled value (Hermite-refined).
+    global_max: the interpolant's maximum, in closed form (_node_stage).
     tail_class: MONOTONE_TAIL or OSCILLATING.
     anomalies: human-readable violations (a gap <= tau, or a first
         crossing that is not upward).
@@ -260,8 +255,8 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     """Crossings of the level (default ln p) with tail classification.
 
     The nodes are searched with numerics.level_crossings, so sign changes
-    at rounding level are not crossings; the first interior maximum is
-    first_maximum's. Only this function refines the crossing times. Raises
+    at rounding level are not crossings; the maximum is _node_stage's.
+    Only this function refines the crossing times. Raises
     InconclusiveTail when the run is too short to establish either a
     settling monotone tail or persistent oscillation.
     """
@@ -296,17 +291,33 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
 
 
 def _node_stage(traj: Trajectory, level: float):
-    """(level_crossings indices, Hermite-refined maximum, tail class):
-    what crossings() and nm_verdict share, found without crossing times."""
-    t, u = traj.t, traj.u
+    """(level_crossings indices, maximum, tail class): what crossings() and
+    nm_verdict share, found without crossing times. The maximum is the top
+    node's, or _peak's on a segment beside it where u' falls through 0."""
+    u, du = traj.u, traj.du
     idx = np.array(level_crossings(u, level), dtype=np.int64)
     i_max = int(np.argmax(u))
     global_max = float(u[i_max])
-    if 0 < i_max < len(u) - 1:
-        tt = np.linspace(t[i_max] - traj.h, t[i_max] + traj.h, 41)
-        global_max = max(global_max,
-                         float(np.max(traj._hermite(hermite_cubic, tt))))
+    for k in (i_max - 1, i_max):
+        if 0 <= k < len(u) - 1 and du[k] > 0.0 > du[k + 1]:
+            global_max = max(global_max, _peak(traj, k)[1])
     return idx, global_max, _classify_tail(traj, idx, level)
+
+
+def _peak(traj: Trajectory, k: int) -> tuple[float, float]:
+    """(t, u) at the maximum of the Hermite cubic on segment k, where
+    u'_k > 0 > u'_{k+1}: in s = (t - t_k)/h, u' is a s^2 + b s + u'_k, with
+    one root in (0, 1), taken as 2 u'_k/(sqrt(D) - b) for b <= 0 and as
+    (b + sqrt(D))/(-2 a) otherwise (a < -b < 0), so neither form cancels."""
+    t0, t1, y0, y1, dy0, dy1 = (float(v) for v in traj._segments(k))
+    h = t1 - t0
+    g = 6.0 * (y0 - y1) / h
+    a = g + 3.0 * (dy0 + dy1)
+    b = -g - 4.0 * dy0 - 2.0 * dy1
+    r = math.sqrt(max(b * b - 4.0 * a * dy0, 0.0))  # D > 0 but for rounding
+    s = 2.0 * dy0 / (r - b) if b <= 0.0 else (b + r) / (-2.0 * a)
+    t = t0 + s * h
+    return t, hermite_cubic(t0, t1, y0, y1, dy0, dy1, t)
 
 
 def _refine(traj: Trajectory, idx: np.ndarray, level: float):
@@ -318,20 +329,15 @@ def _refine(traj: Trajectory, idx: np.ndarray, level: float):
 
 
 def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
-    """(t, u) at the first + -> - sign change of u', inside a segment or at
-    a node where u' is exactly 0; None if the trajectory is monotone."""
+    """(t, u) at the first + -> - sign change of u', inside a segment (_peak)
+    or at a node where u' is exactly 0; None if the trajectory is monotone."""
     t, u, du = traj.t, traj.u, traj.du
     peaks = np.flatnonzero((du[:-1] > 0.0) & (du[1:] < 0.0))
     on_node = 1 + np.flatnonzero((du[:-2] > 0.0) & (du[1:-1] == 0.0)
                                  & (du[2:] < 0.0))
     if on_node.size and not (peaks.size and peaks[0] < on_node[0]):
         return float(t[on_node[0]]), float(u[on_node[0]])
-    if not peaks.size:
-        return None
-    seg = traj._segments(peaks[:1])
-    tm = bisect_lockstep(lambda m: hermite_cubic_deriv(*seg, m),
-                         seg[0], seg[1], seg[4])
-    return float(tm[0]), float(hermite_cubic(*seg, tm)[0])
+    return _peak(traj, int(peaks[0])) if peaks.size else None
 
 
 def _classify_tail(traj: Trajectory, idx: np.ndarray,
@@ -384,9 +390,8 @@ class NmVerdict:
     in_p_window: e^2 < p < exp(1 + exp(-1-tau)/tau).
     zeta_gt_lnp: the peak lower bound exceeds the equilibrium.
     verdict: conjunction of the two.
-    Empirical confirmation from a run (when requested): the largest value
-    of the heteroclinic, its tail class and its crossing count, all read
-    from the grid nodes without refining a crossing time.
+    Empirical confirmation from nm_verdict's run (None at tau = 0): the
+    heteroclinic's maximum, tail class and crossing count.
     """
 
     params: ModelParams
@@ -410,8 +415,8 @@ def p_window(params: ModelParams) -> bool:
     return math.e ** 2 < params.p < upper
 
 
-def nm_verdict(params: ModelParams, run: bool = True) -> NmVerdict:
-    """Evaluate the nm-wave criteria, optionally confirming with a run.
+def nm_verdict(params: ModelParams) -> NmVerdict:
+    """Evaluate the nm-wave criteria and, for tau > 0, confirm with a run.
 
     The run integrates with integrate()'s defaults. Its crossing count,
     maximum and tail class come from the node stage crossings() shares;
@@ -423,19 +428,17 @@ def nm_verdict(params: ModelParams, run: bool = True) -> NmVerdict:
     handoff time respects the certified horizon for any truncation
     length).
     """
-    from . import dirichlet as _d
-
-    in_window = params.in_p_window  # before the run: it can overflow
-    z = params.zeta
+    in_window = p_window(params)  # before the run: it can overflow
+    z = zeta(params)
     z_gt = z > params.kappa
     max_u = tail = n_cross = None
-    if run and params.tau > 0.0:
+    if params.tau > 0.0:
         expansion = None
         for n in (40, 12, 6, 3):
             try:
-                expansion = _d.build(params, n_coeffs=n)
+                expansion = build(params, n_coeffs=n)
                 break
-            except _d.CoefficientOverflow:
+            except CoefficientOverflow:
                 continue
         if expansion is not None:
             traj = integrate(expansion)

@@ -21,9 +21,8 @@ class ModelParams:
     Derived constants: kappa = ln p is the positive equilibrium of
     u' = -u + f(u(t-tau)); P = ln p - 1 is minus the slope of f at kappa;
     f_max = p/e is the value of f at its unique maximum u = 1.
-    mu, zeta and in_p_window keep the results of charroots.mu_root,
-    dirichlet.zeta and heteroclinic.p_window on first use, so every layer
-    asking about one point shares them.
+    mu keeps the result of charroots.mu_root on first use, so every layer
+    asking about one point shares it; only mu is cached.
     """
 
     p: float
@@ -51,16 +50,6 @@ class ModelParams:
     def mu(self) -> float:
         from .charroots import mu_root
         return mu_root(self)
-
-    @cached_property
-    def zeta(self) -> float:
-        from .dirichlet import zeta
-        return zeta(self)
-
-    @cached_property
-    def in_p_window(self) -> bool:
-        from .heteroclinic import p_window
-        return p_window(self)
 
 
 def birth(u: float, order: int, params: ModelParams) -> float:

@@ -11,14 +11,14 @@ straight-line least squares.
 
 All routines are pure functions of their inputs, except that
 ToeplitzTridiagonal.solve writes into the array it is given. The bracket
-solvers stop at rounding level, once a bracket's midpoint rounds onto an
-end; solve_bracketed stops earlier at a width tol if tol > 0.
+solvers take ends lo < hi and stop at rounding level, once a bracket's
+midpoint rounds onto an end; solve_bracketed stops earlier at a width
+tol if tol > 0.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,21 +45,6 @@ class QuadratureError(DomainError):
     def __init__(self, message: str, estimate: float):
         super().__init__(message)
         self.estimate = estimate
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """An interval [lo, hi] handed to the root solver.
-
-    The solver additionally requires f(lo)*f(hi) <= 0.
-    """
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 def double_until(holds: Callable, start, what: str):
@@ -89,7 +74,7 @@ def double_until(holds: Callable, start, what: str):
     return x
 
 
-def solve_bracketed(f: Callable[[float], float], bracket: Bracket,
+def solve_bracketed(f: Callable[[float], float], lo: float, hi: float,
                     tol: float = 1e-12, max_iter: int = 200) -> float:
     """Root of f inside a sign-changing bracket, by Chandrupatla's method.
 
@@ -104,7 +89,7 @@ def solve_bracketed(f: Callable[[float], float], bracket: Bracket,
 
     Args:
         f: continuous scalar function.
-        bracket: interval with f(lo)*f(hi) <= 0.
+        lo, hi: bracket ends, lo < hi, with f(lo)*f(hi) <= 0.
         tol: terminate once the bracket width is <= tol, or once its
             midpoint rounds onto an end (adjacent floats); tol = 0 runs
             to that rounding level.
@@ -115,9 +100,12 @@ def solve_bracketed(f: Callable[[float], float], bracket: Bracket,
         one is evaluated.
 
     Raises:
+        ValueError: unless lo < hi.
         NoSignChange: if f has the same (nonzero) sign at both endpoints.
     """
-    a, b = bracket.lo, bracket.hi
+    if not lo < hi:
+        raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+    a, b = lo, hi
     fa, fb = f(a), f(b)
     if fa == 0.0:
         return a
@@ -187,8 +175,8 @@ def bracketed_roots(g: Callable, lo, hi):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim == 0:
-        return solve_bracketed(lambda x: float(g(x)),
-                               Bracket(float(lo), float(hi)), tol=0.0)
+        return solve_bracketed(lambda x: float(g(x)), float(lo), float(hi),
+                               tol=0.0)
     return bisect_lockstep(g, lo, hi, g(lo))
 
 

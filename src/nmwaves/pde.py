@@ -297,10 +297,8 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
         def interior_step(u, now, nxt):
             d_now, d_next = ring[now], ring[nxt]
             d_half = 0.5 * (d_now + d_next)
-            u_star = u.copy()
+            u_star = u.copy()  # with u's pinned boundary values
             u_star[1:-1] = u[1:-1] + 0.5 * dt * rhs_interior(u, d_now)
-            u_star[0] = config.bc.u_lo
-            u_star[-1] = config.bc.u_hi
             d_now[1:-1] = u[1:-1] + dt * rhs_interior(u_star, d_half)
 
     for step in range(1, n_steps + 1):

@@ -4,6 +4,7 @@ import math
 import random
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -171,6 +172,18 @@ def test_boundaries_past_the_overflow_of_c_squared():
     assert tau[0] == tau_of_c(P, c[:1])[0]
     assert np.all(np.abs(T[1:] / T_star(P) - 1.0) <= 1e-12)
     assert np.all(np.abs(tau[1:] / tau_hat(P) - 1.0) <= 1e-12)
+
+
+def test_tau_hat_past_two_to_the_53():
+    # P - 1 rounds to P there, and ln(P/(P-1)) would read 0
+    assert abs(tau_hat(2.0 ** 60) - 2.0 ** -60) <= 1e-15 * 2.0 ** -60
+
+
+@pytest.mark.parametrize("P", [1.1, 2.0, 4.8999, 10.0])
+def test_tau_hat_within_two_ulps(P):
+    with mp.workdps(40):
+        want = float(mp.log(mp.mpf(P) / (mp.mpf(P) - 1)))
+    assert abs(tau_hat(P) - want) <= 2.0 * math.ulp(want)
 
 
 def test_tau_hat_exceeds_T_star():

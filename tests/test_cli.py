@@ -8,6 +8,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +118,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_analyze_computes_mu_once_and_never_bisects(tmp_path, monkeypatch):
-    # mu and zeta live on the point's ModelParams, and the verdict reads
-    # the crossing count, max_u and the tail from the grid nodes: crossing
-    # times and the first maximum are refined for the heteroclinic
-    # command alone
+    # mu lives on the point's ModelParams, and the verdict reads the
+    # crossing count and the tail from the grid nodes and max_u in closed
+    # form: crossing times are refined for the heteroclinic command alone
     import nmwaves.atlas  # noqa: F401 - bind every module the call uses
     from nmwaves import charroots, numerics
 
@@ -261,6 +261,29 @@ def test_boundaries_speeds_must_be_positive(tmp_path, capsys, c):
                 "--out", str(tmp_path / "b.csv"))
     assert exc.value.code == 64
     assert "speeds must be a LO:HI:N range" in capsys.readouterr().err
+
+
+def test_range_count_above_the_cap_is_a_usage_error_at_once(tmp_path,
+                                                            capsys):
+    # N is read from the text; a range of 10^12 values is never listed
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("atlas", "--tau", "0:1:1000000000000", "--p", "8:1200:2",
+                "--out", str(tmp_path / "a.csv"))
+    assert time.perf_counter() - started < 1.0
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert "delays must be a LO:HI:N range" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_atlas_grid_above_the_cap_exits_1(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert run_cli("atlas", "--tau", "0.03:0.12:2000", "--p", "8:1200:1000",
+                   "--out", str(out)) == 1
+    _assert_one_error_line(capsys, "2000 x 1000 points")
+    assert not out.exists()
 
 
 def test_atlas_output(tmp_path):

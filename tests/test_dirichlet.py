@@ -131,7 +131,9 @@ def test_coefficient_magnitudes_respect_contour_bound():
 
 def test_overflow_guard():
     with pytest.raises(CoefficientOverflow):
-        coefficients(EXAMPLE, 10, overflow_bound=1e-6)
+        # qbar_6 = 7.5e13 at this point
+        coefficients(ModelParams(p=1.0016820448809043,
+                                 tau=0.06801012952725873), 10)
 
 
 def test_horizon_example():

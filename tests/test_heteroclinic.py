@@ -4,6 +4,7 @@ import inspect
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from nmwaves.heteroclinic import (BlowUpError, InconclusiveTail, Trajectory,
                                   TrajectoryTail, crossings, first_maximum,
                                   integrate, nm_verdict, p_window)
 from nmwaves.model import ModelParams
+from nmwaves.numerics import hermite_cubic
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
 
@@ -345,6 +347,56 @@ def test_first_max_on_a_node_with_zero_derivative():
     assert first_maximum(traj) == (1.25, float(u[5]))
 
 
+@pytest.mark.parametrize("c1, c2, c3", [
+    (1.0, -1.0, 0.25),   # b = 2 c2 / h <= 0
+    (1.0, 0.5, -1.0)])   # b > 0
+def test_peak_is_the_top_of_an_exact_cubic(c1, c2, c3):
+    # u = 2 + c1 s + c2 s^2 + c3 s^3, s = (t - 3)/h, is its own Hermite
+    # interpolant; u' falls through 0 on the segment [3, 3 + h]
+    h = 0.25
+    t = 2.75 + h * np.arange(4)
+    s = (t - 3.0) / h
+    u = 2.0 + c1 * s + c2 * s ** 2 + c3 * s ** 3
+    du = (c1 + 2.0 * c2 * s + 3.0 * c3 * s ** 2) / h
+    traj = Trajectory(t=t, u=u, du=du, t0=3.0, h=h, params=EXAMPLE)
+    with mp.workdps(40):
+        s_top = next(r for r in mp.polyroots([3 * c3, 2 * c2, c1])
+                     if 0 < r < 1)
+        t_top = float(3 + h * s_top)
+        u_top = float(2 + c1 * s_top + c2 * s_top ** 2 + c3 * s_top ** 3)
+    t_got, u_got = heteroclinic._peak(traj, 1)
+    assert abs(t_got - t_top) <= 1e-15 * t_top
+    assert abs(u_got - u_top) <= 1e-15 * u_top
+
+
+@pytest.mark.parametrize("p, tau", [(28680.256877187676, 8.362462057878991),
+                                    (354046.2080055002, 2.9716095894889434)])
+def test_maximum_is_the_interpolant_maximum(p, tau):
+    # against 400,001 samples of the interpolant on [t_imax - h, t_imax + h];
+    # 41 samples there read about 5e-6 low
+    params = ModelParams(p=p, tau=tau)
+    traj = integrate(build(params))
+    i = int(np.argmax(traj.u))
+    tt = np.linspace(traj.t[i] - traj.h, traj.t[i] + traj.h, 400_001)
+    k = np.where(tt < traj.t[i], i - 1, i)
+    dense = float(np.max(hermite_cubic(
+        traj.t[k], traj.t[k + 1], traj.u[k], traj.u[k + 1], traj.du[k],
+        traj.du[k + 1], tt)))
+    for got in (nm_verdict(params).max_u, crossings(traj).global_max):
+        assert dense * (1.0 - 1e-15) <= got <= dense * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p, tau, t_max, u_max", [
+    (365.0, 0.07, 0.12900572632284935, 10.621371493367963),
+    (365.0, 0.2, 0.30193822051189634, 20.815722417467864),
+    (1000.0, 5.0, 5.535801765560903, 281.59414256260317)])
+def test_first_maximum_matches_bisection(p, tau, t_max, u_max):
+    # (t, u) that an 80-step bisection of the interpolant's u' found
+    t, u = first_maximum(integrate(build(ModelParams(p=p, tau=tau))))
+    assert abs(t - t_max) <= 1e-12
+    assert abs(u - u_max) <= 1e-14 * u_max
+
+
 def test_p_window():
     assert p_window(EXAMPLE) is True
     assert p_window(ModelParams(p=0.9 * math.e ** 2 + 1e-9, tau=0.07)) is False
@@ -375,9 +427,9 @@ def test_nm_verdict_example():
 
 
 def test_nm_verdict_negative_cases():
-    low = nm_verdict(ModelParams(p=0.9 * math.e ** 2, tau=0.1), run=False)
+    low = nm_verdict(ModelParams(p=0.9 * math.e ** 2, tau=0.1))
     assert low.verdict is False
-    late = nm_verdict(ModelParams(p=365.0, tau=0.073), run=False)
+    late = nm_verdict(ModelParams(p=365.0, tau=0.073))
     assert late.verdict is False
     assert late.in_p_window is False
 

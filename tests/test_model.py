@@ -1,13 +1,15 @@
 """Tests for the birth nonlinearity and its hypothesis checks."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from nmwaves.model import ModelParams, birth, feedback_holds, gsc_holds, schwarz
-from nmwaves.numerics import Bracket, solve_bracketed
+from nmwaves.numerics import solve_bracketed
 
 
 def test_params_validation():
@@ -121,7 +123,7 @@ def test_two_fixed_points():
     xs = [1e-9 + (3.0 * params.kappa - 1e-9) * i / 4000 for i in range(4001)]
     crossings = [(a, b) for a, b in zip(xs[:-1], xs[1:]) if f(a) * f(b) < 0.0]
     assert len(crossings) == 1
-    root = solve_bracketed(f, Bracket(*crossings[0]), tol=1e-12)
+    root = solve_bracketed(f, *crossings[0], tol=1e-12)
     assert abs(root - params.kappa) <= 1e-9
 
 
@@ -182,3 +184,19 @@ def test_gsc_inequality_sides():
     assert abs(rhs - 0.7101) <= 1e-3
     assert abs(math.exp(-0.07) - 0.9324) <= 1e-4
     assert math.exp(-5.0) < rhs  # tau = 5 fails
+
+
+def test_model_imports_only_charroots_from_the_package():
+    # model is the bottom layer: it reaches charroots for the mu cache alone
+    path = Path(__file__).resolve().parents[1] / "src" / "nmwaves" / "model.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module} if node.module
+                         else {alias.name for alias in node.names})
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = ([node.module] if isinstance(node, ast.ImportFrom)
+                     else [alias.name for alias in node.names])
+            imported |= {n.split(".")[1] for n in names
+                         if n.startswith("nmwaves.")}
+    assert imported == {"charroots"}

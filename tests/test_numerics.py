@@ -8,7 +8,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nmwaves.numerics import (Bracket, BracketingError, NoSignChange,
+from nmwaves.numerics import (BracketingError, NoSignChange,
                               PowerSeries, QuadratureError,
                               ToeplitzTridiagonal, bisect_lockstep,
                               crossing_points, double_until, fit_line,
@@ -64,13 +64,13 @@ def test_gamma_domain_errors():
 
 
 def test_solve_bracketed_sqrt2():
-    r = solve_bracketed(lambda x: x * x - 2.0, Bracket(1.0, 2.0), tol=1e-12)
+    r = solve_bracketed(lambda x: x * x - 2.0, 1.0, 2.0, tol=1e-12)
     assert abs(r - math.sqrt(2.0)) <= 1e-12
 
 
 def test_solve_bracketed_linear_characteristic():
     # z + 1 - p at p = 2, tau = 0: root exactly 1
-    r = solve_bracketed(lambda z: z + 1.0 - 2.0, Bracket(0.0, 2.0), tol=1e-12)
+    r = solve_bracketed(lambda z: z + 1.0 - 2.0, 0.0, 2.0, tol=1e-12)
     assert abs(r - 1.0) <= 1e-12
 
 
@@ -80,14 +80,14 @@ def test_solve_bracketed_against_fixed_point_iteration():
     for _ in range(200):
         x = 0.0751 * math.exp(-x)
     r = solve_bracketed(lambda t: t * math.exp(t) - 0.0751,
-                        Bracket(0.0, 1.0), tol=1e-13)
+                        0.0, 1.0, tol=1e-13)
     assert abs(r - x) <= 1e-12
     assert abs(r - 0.0700) <= 5e-4
 
 
 def test_solve_bracketed_no_sign_change():
     with pytest.raises(NoSignChange):
-        solve_bracketed(lambda x: x * x + 1.0, Bracket(0.0, 1.0))
+        solve_bracketed(lambda x: x * x + 1.0, 0.0, 1.0)
 
 
 def test_solve_bracketed_straddles_root():
@@ -95,7 +95,7 @@ def test_solve_bracketed_straddles_root():
     tol = 1e-10
     for f in (math.sin, lambda x: math.expm1(x) - 0.5, lambda x: x ** 3 - 0.2):
         lo, hi = -1.0, 1.2
-        r = solve_bracketed(f, Bracket(lo, hi), tol=tol)
+        r = solve_bracketed(f, lo, hi, tol=tol)
         assert f(r - tol) * f(r + tol) <= 0.0
 
 
@@ -126,7 +126,7 @@ def test_solve_bracketed_agrees_with_scipy_find_root():
         tol = 1e-12 * (1.0 + hi)
         want = find_root(f, (lo, hi))
         assert want.success
-        got = solve_bracketed(lambda x: float(f(x)), Bracket(lo, hi), tol=tol)
+        got = solve_bracketed(lambda x: float(f(x)), lo, hi, tol=tol)
         assert abs(got - float(want.x)) <= tol
 
 
@@ -139,7 +139,7 @@ def test_solve_bracketed_converges_on_steps_and_plateaus(f, root):
     calls = []
     tol = 1e-12
     got = solve_bracketed(lambda x: calls.append(x) or f(x),
-                          Bracket(-1.0, 2.0), tol=tol, max_iter=200)
+                          -1.0, 2.0, tol=tol, max_iter=200)
     assert abs(got - root) <= tol
     assert len(calls) < 200
 
@@ -157,7 +157,7 @@ def test_solve_bracketed_tol_zero_ends_on_adjacent_floats(f, lo, hi):
     # two adjacent floats, reached long before the iteration cap
     calls = []
     got = solve_bracketed(lambda x: calls.append(x) or f(x),
-                          Bracket(lo, hi), tol=0.0, max_iter=1000)
+                          lo, hi, tol=0.0, max_iter=1000)
     assert len(calls) <= 120
     below = math.nextafter(got, -math.inf)
     above = math.nextafter(got, math.inf)
@@ -255,7 +255,7 @@ def test_bisect_lockstep_reaches_rounding_level():
 
 def test_bracket_requires_order():
     with pytest.raises(ValueError):
-        Bracket(1.0, 1.0)
+        solve_bracketed(lambda x: x, 1.0, 1.0)
 
 
 def test_integrate_exponential():
