@@ -31,7 +31,7 @@ import numpy as np
 from .charroots import TailClass, _mu, negative_root_exists, tail_of
 from .dirichlet import _zeta
 from .model import ModelParams, gsc_holds
-from .numerics import DomainError, PowerSeries, bracketed_roots, double_until
+from .numerics import DomainError, bracketed_roots, double_until
 
 
 class MembershipInconsistency(DomainError):
@@ -294,24 +294,26 @@ def membership_grid(p: float, taus: Sequence[float],
 # inclusion sweep and its positivity certificate
 # ---------------------------------------------------------------------------
 
-def certificate_coefficient(k: int, w: float) -> float:
+def certificate_coefficient(k, w):
     """Closed-form coefficient A_k(w) of the positivity certificate series.
 
     A(w, sigma) = e^{w sigma}(e sigma^2 (w-1) - (4 + w sigma))
                 + e sigma^2 (w-1)^2 + (4 + w sigma)(1 + w(e^sigma - 1))
     expands as w * sum_{k>=2} A_k(w) sigma^k / k!. A_2 has its own form;
     for k >= 3 the general formula applies. Positivity of the A_k on
-    w in (1, 2] (k = 3 only up to 1.75) certifies the inequality.
+    w in (1, 2] (k = 3 only up to 1.75) certifies the inequality. k and
+    w broadcast as arrays; scalars give a float.
     """
-    if k == 2:
-        return 2.0 * (math.e - 2.0) * (w - 1.0)
-    if k >= 3:
-        return (-w ** (k - 1) * (k + 4) + math.e * k * (k - 1) * w ** (k - 2)
-                - math.e * k * (k - 1) * w ** (k - 3) + 4.0 + k * w)
-    raise ValueError(f"coefficients start at k = 2, got {k}")
+    k = np.asarray(k)
+    if np.any(k < 2):
+        raise ValueError(f"coefficients start at k = 2, got {k}")
+    e = math.e
+    general = (-w ** (k - 1) * (k + 4) + e * k * (k - 1) * w ** (k - 2)
+               - e * k * (k - 1) * w ** (k - 3) + 4.0 + k * w)
+    return np.where(k == 2, 2.0 * (e - 2.0) * (w - 1.0), general)[()]
 
 
-def certificate_value(w: float, sigma: float) -> float:
+def certificate_value(w, sigma):
     """The positivity certificate A(w, sigma) evaluated directly.
 
     A(w, sigma) = e^{w sigma}(e sigma^2 (w-1) - (4 + w sigma))
@@ -319,16 +321,16 @@ def certificate_value(w: float, sigma: float) -> float:
     positive for w in (1, 2] and sigma > 0; its positivity is equivalent
     to the boundary-separation inequality after the substitutions
     w = (1/z)^2 + 1, sigma = h z with h = c tau and z the scaled speed
-    variable.
+    variable. w and sigma broadcast as arrays.
     """
     e = math.e
-    return (math.exp(w * sigma) * (e * sigma * sigma * (w - 1.0)
-                                   - (4.0 + w * sigma))
+    return (np.exp(w * sigma) * (e * sigma * sigma * (w - 1.0)
+                                 - (4.0 + w * sigma))
             + e * sigma * sigma * (w - 1.0) ** 2
-            + (4.0 + w * sigma) * (1.0 + w * math.expm1(sigma)))
+            + (4.0 + w * sigma) * (1.0 + w * np.expm1(sigma)))
 
 
-def certificate_quadratic_discriminant(w: float) -> float:
+def certificate_quadratic_discriminant(w):
     """Discriminant of 12 A_2 + 4 A_3 s + A_4 s^2 (as a polynomial in s).
 
     Negative on (1, 2], which makes that quadratic positive for every
@@ -340,31 +342,23 @@ def certificate_quadratic_discriminant(w: float) -> float:
     return 16.0 * (a3 * a3 - 3.0 * a2 * a4)
 
 
-def certificate_series(w: float, order: int) -> list[float]:
-    """A_k(w) for k = 0..order computed by expanding A(w, sigma) directly.
+def certificate_series(w: float, order: int) -> np.ndarray:
+    """A_k(w) for k = 0..order (order >= 2) by expanding A(w, sigma) directly.
 
-    Independent of the closed forms: builds the sigma-series of A with
-    truncated power-series arithmetic and rescales by k!/w. The k = 0, 1
-    entries are zero.
+    Independent of the closed forms: the sigma-series of A is built from
+    the Taylor coefficients of its factors with truncated np.convolve
+    products and rescaled by k!/w. The k = 0, 1 entries are zero.
     """
-    n = order
-    sigma = [0.0] * (n + 1)
-    sigma[1] = 1.0
-    s = PowerSeries(sigma)
-    one = PowerSeries([1.0] + [0.0] * n)
-
-    def const(a):
-        return PowerSeries([a] + [0.0] * n)
-
+    n = order + 1
     e = math.e
-    exp_ws = s.scale(w).exp()
-    exp_s = s.exp()
-    s2 = s * s
-    term1 = exp_ws * (s2.scale(e * (w - 1.0)) - (const(4.0) + s.scale(w)))
-    term2 = s2.scale(e * (w - 1.0) ** 2)
-    term3 = (const(4.0) + s.scale(w)) * (one + (exp_s - one).scale(w))
-    A = term1 + term2 + term3
-    return [A[k] * math.factorial(k) / w for k in range(n + 1)]
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, n))))  # k!
+    exp_ws = w ** np.arange(n) / fact
+    # e^{w sigma}(e (w-1) sigma^2 - (4 + w sigma)) + e (w-1)^2 sigma^2
+    A = np.convolve(exp_ws, [-4.0, -w, e * (w - 1.0)])[:n]
+    A[2] += e * (w - 1.0) ** 2
+    # (4 + w sigma)(1 + w (e^sigma - 1))
+    A += np.convolve([4.0, w], np.concatenate(([1.0], w / fact[1:])))[:n]
+    return A * fact / w
 
 
 @dataclass(frozen=True)

@@ -45,29 +45,38 @@ class RootReport:
     search_window: tuple[float, float]
 
 
+@np.errstate(over="ignore")  # tau p = inf gives the step 0
 def _mu(p, tau):
     """Positive root of z + 1 - p e^{-z tau} for arrays of (p > 1, tau >= 0).
 
     Newton from z = 0: the function is increasing and concave, so the
     iterates rise monotonically to the root and need no bracket. Each
-    step advances z tau by about one until p e^{-z tau} is near 1.
+    step advances z tau by about one until p e^{-z tau} is near 1. The
+    stop is a step within 1e-15 of z (about ln(p)/tau at large tau) or
+    of (1 + z)/(1 + tau e), the step's rounding scale near p = 1.
     """
     p = np.asarray(p, dtype=float)
     tau = np.asarray(tau, dtype=float)
     z = np.zeros(np.broadcast(p, tau).shape)
     for _ in range(1000):  # ln p <= 710 linear steps, then a few more
         e = p * np.exp(-z * tau)
-        step = (z + 1.0 - e) / (1.0 + tau * e)
+        slope = 1.0 + tau * e
+        step = (z + 1.0 - e) / slope
         z = z - step
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + z)):
+        if np.all(np.abs(step) <= 1e-15 * np.maximum(z, (1.0 + z) / slope)):
             break
     return z
 
 
 def mu_root(params: ModelParams) -> float:
     """Unique positive root of z + 1 - p e^{-z tau}, to machine precision
-    (the series recurrence depends on it)."""
-    return float(_mu(params.p, params.tau))
+    (the series recurrence depends on it). ValueError where the root is
+    below the smallest normal float: 0 once tau p overflows, as at 1e308."""
+    mu = float(_mu(params.p, params.tau))
+    if not mu >= np.finfo(float).tiny:
+        raise ValueError(f"the decay rate mu at tau = {params.tau} is below "
+                         f"the smallest normal float")
+    return mu
 
 
 def _profile_min_over_positive(params: ModelParams, c: float) -> tuple[float, float]:

@@ -85,8 +85,8 @@ def _range_of(what: str, domain: str, holds):
         value, n = _range_values(text)
         return all(math.isfinite(v) and holds(v)
                    for v in (value(0), value(n - 1)))
-    return _checked(str, ends_hold,
-                    f"{what} must be a LO:HI:N range of finite {domain}")
+    return _checked(str, ends_hold, f"{what} must be a LO:HI:N range of "
+                                    f"finite {domain} and 1 <= N <= 10^6")
 
 
 def _regular_file(path: str) -> bool:
@@ -286,6 +286,10 @@ def _cmd_diagnose(args) -> tuple[int, dict, list]:
     params = ModelParams(p=args.p, tau=args.tau)
     header, rows = read_csv(args.infile)
     x = np.array([float(v) for v in header[1:]])
+    for row in rows:
+        if len(row) != len(header):
+            raise ValueError(f"snapshot at t = {row[0]} has {len(row) - 1} "
+                             f"values for {len(x)} x positions")
     snaps = [(row[0], np.array(row[1:])) for row in rows]
     if not snaps:
         raise ValueError(f"no snapshots in {args.infile}")

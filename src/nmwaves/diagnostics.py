@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ModelParams
-from .numerics import crossing_points, fit_line, is_monotone, level_crossings
+from .numerics import crossing_points, is_monotone, level_crossings
 from .pde import SpacetimeRecord, tracking_level
 
 
@@ -64,10 +64,14 @@ def estimate_speed(times: Sequence[float],
         raise ValueError(
             f"need at least 5 tracked positions in the fit window, "
             f"got {int(np.sum(sel))}")
-    slope, _, err = fit_line(list(t[sel]), list(p[sel]))
-    direction = -1 if slope < 0.0 else 1
-    return SpeedEstimate(speed=abs(slope), stderr=err, direction=direction,
-                         slope=slope)
+    t, p = t[sel], p[sel]
+    if t.min() == t.max():
+        raise ValueError("degenerate fit window: every time is equal")
+    # cov scales the slope's variance by the residual over n - 2
+    coef, cov = np.polyfit(t, p, 1, cov=True)
+    slope = float(coef[0])
+    return SpeedEstimate(speed=abs(slope), stderr=float(np.sqrt(cov[0, 0])),
+                         direction=-1 if slope < 0.0 else 1, slope=slope)
 
 
 def classify_profile(xi: Sequence[float], u: Sequence[float],

@@ -63,8 +63,8 @@ def coefficients(params: ModelParams, n_coeffs: int) -> list[float]:
         for j in range(1, n + 1):
             acc += j * -v[j] * b[n - j]
         b.append(acc / n)
-        # order n+1 of V exp(-V), summed (zero terms skipped) as the
-        # truncated series product sums it
+        # order n+1 of V exp(-V): the schoolbook truncated product's sum,
+        # in its order and with its zero terms skipped
         w = 0.0
         for i in range(1, n + 1):
             if v[i] != 0.0:

@@ -38,8 +38,7 @@ import numpy as np
 from .dirichlet import CoefficientOverflow, DirichletExpansion, build, zeta
 from .model import ModelParams
 from .numerics import (DomainError, bisect_lockstep, hermite_cubic,
-                       hermite_cubic_deriv, is_monotone, level_crossings,
-                       level_tol)
+                       is_monotone, level_crossings, level_tol)
 
 
 # steps advanced by one matrix-vector product (fewer when K is smaller)
@@ -267,13 +266,12 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     idx, global_max, tail = _node_stage(traj, level)
     s = traj.u - level
     # a node on the level is its own crossing; sign changes between
-    # neighbouring nodes are refined on the interpolant
+    # neighbouring nodes are refined on the interpolant. Either way the
+    # slope sign is that of the side the crossing goes to.
     strict = s[idx] != 0.0
-    seg, tc = _refine(traj, idx[strict], level)
     times = traj.t[idx]
-    times[strict] = tc
+    times[strict] = _refine(traj, idx[strict], level)
     ups = s[idx + 1] > 0.0
-    ups[strict] = hermite_cubic_deriv(*seg, tc) >= 0.0
     found = [(tc_, 1 if up else -1)
              for tc_, up in zip(times.tolist(), ups.tolist())]
 
@@ -320,12 +318,12 @@ def _peak(traj: Trajectory, k: int) -> tuple[float, float]:
     return t, hermite_cubic(t0, t1, y0, y1, dy0, dy1, t)
 
 
-def _refine(traj: Trajectory, idx: np.ndarray, level: float):
-    """The segments idx, where u - level changes sign, and the level's
-    time in each, bisected in lockstep on the Hermite interpolant."""
+def _refine(traj: Trajectory, idx: np.ndarray, level: float) -> np.ndarray:
+    """The level's time in each segment idx, where u - level changes sign,
+    bisected in lockstep on the Hermite interpolant."""
     seg = traj._segments(idx)
-    return seg, bisect_lockstep(lambda m: hermite_cubic(*seg, m) - level,
-                                seg[0], seg[1], seg[2] - level)
+    return bisect_lockstep(lambda m: hermite_cubic(*seg, m) - level,
+                           seg[0], seg[1], seg[2] - level)
 
 
 def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
@@ -367,7 +365,7 @@ def _classify_tail(traj: Trajectory, idx: np.ndarray,
         t_quarter = traj.t0 + 0.75 * (t_end - traj.t0)
         t_last = float(traj.t[i])
         if t_last < t_quarter <= traj.t[i + strict]:
-            t_last = float(_refine(traj, idx[-1:], level)[1][0])
+            t_last = float(_refine(traj, idx[-1:], level)[0])
         if t_last >= t_quarter:
             return TrajectoryTail.OSCILLATING
         raise InconclusiveTail(

@@ -4,10 +4,10 @@ Provides the low-level machinery the rest of the package is built on:
 bracket growth by doubling, bracketed root finding (Chandrupatla's
 method for scalars, lockstep bisection over arrays), adaptive
 Gauss-Kronrod 7/15 quadrature vectorised over subintervals, the lower
-incomplete gamma function (array-valued), truncated power-series
-arithmetic, level crossings and monotonicity of samples, a factor-once
-tridiagonal Toeplitz solve, cubic Hermite interpolation and
-straight-line least squares.
+incomplete gamma function (array-valued), level crossings and
+monotonicity of samples, a factor-once tridiagonal Toeplitz solve,
+cubic Hermite interpolation and golden-section maximisation. Series
+products and line fits are numpy's (np.convolve, np.polyfit).
 
 All routines are pure functions of their inputs, except that
 ToeplitzTridiagonal.solve writes into the array it is given. The bracket
@@ -19,7 +19,7 @@ tol if tol > 0.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -292,92 +292,6 @@ def lower_incomplete_gamma(z, s):
 
 
 # ---------------------------------------------------------------------------
-# truncated power series
-# ---------------------------------------------------------------------------
-
-class PowerSeries:
-    """Coefficients a0..aN of a series truncated at order N.
-
-    Arithmetic is coefficient-exact modulo truncation at the common
-    order; operands must share the same truncation order.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[float]):
-        if len(coeffs) == 0:
-            raise ValueError("series needs at least the constant term")
-        self.coeffs = tuple(float(c) for c in coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, k: int) -> float:
-        return self.coeffs[k]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        return f"PowerSeries({list(self.coeffs)})"
-
-    def _check_order(self, other: "PowerSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}")
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        return PowerSeries([x + y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        return PowerSeries([x - y for x, y in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries([-x for x in self.coeffs])
-
-    def scale(self, a: float) -> "PowerSeries":
-        return PowerSeries([a * x for x in self.coeffs])
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check_order(other)
-        n = self.order
-        a, b = self.coeffs, other.coeffs
-        out = [0.0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if ai == 0.0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += ai * b[j]
-        return PowerSeries(out)
-
-    def exp(self) -> "PowerSeries":
-        """exp of a series with zero constant term.
-
-        Uses the differential recurrence b' = a' b, i.e.
-        (k+1) b_{k+1} = sum_{j=1}^{k+1} j a_j b_{k+1-j}.
-        """
-        if self.coeffs[0] != 0.0:
-            raise ValueError("series exp requires zero constant term")
-        n = self.order
-        a = self.coeffs
-        b = [0.0] * (n + 1)
-        b[0] = 1.0
-        for k in range(n):
-            acc = 0.0
-            for j in range(1, k + 2):
-                acc += j * a[j] * b[k + 1 - j]
-            b[k + 1] = acc / (k + 1)
-        return PowerSeries(b)
-
-
-# ---------------------------------------------------------------------------
 # level crossings and monotonicity of samples
 # ---------------------------------------------------------------------------
 
@@ -509,7 +423,7 @@ def _doubling_products(a: np.ndarray) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# interpolation and regression
+# interpolation and maximisation
 # ---------------------------------------------------------------------------
 
 def hermite_cubic(t0: float, t1: float, y0: float, y1: float,
@@ -521,43 +435,6 @@ def hermite_cubic(t0: float, t1: float, y0: float, y1: float,
     s3 = s2 * s
     return ((2 * s3 - 3 * s2 + 1) * y0 + (s3 - 2 * s2 + s) * h * dy0
             + (-2 * s3 + 3 * s2) * y1 + (s3 - s2) * h * dy1)
-
-
-def hermite_cubic_deriv(t0: float, t1: float, y0: float, y1: float,
-                        dy0: float, dy1: float, t: float) -> float:
-    """Derivative of the cubic Hermite interpolant at t."""
-    h = t1 - t0
-    s = (t - t0) / h
-    s2 = s * s
-    return ((6 * s2 - 6 * s) * y0 / h + (3 * s2 - 4 * s + 1) * dy0
-            + (-6 * s2 + 6 * s) * y1 / h + (3 * s2 - 2 * s) * dy1)
-
-
-def fit_line(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
-    """Least-squares straight line through (x, y).
-
-    Returns:
-        (slope, intercept, slope standard error). The standard error is 0
-        for exact fits or when fewer than 3 points are supplied.
-    """
-    n = len(x)
-    if n != len(y):
-        raise ValueError("x and y must have equal length")
-    if n < 2:
-        raise ValueError("need at least two points")
-    xm = sum(x) / n
-    ym = sum(y) / n
-    sxx = sum((xi - xm) ** 2 for xi in x)
-    if sxx == 0.0:
-        raise ValueError("degenerate abscissae")
-    sxy = sum((xi - xm) * (yi - ym) for xi, yi in zip(x, y))
-    slope = sxy / sxx
-    intercept = ym - slope * xm
-    if n < 3:
-        return slope, intercept, 0.0
-    ss_res = sum((yi - (slope * xi + intercept)) ** 2 for xi, yi in zip(x, y))
-    var = ss_res / (n - 2)
-    return slope, intercept, math.sqrt(max(var, 0.0) / sxx)
 
 
 def golden_section_max(f: Callable[[float], float], a: float, b: float,

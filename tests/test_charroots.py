@@ -3,6 +3,7 @@
 import math
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -41,6 +42,22 @@ def test_mu_example_values():
 
 def test_mu_no_delay():
     assert abs(mu_root(ModelParams(p=2.0, tau=0.0)) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [1e12, 1e14, 1e16, 1e300])
+def test_mu_at_large_delays_against_mpmath(tau):
+    # mu is about ln(p)/tau here, so its stopping test must be relative
+    with mp.workdps(40):
+        for p in (1.5, 365.0, 1e6):
+            x = mp.findroot(lambda x: x / tau + 1 - p * mp.exp(-x), mp.log(p))
+            want = float(x / tau)
+            got = mu_root(ModelParams(p=p, tau=tau))
+            assert abs(got - want) <= 1e-14 * want, (p, tau, got, want)
+
+
+def test_mu_below_the_normal_range_is_an_error():
+    with pytest.raises(ValueError, match="tau = 1e"):
+        mu_root(ModelParams(p=365.0, tau=1e308))
 
 
 def test_mu_against_plain_bisection():

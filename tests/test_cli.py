@@ -211,6 +211,23 @@ def test_series_outputs(tmp_path):
         assert u2 <= u <= u1
 
 
+def test_series_at_a_huge_delay(tmp_path):
+    # mu is about ln(p)/tau; qbar_2 = -p e^{-2 mu tau}/chi(2 mu) -> -p/(p - 1)^2
+    coeffs = tmp_path / "coeffs.csv"
+    assert run_cli("series", "--p", "1.5", "--tau", "1e16", "--n", "3",
+                   "--out", f"{coeffs},{tmp_path / 'profile.csv'}") == 0
+    qbar2 = float(coeffs.read_text().splitlines()[2].split(",")[1])
+    assert abs(qbar2 + 2.0) <= 1e-12
+
+
+def test_analyze_where_mu_underflows_exits_1(tmp_path, capsys):
+    out = tmp_path / "a.json"
+    assert run_cli("analyze", "--p", "365", "--tau", "1e308",
+                   "--out", str(out)) == 1
+    _assert_one_error_line(capsys, "tau = 1e+308")
+    assert not out.exists()
+
+
 def test_heteroclinic_outputs(tmp_path):
     traj = tmp_path / "traj.csv"
     cross = tmp_path / "cross.json"
@@ -275,6 +292,7 @@ def test_range_count_above_the_cap_is_a_usage_error_at_once(tmp_path,
     err = capsys.readouterr().err
     assert err.count("error:") == 1
     assert "delays must be a LO:HI:N range" in err
+    assert "N <= 10^6" in err
     assert not list(tmp_path.iterdir())
 
 
@@ -340,6 +358,20 @@ def test_simulate_and_diagnose_roundtrip(tmp_path):
     payload = json.loads(diag.read_text())
     assert payload["speed"] is None and "speed_error" in payload
     assert payload["tracking_level"] == 0.5 * math.log(365.0)
+
+
+@pytest.mark.parametrize("count", [59, 61])
+def test_diagnose_ragged_snapshot_row_exits_1(tmp_path, capsys, count):
+    # the header has 60 x positions; the second snapshot is short or long
+    row = lambda n: ",".join(str(0.1 * i) for i in range(n))
+    snaps = tmp_path / "snaps.csv"
+    snaps.write_text(f"t,{row(60)}\n0.5,{row(60)}\n1.5,{row(count)}\n")
+    out = tmp_path / "d.json"
+    assert run_cli("diagnose", "--in", str(snaps), "--p", "365",
+                   "--tau", "0.07", "--out", str(out)) == 1
+    _assert_one_error_line(capsys, "t = 1.5", f"{count} values",
+                           "60 x positions")
+    assert not out.exists()
 
 
 def test_simulate_preset_path(tmp_path):

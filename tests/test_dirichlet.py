@@ -14,8 +14,7 @@ from nmwaves.dirichlet import (CoefficientOverflow, _qbar2, _zeta, build,
                                qbar3_closed_form, zeta, zeta_by_quadrature)
 from nmwaves.charroots import _mu, mu_root
 from nmwaves.model import ModelParams, birth
-from nmwaves.numerics import (PowerSeries, golden_section_max,
-                              lower_incomplete_gamma)
+from nmwaves.numerics import golden_section_max, lower_incomplete_gamma
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
 
@@ -76,6 +75,27 @@ def test_coefficients_against_multinomial_oracle():
         assert abs(g - w) <= 1e-13 * (1.0 + abs(w))
 
 
+def _series_product(a: list[float], b: list[float]) -> list[float]:
+    """Truncated product of two series of equal length, zero a_i skipped."""
+    out = [0.0] * len(a)
+    for i, ai in enumerate(a):
+        if ai != 0.0:
+            for j in range(len(a) - i):
+                out[i + j] += ai * b[j]
+    return out
+
+
+def _series_exp(a: list[float]) -> list[float]:
+    """exp of a series with a_0 = 0, from (k+1) b_{k+1} = sum_j j a_j b_{k+1-j}."""
+    b = [1.0]
+    for k in range(len(a) - 1):
+        acc = 0.0
+        for j in range(1, k + 2):
+            acc += j * a[j] * b[k + 1 - j]
+        b.append(acc / (k + 1))
+    return b
+
+
 def _power_series_qbar(params: ModelParams, n_coeffs: int) -> list[float]:
     """Reference recurrence that rebuilds V exp(-V) at every order."""
     mu = mu_root(params)
@@ -86,8 +106,7 @@ def _power_series_qbar(params: ModelParams, n_coeffs: int) -> list[float]:
         v = [0.0] * (n + 2)
         for j in range(1, n + 1):
             v[j] = qb[j - 1] * emt ** j
-        series_v = PowerSeries(v)
-        w = series_v * (-series_v).exp()
+        w = _series_product(v, _series_exp([-x for x in v]))
         qb.append(params.p * w[n + 1] / chi((n + 1) * mu))
     return qb
 

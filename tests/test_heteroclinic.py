@@ -14,7 +14,7 @@ from nmwaves.heteroclinic import (BlowUpError, InconclusiveTail, Trajectory,
                                   TrajectoryTail, crossings, first_maximum,
                                   integrate, nm_verdict, p_window)
 from nmwaves.model import ModelParams
-from nmwaves.numerics import hermite_cubic
+from nmwaves.numerics import hermite_cubic, level_crossings
 
 EXAMPLE = ModelParams(p=365.0, tau=0.07)
 
@@ -280,6 +280,41 @@ def test_lockstep_crossings_match_scalar_bisection(p, tau):
     idx = np.flatnonzero(s[:-1] * s[1:] < 0.0)
     assert [tc for tc, _ in report.crossings] == [
         _scalar_refine(traj, i, params.kappa) for i in idx]
+
+
+def _hermite_slope(traj, i, t):
+    """u' of the Hermite cubic of sample segment i at time t."""
+    h = traj.t[i + 1] - traj.t[i]
+    s = (t - traj.t[i]) / h
+    return ((6.0 * s * s - 6.0 * s) * (traj.u[i] - traj.u[i + 1]) / h
+            + (3.0 * s * s - 4.0 * s + 1.0) * traj.du[i]
+            + (3.0 * s * s - 2.0 * s) * traj.du[i + 1])
+
+
+def test_crossing_slope_signs_match_the_interpolant_slope():
+    # the sign of the side a crossing goes to is the sign of the
+    # interpolant's slope at the refined crossing time
+    rng = np.random.default_rng(29)
+    ps = np.exp(rng.uniform(math.log(1.5), math.log(1e6), 40))
+    taus = np.exp(rng.uniform(math.log(0.05), math.log(20.0), 40))
+    checked = oscillating = 0
+    for p, tau in zip(ps.tolist(), taus.tolist()):
+        params = ModelParams(p=p, tau=tau)
+        try:
+            traj = integrate(build(params))
+            report = crossings(traj)
+        except (BlowUpError, InconclusiveTail):
+            continue
+        idx = level_crossings(traj.u, params.kappa)
+        assert len(idx) == len(report.crossings)
+        for i, (tc, sign) in zip(idx, report.crossings):
+            if traj.u[i] != params.kappa:
+                slope = _hermite_slope(traj, i, tc)
+                assert sign == (1 if slope >= 0.0 else -1), (p, tau, tc)
+                checked += 1
+        oscillating += report.tail_class is TrajectoryTail.OSCILLATING
+    assert checked >= 100
+    assert oscillating >= 1
 
 
 def test_rounding_level_sign_changes_are_not_crossings():

@@ -1,6 +1,5 @@
 """Tests for the shared numerical kernels."""
 
-import itertools
 import math
 import random
 
@@ -9,11 +8,10 @@ import numpy as np
 import pytest
 
 from nmwaves.numerics import (BracketingError, NoSignChange,
-                              PowerSeries, QuadratureError,
-                              ToeplitzTridiagonal, bisect_lockstep,
-                              crossing_points, double_until, fit_line,
-                              golden_section_max, hermite_cubic,
-                              hermite_cubic_deriv, integrate_adaptive,
+                              QuadratureError, ToeplitzTridiagonal,
+                              bisect_lockstep, crossing_points,
+                              double_until, golden_section_max,
+                              hermite_cubic, integrate_adaptive,
                               is_monotone, level_crossings,
                               lower_incomplete_gamma, solve_bracketed)
 
@@ -402,77 +400,6 @@ def test_toeplitz_requires_diagonal_dominance():
             ToeplitzTridiagonal(5, diag, off)
 
 
-def test_series_exp_of_x():
-    s = PowerSeries([0.0, 1.0, 0.0, 0.0])
-    assert s.exp().coeffs == (1.0, 1.0, 0.5, 1.0 / 6.0)
-
-
-def test_series_mul():
-    a = PowerSeries([1.0, 1.0, 0.0])
-    b = PowerSeries([1.0, -1.0, 0.0])
-    assert (a * b).coeffs == (1.0, 0.0, -1.0)
-
-
-def test_series_order_mismatch():
-    with pytest.raises(ValueError):
-        PowerSeries([1.0, 2.0]) * PowerSeries([1.0, 2.0, 3.0])
-
-
-def test_series_exp_requires_zero_constant():
-    with pytest.raises(ValueError):
-        PowerSeries([0.5, 1.0]).exp()
-
-
-def test_series_exp_inverse():
-    rng = random.Random(3)
-    a = PowerSeries([0.0] + [rng.uniform(-1, 1) for _ in range(8)])
-    prod = a.exp() * (-a).exp()
-    assert abs(prod[0] - 1.0) <= 1e-12
-    for c in prod.coeffs[1:]:
-        assert abs(c) <= 1e-12
-
-
-def _composition_coefficient(coeffs: dict, m: int) -> float:
-    """[w^m] of V e^{-V} by explicit multinomial sums over compositions.
-
-    V = sum_j coeffs[j] w^j; V e^{-V} = sum_{k>=0} (-1)^k V^{k+1} / k!.
-    """
-    total = 0.0
-    js = sorted(coeffs)
-    for k in range(0, m):
-        parts = k + 1
-        acc = 0.0
-        for combo in itertools.product(js, repeat=parts):
-            if sum(combo) == m:
-                prod = 1.0
-                for j in combo:
-                    prod *= coeffs[j]
-                acc += prod
-        total += (-1.0) ** k / math.factorial(k) * acc
-    return total
-
-
-def test_series_reproduces_multinomial_sums():
-    # u e^{-u} with u = w + qb2 w^2: compare against direct composition sums
-    qb2 = -0.0506
-    u = PowerSeries([0.0, 1.0, qb2, 0.0, 0.0])
-    prod = u * (-u).exp()
-    coeffs = {1: 1.0, 2: qb2}
-    for m in range(1, 5):
-        want = _composition_coefficient(coeffs, m)
-        assert abs(prod[m] - want) <= 1e-14, m
-
-
-def test_series_multinomial_higher_order():
-    rng = random.Random(11)
-    cs = {j: rng.uniform(-0.5, 0.5) for j in range(1, 7)}
-    u = PowerSeries([0.0] + [cs[j] for j in range(1, 7)])
-    prod = u * (-u).exp()
-    for m in range(1, 7):
-        want = _composition_coefficient(cs, m)
-        assert abs(prod[m] - want) <= 1e-13, m
-
-
 def test_hermite_reproduces_cubic():
     # exact for cubics
     f = lambda t: 2.0 * t ** 3 - t * t + 0.5 * t - 3.0
@@ -482,17 +409,6 @@ def test_hermite_reproduces_cubic():
         t = t0 + (t1 - t0) * i / 10
         assert abs(hermite_cubic(t0, t1, f(t0), f(t1), df(t0), df(t1), t)
                    - f(t)) <= 1e-12
-        assert abs(hermite_cubic_deriv(t0, t1, f(t0), f(t1), df(t0), df(t1), t)
-                   - df(t)) <= 1e-11
-
-
-def test_fit_line_exact():
-    xs = [0.0, 1.0, 2.0, 3.0, 4.0]
-    ys = [7.89 * x - 2.0 for x in xs]
-    slope, intercept, err = fit_line(xs, ys)
-    assert abs(slope - 7.89) <= 1e-12
-    assert abs(intercept + 2.0) <= 1e-12
-    assert err <= 1e-12
 
 
 def test_golden_section_max():
