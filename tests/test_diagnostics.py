@@ -34,14 +34,13 @@ def test_front_position_no_crossing():
 
 
 def test_estimate_speed_exact_line():
-    # the trailing half of t = 0..8 holds just the 5 points the fit needs
-    for t in (np.linspace(0.0, 2.0, 30), np.arange(9.0)):
-        est = estimate_speed(t, 7.89 * t - 2.0)
-        assert est.speed == pytest.approx(7.89, abs=1e-12)
-        assert est.stderr <= 1e-12
-        assert est.direction == 1
+    t = np.linspace(0.0, 2.0, 30)
+    est = estimate_speed(t, 7.89 * t - 2.0)
+    assert est.speed == pytest.approx(7.89, abs=1e-12)
+    assert est.stderr <= 1e-12
+    assert est.direction == 1
     with pytest.raises(ValueError):
-        estimate_speed(np.ones(9), 7.89 * t)
+        estimate_speed(np.ones(9), 7.89 * np.arange(9.0))
 
 
 def test_estimate_speed_leftward_and_reflection():

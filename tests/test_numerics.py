@@ -7,6 +7,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from nmwaves.diagnostics import estimate_speed
 from nmwaves.numerics import (BracketingError, NoSignChange,
                               QuadratureError, ToeplitzTridiagonal,
                               bisect_lockstep, crossing_points,
@@ -409,6 +410,15 @@ def test_hermite_reproduces_cubic():
         t = t0 + (t1 - t0) * i / 10
         assert abs(hermite_cubic(t0, t1, f(t0), f(t1), df(t0), df(t1), t)
                    - f(t)) <= 1e-12
+
+
+def test_fit_line_exact():
+    # the speed fit is np.polyfit on the trailing half of the track; of
+    # t = 0..8 that is just the 5 points the fit needs
+    t = np.arange(9.0)
+    est = estimate_speed(t, 7.89 * t - 2.0)
+    assert abs(est.slope - 7.89) <= 1e-12
+    assert est.stderr <= 1e-12
 
 
 def test_golden_section_max():
