@@ -142,6 +142,10 @@ def _phi(tau, lam, nu):
     return np.where(grow < math.inf, phi, (1.0 - lam / nu) * np.exp(lam * tau))
 
 
+# the largest P at which tau_of_c is solved
+TAU_OF_C_MAX_P = 2.0 ** 26
+
+
 def tau_of_c(P, c):
     """Unique positive root of Phi(tau, c) = 1 - 1/P (1 < P <= 2^26).
 
@@ -149,7 +153,7 @@ def tau_of_c(P, c):
     solved to rounding level (_boundary_roots). Rounding 1 - 1/P costs
     tau(c) about P 1e-16 of relative accuracy, hence the bound on P.
     """
-    if not np.all((P > 1.0) & (P <= 2.0 ** 26)):
+    if not np.all((P > 1.0) & (P <= TAU_OF_C_MAX_P)):
         raise ValueError(f"tau(c) needs 1 < P <= 2^26, got {P}")
     if not np.all(c > 0.0):
         raise ValueError(f"speed must be positive, got {c}")

@@ -243,7 +243,7 @@ def _cmd_atlas(args) -> tuple[int, dict, list]:
 def _cmd_boundaries(args) -> tuple[int, dict, list]:
     import numpy as np
 
-    from .atlas import T_of_c, T_star, tau_hat, tau_of_c
+    from .atlas import TAU_OF_C_MAX_P, T_of_c, T_star, tau_hat, tau_of_c
 
     P = args.P
     cs = _parse_range(args.c)
@@ -252,7 +252,8 @@ def _cmd_boundaries(args) -> tuple[int, dict, list]:
     th = tau_hat(P) if P > 1.0 else math.nan
     ts = T_star(P) if P > 0.0 else math.nan
     T_cs = T_of_c(P, c_arr).tolist() if P > 0.0 else nan
-    tau_cs = tau_of_c(P, c_arr).tolist() if P > 1.0 else nan
+    tau_cs = (tau_of_c(P, c_arr).tolist() if 1.0 < P <= TAU_OF_C_MAX_P
+              else nan)
     write_csv(args.out, ["c", "T_of_c", "tau_of_c", "tau_hat", "T_star"],
               ((c, T_c, tau_c, th, ts)
                for c, T_c, tau_c in zip(cs, T_cs, tau_cs)))

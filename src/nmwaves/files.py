@@ -3,7 +3,8 @@
 A table is a header line and one line per row, cells joined by commas.
 Cells are written with ``str``; for a Python float that is its shortest
 round-trip ``repr``, with NaN as ``nan``. Callers pass Python numbers
-(``ndarray.tolist()`` for arrays), so no cell is type-checked on the way
+(``ndarray.tolist()`` for arrays) or cells already formatted as strings,
+which ``str`` leaves as they are, so no cell is type-checked on the way
 out. This module imports no numpy, so the CLI loads it at start-up.
 
 Every output is rewritten in place: the file is opened without

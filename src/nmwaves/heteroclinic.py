@@ -128,8 +128,9 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     stepped; BlowUpError names the first node where |u| > max(1e6, 2 p/e)
     or u is not finite, an overflowing birth term included, found by
     stepping its chunk again node by node. Raises ValueError, before
-    allocating, for a t_end that is not finite or more than MAX_NODES
-    nodes.
+    allocating, for a t_end that is not finite, more than MAX_NODES nodes
+    or a step h = tau/K whose h^4 overflows (tau above about 7.4e78 at
+    K = 64).
     """
     if K < 20:
         raise ValueError(f"need at least 20 steps per delay interval, got {K}")
@@ -149,6 +150,13 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
         raise ValueError(f"t_end = {t_end} must exceed the handoff t0 = {t0}")
 
     h = tau / K
+    B = min(K, CHUNK)
+    try:
+        W = _chunk_matrix(h, B)
+    except OverflowError:  # from h ** 4
+        raise ValueError(f"tau = {tau:g} gives the step h = tau/K = {h:g} "
+                         f"(K = {K}), whose h^4 in the RK4 step overflows"
+                         ) from None
     n_steps = int(math.ceil((t_end - t0) / h - 1e-12))
     n_total = K + n_steps + 1  # history nodes + integrated nodes
     if n_total > MAX_NODES:
@@ -165,8 +173,6 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
 
     # G interleaves the birth terms f(u) = p u e^{-u} at nodes and
     # half-nodes: G[2i] = f(u_i) and G[2i+1] = f(d_i), d_i = u(t_i + h/2).
-    B = min(K, CHUNK)
-    W = _chunk_matrix(h, B)
     G = np.empty(2 * n_total - 1)
     y = np.empty(2 * B)  # d_n, u_{n+1}, d_{n+1}, ..., u_{n+B}
     z = np.empty(2 * B + 2)

@@ -300,6 +300,10 @@ def level_tol(level: float) -> float:
     return 1e-12 * (1.0 + abs(level))
 
 
+# above this many candidates level_crossings tests them in arrays
+_LOOP_CANDIDATES = 32
+
+
 def level_crossings(u, level: float) -> list[int]:
     """Indices i where the samples u cross the level, in order.
 
@@ -310,10 +314,20 @@ def level_crossings(u, level: float) -> list[int]:
     """
     s = np.asarray(u, dtype=float) - level
     tol = level_tol(level)
+    # every crossing has s[i] s[i+1] <= 0
+    candidates = np.nonzero(s[:-1] * s[1:] <= 0.0)[0]
+    if len(candidates) > _LOOP_CANDIDATES:
+        # a tail rounded onto the level gives runs of exact zeros and
+        # thousands of candidates: the same test in arrays
+        i = candidates
+        a, b = s[i], s[i + 1]
+        a = np.where((a == 0.0) & (i > 0), s[i - 1], a)
+        keep = ((((a < 0.0) & (0.0 < b)) | ((b < 0.0) & (0.0 < a)))
+                & (np.maximum(np.abs(a), np.abs(b)) > tol))
+        return i[keep].tolist()
+    # a plain loop over a few candidates is cheaper than the array passes
     found = []
-    # every crossing has s[i] s[i+1] <= 0; a plain loop over these few
-    # candidates is cheaper than further array passes
-    for i in np.nonzero(s[:-1] * s[1:] <= 0.0)[0].tolist():
+    for i in candidates.tolist():
         a, b = float(s[i]), float(s[i + 1])
         if a == 0.0 and i > 0:
             a = float(s[i - 1])
@@ -381,9 +395,11 @@ class ToeplitzTridiagonal:
         self._tmp = np.empty(m)
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write the solution x of A x = rhs into ``out`` and return it."""
+        """Write the solution x of A x = rhs into ``out`` and return it;
+        ``out`` may be rhs itself, which is then solved in place."""
         x = out
-        x[...] = rhs
+        if out is not rhs:
+            x[...] = rhs
         tmp = self._tmp  # one scratch row, reused by every level
         s = 1
         for P in self._forward:

@@ -25,7 +25,14 @@ tau/dt + 1 levels (row j mod (tau/dt + 1) holds the level at step j),
 seeded from the (time-constant) initial function on [-tau, 0]. The
 Crank-Nicolson run keeps a second ring with each level's birth term, so
 p u e^{-u} is evaluated once per level. Dirichlet values are pinned at
-both ends every stage.
+both ends every stage. Every step writes into the ring and a few
+interior-sized buffers allocated once per run (the Crank-Nicolson right
+side is built in the ring row the new level goes to and solved there in
+place), with the operations in the order of the plain array expressions,
+so the levels are the same to the bit as that form's.
+
+write_snapshots_csv formats each distinct float64 bit pattern of a row
+once and repeats its text; the header of x values is formatted in full.
 """
 
 from __future__ import annotations
@@ -261,13 +268,30 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
     ring[:] = u0
     u = ring[0]
 
-    fbirth = lambda v: p * v * np.exp(-v)
-
     snapshots: list[tuple[float, np.ndarray]] = []
     front: list[tuple[float, float]] = []
     if 0 in snap_steps:
         snapshots.append((0.0, u.copy()))
     front.append((0.0, front_position(x, u, level)))
+
+    # the steps write into buffers allocated here, in the operation order
+    # of the plain array expressions, which they match to the bit
+    half_dt = 0.5 * dt
+
+    def lap_minus(v, out):
+        """(v[:-2] - 2 v[1:-1] + v[2:]) / dx^2 - v[1:-1], into out."""
+        np.multiply(v[1:-1], 2.0, out=out)
+        np.subtract(v[:-2], out, out=out)
+        out += v[2:]
+        out /= dx2
+        out -= v[1:-1]
+
+    def birth(v, out, scratch):
+        """The birth term (p v) e^{-v}, into out."""
+        np.multiply(v, p, out=out)
+        np.negative(v, out=scratch)
+        np.exp(scratch, out=scratch)
+        out *= scratch
 
     # interior_step(u, now, nxt) advances u by dt; rows now and nxt hold
     # the levels at t - tau and t + dt - tau, and row now receives the new
@@ -278,28 +302,51 @@ def simulate(config: SimConfig) -> SpacetimeRecord:
         bc_vec = np.zeros(n - 2)
         bc_vec[0] = config.bc.u_lo / dx2
         bc_vec[-1] = config.bc.u_hi / dx2
-        births = np.empty((slots, n))  # fbirth of each stored level
-        births[:] = fbirth(u0)
+        bc_term = half_dt * bc_vec
+        tmp = np.empty(n - 2)
+        scratch = np.empty(n)
+        births = np.empty((slots, n))  # the birth term of each stored level
+        birth(u0, births[0], scratch)
+        births[1:] = births[0]
 
         def interior_step(u, now, nxt):
-            # explicit half: full Laplacian of u^n (boundary values live in u)
-            lap = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / dx2
-            # implicit half moves its boundary contribution to the right side
-            rhs = (u[1:-1] + 0.5 * dt * (lap - u[1:-1]) + 0.5 * dt * bc_vec
-                   + 0.5 * dt * (births[now, 1:-1] + births[nxt, 1:-1]))
-            lhs.solve(rhs, out=ring[now, 1:-1])
-            births[now] = fbirth(ring[now])
+            # u + dt/2 (lap u - u) + dt/2 bc + dt/2 (f(now) + f(next)): the
+            # explicit half (boundary values live in u) and the implicit
+            # half's boundary contribution, built in row now, whose delayed
+            # level is read only through births[now], and solved in place
+            w = ring[now, 1:-1]
+            lap_minus(u, w)
+            w *= half_dt
+            w += u[1:-1]
+            w += bc_term
+            np.add(births[now, 1:-1], births[nxt, 1:-1], out=tmp)
+            np.multiply(tmp, half_dt, out=tmp)
+            w += tmp
+            lhs.solve(w, out=w)
+            birth(ring[now], births[now], scratch)
     else:
+        u_star = u0.copy()  # keeps u's pinned boundary values
+        d_half = np.empty(n - 2)
+        k = np.empty(n - 2)
+        f = np.empty(n - 2)
+        scratch = np.empty(n - 2)
+
         def rhs_interior(v, d):
-            lap = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx2
-            return lap - v[1:-1] + fbirth(d[1:-1])
+            """k = lap v - v + p d e^{-d} on the interior."""
+            lap_minus(v, k)
+            birth(d, f, scratch)
+            np.add(k, f, out=k)
 
         def interior_step(u, now, nxt):
-            d_now, d_next = ring[now], ring[nxt]
-            d_half = 0.5 * (d_now + d_next)
-            u_star = u.copy()  # with u's pinned boundary values
-            u_star[1:-1] = u[1:-1] + 0.5 * dt * rhs_interior(u, d_now)
-            d_now[1:-1] = u[1:-1] + dt * rhs_interior(u_star, d_half)
+            d_now, d_next = ring[now, 1:-1], ring[nxt, 1:-1]
+            rhs_interior(u, d_now)
+            np.multiply(k, half_dt, out=k)
+            np.add(u[1:-1], k, out=u_star[1:-1])
+            np.add(d_now, d_next, out=d_half)
+            np.multiply(d_half, 0.5, out=d_half)
+            rhs_interior(u_star, d_half)
+            np.multiply(k, dt, out=k)
+            np.add(u[1:-1], k, out=d_now)
 
     for step in range(1, n_steps + 1):
         now = step % slots
@@ -381,9 +428,21 @@ def preset(name: str) -> SimConfig:
 
 
 def write_snapshots_csv(record: SpacetimeRecord, path: str) -> None:
-    """Header row of x values; one row per snapshot, t in the first column."""
+    """Header row of x values; one row per snapshot, t in the first column.
+
+    Each distinct float64 bit pattern of a row is formatted once: np.unique
+    on the row's int64 view keeps 0.0 and -0.0 (and NaN payloads) apart,
+    so every cell is the repr of its own value.
+    """
+    def cells(u):
+        bits, inverse = np.unique(
+            np.ascontiguousarray(u, dtype=float).view(np.int64),
+            return_inverse=True)
+        text = list(map(repr, bits.view(float).tolist()))
+        return [text[i] for i in inverse.tolist()]
+
     write_csv(path, ["t", *record.x.tolist()],
-              ([float(t), *u.tolist()] for t, u in record.snapshots))
+              ([float(t), *cells(u)] for t, u in record.snapshots))
 
 
 def write_front_csv(record: SpacetimeRecord, path: str) -> None:

@@ -901,7 +901,8 @@ def test_readme_command_line_block_runs_cleanly(tmp_path):
 
 def _check_boundaries_run(P, c_range, out):
     """Exit 0 with empty stderr and the inclusion T(c) < tau(c) in every
-    row where P > 1, or exit 1 with one error line; returns the code."""
+    row where 1 < P <= 2^26 (tau(c) is NaN above), or exit 1 with one
+    error line; returns the code."""
     proc = _run_child("boundaries", "--P", repr(P), "--c", c_range,
                       "--out", str(out))
     if proc.returncode == 1:
@@ -911,8 +912,10 @@ def _check_boundaries_run(P, c_range, out):
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = read_csv(out)[1]
     assert len(rows) == int(c_range.split(":")[2])
-    if P > 1.0:
+    if 1.0 < P <= 2.0 ** 26:
         assert all(T_c < tau_c for _, T_c, tau_c, _, _ in rows)
+    elif P > 1.0:
+        assert all(math.isnan(tau_c) for _, _, tau_c, _, _ in rows)
     return 0
 
 
@@ -921,7 +924,7 @@ def _check_boundaries_run(P, c_range, out):
     (4.8999, "1e300:1e300:1", 0),      # and c^2 in tau(c)'s roots as well
     (4.8999, "1e-300:1e-300:1", 0),
     (1.0000000000001, "1e-8:1:3", 0),
-    (1e300, "1e-300:1e300:3", 1),
+    (1e300, "1e-300:1e300:3", 0),      # tau(c) is NaN above P = 2^26
     (1e-300, "0.01:1000:5", 0),        # T_star's bracket overflows quietly
 ])
 def test_boundaries_at_extreme_inputs(P, c_range, code, tmp_path):
@@ -953,7 +956,26 @@ def test_boundaries_sweep_exits_0_cleanly_or_1_with_one_line(tmp_path):
                                 for _ in range(2))
             codes.append(_check_boundaries_run(
                 P, f"{c_lo!r}:{c_hi!r}:3", tmp_path / f"b{lo}_{i}.csv"))
-    assert 0 in codes and 1 in codes
+    # above P = 2^26 only the tau(c) column is NaN: every cell exits 0
+    assert set(codes) == {0}
+
+
+def test_boundaries_above_the_tau_cap_write_the_other_columns(tmp_path):
+    out = tmp_path / "b.csv"
+    proc = _run_child("boundaries", "--P", "1e20", "--c", "0.01:1000:60",
+                      "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    header, rows = read_csv(out)
+    assert header == ["c", "T_of_c", "tau_of_c", "tau_hat", "T_star"]
+    assert len(rows) == 60
+    c, T_c, tau_c, tau_hat, T_star = rows[0]
+    assert c == 0.01
+    assert T_c == pytest.approx(7.36e-09, rel=1e-3)
+    assert tau_hat == 1e-20  # log1p(1/(P - 1)) to the ulp
+    assert T_star == pytest.approx(3.68e-21, rel=1e-3)
+    for c, T_c, tau_c, tau_hat, T_star in rows:
+        assert math.isnan(tau_c)
+        assert T_star < T_c < math.inf
 
 
 def test_overflowing_integrator_matrix_prints_one_line():
@@ -961,6 +983,16 @@ def test_overflowing_integrator_matrix_prints_one_line():
     proc = _run_child("analyze", "--p", "365", "--tau", "1e5")
     assert proc.returncode == 1
     assert proc.stderr == "error: |u| exceeded 1e6 at t = 3125.0\n"
+
+
+@pytest.mark.parametrize("tau", ["1e100", "1e300"])
+def test_step_whose_fourth_power_overflows_prints_one_line(tau):
+    proc = _run_child("analyze", "--p", "365", "--tau", tau)
+    assert proc.returncode == 1
+    h = float(tau) / 64
+    assert proc.stderr == (f"error: tau = {float(tau):g} gives the step "
+                           f"h = tau/K = {h:g} (K = 64), whose h^4 in the "
+                           "RK4 step overflows\n")
 
 
 def test_package_errors_share_one_base():

@@ -322,6 +322,50 @@ def test_level_crossings_rule(u, want):
     assert level_crossings(u, 3.0) == want
 
 
+def _level_crossings_loop(u, level):
+    """level_crossings as one Python loop over the s[i] s[i+1] <= 0 pairs."""
+    s = np.asarray(u, dtype=float) - level
+    found = []
+    for i in np.nonzero(s[:-1] * s[1:] <= 0.0)[0].tolist():
+        a, b = float(s[i]), float(s[i + 1])
+        if a == 0.0 and i > 0:
+            a = float(s[i - 1])
+        if (a < 0.0 < b or b < 0.0 < a) and max(abs(a), abs(b)) > 1e-12 * (
+                1.0 + abs(level)):
+            found.append(i)
+    return found
+
+
+def test_level_crossings_on_special_values_match_the_loop():
+    # lengths on both sides of the candidate count that switches from the
+    # loop to array passes; -0.0, nan and inf probe every comparison
+    rng = np.random.default_rng(20261019)
+    # (1e-12 is level_tol(0.0) itself)
+    values = np.array([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12, 1.0, -1.0,
+                       math.nan, math.inf, -math.inf])
+    with np.errstate(invalid="ignore"):  # 0 * inf in the candidate test
+        for n in (1, 2, 3, 5, 20, 40, 80, 500):
+            for _ in range(50):
+                u = rng.choice(values, n)
+                for level in (0.0, 3.0):
+                    assert (level_crossings(u + level, level)
+                            == _level_crossings_loop(u + level, level))
+
+
+def test_level_crossings_on_a_tail_rounded_onto_the_level():
+    # at this point 13,046 of the 41,042 nodes sit exactly on ln p, which
+    # gives 16,306 candidate pairs and one crossing
+    from nmwaves.dirichlet import build
+    from nmwaves.heteroclinic import integrate
+    from nmwaves.model import ModelParams
+
+    params = ModelParams(p=3403.393501782884, tau=0.015618769994669924)
+    u = integrate(build(params, n_coeffs=40)).u
+    assert np.count_nonzero(u == params.kappa) > 10_000
+    want = _level_crossings_loop(u, params.kappa)
+    assert level_crossings(u, params.kappa) == want == [116]
+
+
 def test_crossing_points_interpolate_linearly():
     x = [0.0, 1.0, 2.0, 3.0, 4.0]
     assert crossing_points(x, [1.0, 2.0, 3.0, 4.0, 5.0], 3.0) == [2.0]
@@ -393,6 +437,17 @@ def test_toeplitz_solve_matches_thomas_at_fast_front_size(r):
         want = _thomas(diag, off, f)
         got = solver.solve(f, np.empty(5999))
         assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 1499, 5999])
+def test_toeplitz_solve_in_place_matches_out_of_place(m):
+    diag, off, rhs = _cn_system(m, 2.0)
+    solver = ToeplitzTridiagonal(m, diag, off)
+    for f in rhs.values():
+        want = solver.solve(f, np.empty(m))
+        work = f.copy()
+        assert solver.solve(work, out=work) is work
+        assert work.tobytes() == want.tobytes()
 
 
 def test_toeplitz_requires_diagonal_dominance():

@@ -9,9 +9,10 @@ import pytest
 
 from nmwaves.files import read_csv
 from nmwaves.model import ModelParams
+from nmwaves.numerics import ToeplitzTridiagonal
 from nmwaves.pde import (MAX_HISTORY_VALUES, DirichletBC, ExpTail, Heaviside,
-                         Scheme, SimConfig, SmoothStep, config_from_dict,
-                         preset, simulate, write_front_csv,
+                         Scheme, SimConfig, SmoothStep, SpacetimeRecord,
+                         config_from_dict, preset, simulate, write_front_csv,
                          write_metadata_json, write_snapshots_csv)
 
 PARAMS = ModelParams(p=365.0, tau=0.07)
@@ -258,3 +259,93 @@ def test_csv_roundtrip(tmp_path):
     import json
     meta = json.loads(mpath.read_text())
     assert meta["delay_steps"] == 7
+
+
+def _plain_snapshots_text(record):
+    """The snapshot file with every cell written by its own repr."""
+    lines = ["t," + ",".join(map(repr, record.x.tolist()))]
+    lines += [",".join(map(repr, [float(t), *u.tolist()]))
+              for t, u in record.snapshots]
+    return "".join(line + "\n" for line in lines)
+
+
+def test_snapshots_csv_formats_like_plain_repr(tmp_path):
+    other_nan = np.array([0x7FF8000000000001]).view(float)[0]
+    row = np.array([1.5, 1.5, 0.0, -0.0, math.nan, other_nan, -math.nan,
+                    math.inf, -math.inf, 5e-324, -5e-324, 0.0, 1.5, -0.0,
+                    0.1 + 0.2, 0.3, math.inf])
+    x = np.linspace(-1.0, 1.0, len(row))
+    config = preset("fast-front-smoke")
+    for snapshots in ([(0.0, row), (0.25, row[::-1].copy()),
+                       (1.0, np.full(len(row), -0.0))], []):
+        rec = SpacetimeRecord(x=x, snapshots=snapshots, front_track=[],
+                              config=config)
+        path = tmp_path / "snaps.csv"
+        write_snapshots_csv(rec, str(path))
+        assert path.read_text() == _plain_snapshots_text(rec)
+
+
+def _plain_snapshots(config):
+    """simulate's snapshots, stepped with plain array expressions."""
+    p, dt, dx2 = config.params.p, config.dt, config.dx * config.dx
+    x = config.grid()
+    n, slots = len(x), config.delay_steps + 1
+    n_steps = round(config.t_end / dt)
+    snap_steps = {round(ts / dt): ts for ts in config.snapshot_times}
+    fbirth = lambda v: p * v * np.exp(-v)
+    lap = lambda v: (v[:-2] - 2.0 * v[1:-1] + v[2:]) / dx2
+    u0 = config.initial_values(x)
+    ring = np.empty((slots, n))
+    ring[:] = u0
+    u = ring[0]
+    births = np.empty((slots, n))
+    births[:] = fbirth(u0)
+    if config.scheme is Scheme.CRANK_NICOLSON:
+        r = dt / (2.0 * dx2)
+        lhs = ToeplitzTridiagonal(n - 2, 1.0 + 2.0 * r + 0.5 * dt, -r)
+        bc_vec = np.zeros(n - 2)
+        bc_vec[0], bc_vec[-1] = config.bc.u_lo / dx2, config.bc.u_hi / dx2
+    snapshots = [(0.0, u.copy())] if 0 in snap_steps else []
+    for step in range(1, n_steps + 1):
+        now, nxt = step % slots, (step + 1) % slots
+        if config.scheme is Scheme.CRANK_NICOLSON:
+            rhs = (u[1:-1] + 0.5 * dt * (lap(u) - u[1:-1])
+                   + 0.5 * dt * bc_vec
+                   + 0.5 * dt * (births[now, 1:-1] + births[nxt, 1:-1]))
+            lhs.solve(rhs, out=ring[now, 1:-1])
+            births[now] = fbirth(ring[now])
+        else:
+            d_now, d_next = ring[now], ring[nxt]
+            d_half = 0.5 * (d_now + d_next)
+            u_star = u.copy()
+            u_star[1:-1] = u[1:-1] + 0.5 * dt * (
+                lap(u) - u[1:-1] + fbirth(d_now[1:-1]))
+            d_now[1:-1] = u[1:-1] + dt * (
+                lap(u_star) - u_star[1:-1] + fbirth(d_half[1:-1]))
+        u = ring[now]
+        if step in snap_steps:
+            snapshots.append((snap_steps[step], u.copy()))
+    return snapshots
+
+
+def _small_config(scheme, tau, dt):
+    return SimConfig(params=ModelParams(p=365.0, tau=tau), x_lo=-20.0,
+                     x_hi=20.0, dx=0.25, dt=dt, t_end=0.7, scheme=scheme,
+                     ic=Heaviside(level=LNP), bc=DirichletBC(0.0, LNP),
+                     snapshot_times=(0.0, 0.35, 0.7))
+
+
+@pytest.mark.parametrize("config", [
+    preset("fast-front-smoke"),
+    _small_config(Scheme.METHOD_OF_LINES, 0.07, 0.07 / 3),
+    # one delay step: the rows at t - tau and t + dt - tau are the ring's
+    # only two, and the second is the current level
+    _small_config(Scheme.METHOD_OF_LINES, 0.025, 0.025),
+    _small_config(Scheme.CRANK_NICOLSON, 0.025, 0.025),
+], ids=["fast-front-smoke", "explicit", "explicit-K1", "cn-K1"])
+def test_buffered_steps_match_plain_expressions(config):
+    got = simulate(config).snapshots
+    want = _plain_snapshots(config)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert a.tobytes() == b.tobytes()
