@@ -475,24 +475,24 @@ def region_report(params: ModelParams, c: float | None = None) -> RegionReport:
 
 def region_grid(tau_values: Sequence[float],
                 p_values: Sequence[float]) -> list[tuple[float, float, bool]]:
-    """(tau, ln ln p, flag) rows over a (tau, p) grid.
+    """(tau, ln ln p, flag) rows over a (tau, p) grid, tau by tau.
 
-    The flag marks points satisfying both nm-wave criteria: p inside the
-    admissible window and zeta > ln p. The window test is cheap and runs
-    per point; zeta is evaluated once, as an array, over the points that
-    pass it.
+    The flag is p_window and zeta > ln p. heteroclinic.window_upper runs
+    once per tau (a small tau overflows at every p, as in p_window) and
+    masks the p array; zeta runs once, as an array, over the points inside.
     """
-    from .heteroclinic import p_window
+    from .heteroclinic import window_upper
 
-    rows, inside = [], []
-    for t in tau_values:
-        for p in p_values:
-            params = ModelParams(p=p, tau=t)
-            if p_window(params):
-                inside.append((len(rows), p, t, params.kappa))
-            rows.append((t, math.log(params.kappa), False))
-    if inside:
-        idx, p, t, kappa = (np.array(col) for col in zip(*inside))
-        for i in idx[_zeta(p, t, _mu(p, t)) > kappa]:
-            rows[i] = rows[i][:2] + (True,)
-    return rows
+    ps = np.array(p_values, dtype=float)
+    bad_p = ps.size and not 1.0 < ps.min() <= ps.max() < math.inf
+    if bad_p or not all(0.0 <= t < math.inf for t in tau_values):
+        raise ValueError("region_grid needs finite p > 1 and tau >= 0")
+    kappa = [math.log(p) for p in p_values]
+    upper = np.array([window_upper(t) for t in tau_values]).reshape(-1, 1)
+    flags = (math.e ** 2 < ps) & (ps < upper)
+    it, ip = np.nonzero(flags)
+    p, t = ps[ip], np.array(tau_values, dtype=float)[it]
+    flags[it, ip] = _zeta(p, t, _mu(p, t)) > np.array(kappa)[ip]
+    return [(t, math.log(k), flag)
+            for t, row in zip(tau_values, flags.tolist())
+            for k, flag in zip(kappa, row)]

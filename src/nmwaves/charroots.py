@@ -45,33 +45,31 @@ class RootReport:
     search_window: tuple[float, float]
 
 
-@np.errstate(over="ignore")  # tau p = inf gives the step 0
 def _mu(p, tau):
     """Positive root of z + 1 - p e^{-z tau} for arrays of (p > 1, tau >= 0).
 
-    Newton from z = 0: the function is increasing and concave, so the
-    iterates rise monotonically to the root and need no bracket. Each
-    step advances z tau by about one until p e^{-z tau} is near 1. The
-    stop is a step within 1e-15 of z (about ln(p)/tau at large tau) or
-    of (1 + z)/(1 + tau e), the step's rounding scale near p = 1.
+    Newton on the log form g(z) = z tau + log1p(z) - ln p, which neither
+    overflows nor cancels. g is increasing and concave, and g <= 0 at the
+    start z = ln p / (1 + tau), so the iterates rise monotonically to the
+    root. A lane stops, and stays frozen, once its iterate stops rising
+    or its step is within 4e-16 z: at most 12 steps over ln p in
+    [1e-4, 709] and tau in [1e-6, 1e16]. At tau = 0, mu = p - 1 exactly.
     """
-    p = np.asarray(p, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    z = np.zeros(np.broadcast(p, tau).shape)
-    for _ in range(1000):  # ln p <= 710 linear steps, then a few more
-        e = p * np.exp(-z * tau)
-        slope = 1.0 + tau * e
-        step = (z + 1.0 - e) / slope
-        z = z - step
-        if np.all(np.abs(step) <= 1e-15 * np.maximum(z, (1.0 + z) / slope)):
-            break
+    p, tau = np.broadcast_arrays(p, tau)
+    lnp = np.log(p)
+    active = tau > 0.0
+    z = np.where(active, lnp / (1.0 + tau), p - 1.0)
+    while active.any():
+        step = (z * tau + np.log1p(z) - lnp) / (tau + 1.0 / (1.0 + z))
+        np.subtract(z, step, out=z, where=active)
+        active &= step < -4e-16 * z  # else it stopped rising, or nearly
     return z
 
 
 def mu_root(params: ModelParams) -> float:
     """Unique positive root of z + 1 - p e^{-z tau}, to machine precision
     (the series recurrence depends on it). ValueError where the root is
-    below the smallest normal float: 0 once tau p overflows, as at 1e308."""
+    below the smallest normal float, as at p = 1.5, tau = 1e308."""
     mu = float(_mu(params.p, params.tau))
     if not mu >= np.finfo(float).tiny:
         raise ValueError(f"the decay rate mu at tau = {params.tau} is below "

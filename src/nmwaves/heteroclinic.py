@@ -408,14 +408,15 @@ class NmVerdict:
     crossing_count: int | None = None
 
 
-def p_window(params: ModelParams) -> bool:
-    """e^2 < p < exp(1 + exp(-1-tau)/tau).
+def window_upper(tau: float) -> float:
+    """exp(1 + exp(-1-tau)/tau), or 0 without delay: p below it is
+    P tau e^{1+tau} < 1. OverflowError below tau of about 5.2e-4."""
+    return math.exp(1.0 + math.exp(-1.0 - tau) / tau) if tau > 0.0 else 0.0
 
-    The upper bound is equivalent to P tau e^{1+tau} < 1.
-    """
-    if params.tau <= 0.0:
-        return False
-    upper = math.exp(1.0 + math.exp(-1.0 - params.tau) / params.tau)
+
+def p_window(params: ModelParams) -> bool:
+    """e^2 < p < window_upper(tau)."""
+    upper = window_upper(params.tau)  # first: a small tau overflows at any p
     return math.e ** 2 < params.p < upper
 
 

@@ -266,10 +266,11 @@ def lower_incomplete_gamma(z, s):
 
         z^s e^{-z} sum_{k>=0} z^k / (s (s+1) ... (s+k)),
 
-    whose terms are positive and decrease once k > z - s. Summation stops
-    when every element's last term is below 1e-17 of its sum. The term
-    count grows like z: the series suits the limits z <= 1 of the peak
-    bound zeta (about 18 terms). Scalar inputs give a 0-d result.
+    whose terms are positive. Summation stops at the first k where
+    bound_k = min(1, bound_{k-1} z_max / (s_min + k)), a bound on every
+    element's last term over its sum, is below 1e-17. The count grows like
+    z: the series suits the limits z <= 1 of the peak bound zeta (18
+    terms). Scalar inputs give a 0-d result.
 
     Strictly increasing in z for fixed s.
 
@@ -278,14 +279,17 @@ def lower_incomplete_gamma(z, s):
     """
     z = np.asarray(z, dtype=float)
     s = np.asarray(s, dtype=float)
-    if not np.all((z >= 0.0) & (z < np.inf)):
+    z_max = float(np.max(z, initial=0.0))  # nan for any nan
+    s_min = float(np.min(s, initial=np.inf))
+    if not (np.min(z, initial=0.0) >= 0.0 and z_max < np.inf):
         raise ValueError(f"limit must be finite and >= 0, got {z}")
-    if not np.all(s > 0.0):
+    if not s_min > 0.0:
         raise ValueError(f"exponent must be > 0, got {s}")
     term = total = 1.0 / s
-    k = 0
-    while np.any(term > 1e-17 * total) or np.any(k < z - s):
-        k += 1
+    k, bound = 0.0, 1.0  # later terms are below half an ulp of any sum
+    while bound > 1e-17:
+        k += 1.0
+        bound = min(1.0, bound * z_max / (s_min + k))
         term = term * z / (s + k)
         total = total + term
     return z ** s * np.exp(-z) * total
@@ -314,8 +318,8 @@ def level_crossings(u, level: float) -> list[int]:
     """
     s = np.asarray(u, dtype=float) - level
     tol = level_tol(level)
-    # every crossing has s[i] s[i+1] <= 0
-    candidates = np.nonzero(s[:-1] * s[1:] <= 0.0)[0]
+    # every crossing has s[i] s[i+1] <= 0, or nan for 0 * inf
+    candidates = (~(s[:-1] * s[1:] > 0.0)).nonzero()[0]
     if len(candidates) > _LOOP_CANDIDATES:
         # a tail rounded onto the level gives runs of exact zeros and
         # thousands of candidates: the same test in arrays

@@ -394,13 +394,22 @@ def test_region_grid_flags():
 
 
 def test_region_grid_nonempty_and_inside_necessary():
-    taus = [0.05 + 0.03 * i / 19 for i in range(20)]
-    ps = [10.0 * (1000.0 / 10.0) ** (i / 19) for i in range(20)]
+    # a row without delay, and p at or below e^2, outside every window
+    taus = [0.0] + [0.05 + 0.03 * i / 19 for i in range(20)]
+    ps = [1.5, math.e ** 2] + [10.0 * (1000.0 / 10.0) ** (i / 19)
+                               for i in range(20)]
     rows = region_grid(taus, ps)
-    # the array route agrees with the scalar criteria point by point
+    # the array route agrees with the scalar criteria point by point, and
+    # its ln ln p with math.log's
     points = [ModelParams(p=p, tau=t) for t in taus for p in ps]
-    assert [(t, flag) for t, _, flag in rows] == [
-        (q.tau, p_window(q) and zeta(q) > q.kappa) for q in points]
+    assert rows == [(q.tau, math.log(q.kappa),
+                     p_window(q) and zeta(q) > q.kappa) for q in points]
+    # the window bound overflows at small tau, at every p
+    for p in (365.0, 5.0):
+        with pytest.raises(OverflowError):
+            p_window(ModelParams(p=p, tau=3e-4))
+        with pytest.raises(OverflowError):
+            region_grid([3e-4], [p])
     hits = [(t, ll) for t, ll, flag in rows if flag]
     assert hits  # the admissible region is nonempty at this resolution
     for t, ll in hits:

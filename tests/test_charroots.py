@@ -56,8 +56,62 @@ def test_mu_at_large_delays_against_mpmath(tau):
 
 
 def test_mu_below_the_normal_range_is_an_error():
+    # the root ln(1.5)/1e308 is about 4.05e-309, a subnormal float (at
+    # p = 365 it is about 5.9e-308, still normal)
     with pytest.raises(ValueError, match="tau = 1e"):
-        mu_root(ModelParams(p=365.0, tau=1e308))
+        mu_root(ModelParams(p=1.5, tau=1e308))
+
+
+def _mu_reference(p, tau):
+    """The root of z tau + log1p(z) = ln p to 50 digits: p - 1 without a
+    delay, else Newton from below in mpmath, certified by a sign change
+    of the residual z + 1 - p e^{-z tau} across it."""
+    with mp.workdps(50):
+        p, tau = mp.mpf(p), mp.mpf(tau)
+        if tau == 0:
+            return p - 1
+        g = lambda z: z * tau + mp.log1p(z) - mp.log(p)
+        z = mp.log(p) / (1 + tau)
+        for _ in range(200):
+            step = g(z) / (tau + 1 / (1 + z))
+            z -= step
+            if abs(step) <= mp.mpf(10) ** -45 * z:
+                break
+        chi = lambda x: x + 1 - p * mp.exp(-x * tau)
+        assert chi(z * (1 - mp.mpf(10) ** -40)) < 0 < chi(
+            z * (1 + mp.mpf(10) ** -40))
+        return z
+
+
+def test_mu_against_a_50_digit_reference(monkeypatch):
+    # ln p log-uniform in [1e-4, 709]; tau = 0 or log-uniform in [1e-6, 1e16]
+    from nmwaves import charroots
+
+    rng = random.Random(20261019)
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo),
+                                                      math.log(hi)))
+    points = [(math.exp(log_uniform(1e-4, 709.0)),
+               0.0 if rng.random() < 0.1 else log_uniform(1e-6, 1e16))
+              for _ in range(500)]
+    steps = []
+    log1p = np.log1p
+    monkeypatch.setattr(np, "log1p", lambda z: steps.append(1) or log1p(z))
+    got = []
+    for p, tau in points:
+        steps.clear()
+        got.append(float(charroots._mu(p, tau)))
+        assert len(steps) <= 15, (p, tau, len(steps))
+    monkeypatch.undo()
+    for (p, tau), mu in zip(points, got):
+        want = _mu_reference(p, tau)
+        assert abs(mu - want) <= 2e-15 * want, (p, tau, mu)
+    # the array path (region_grid's) equals the scalar calls bit for bit
+    lanes = charroots._mu([p for p, _ in points], [t for _, t in points])
+    assert lanes.tolist() == got
+    # tau p overflows here; the log form still has the root
+    mu = mu_root(ModelParams(p=2.4133565475654057e+299,
+                             tau=22289575101739.875))
+    assert abs(mu - 3.0927e-11) <= 1e-14
 
 
 def test_mu_against_plain_bisection():

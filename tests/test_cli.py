@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,7 +223,8 @@ def test_series_at_a_huge_delay(tmp_path):
 
 def test_analyze_where_mu_underflows_exits_1(tmp_path, capsys):
     out = tmp_path / "a.json"
-    assert run_cli("analyze", "--p", "365", "--tau", "1e308",
+    # the root ln(1.5)/1e308 is subnormal
+    assert run_cli("analyze", "--p", "1.5", "--tau", "1e308",
                    "--out", str(out)) == 1
     _assert_one_error_line(capsys, "tau = 1e+308")
     assert not out.exists()
@@ -543,9 +545,15 @@ def test_domain_error_exit_code():
     ("636650.0078004306", "0.6583807767438601"),    # InconclusiveTail
     ("365", "1e-5"),                                # OverflowError in p_window
     ("1e200", "1"),                                 # qbar_2 underflows to 0
+    # tau p overflows; mu = 3.09e-11 underflows qbar_2 (and p / mu in zeta)
+    ("2.4133565475654057e+299", "22289575101739.875"),
 ])
 def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
-    assert run_cli("analyze", "--p", p, "--tau", tau) == 1
+    # a warning on the way would print a second line in the command
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run_cli("analyze", "--p", p, "--tau", tau) == 1
+    assert [str(w.message) for w in seen] == []
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
