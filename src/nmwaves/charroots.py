@@ -8,6 +8,8 @@ Three characteristic functions appear in the commands, with P = ln p - 1:
                                    with a positive root is the minimal
                                    speed, and fixing z = beta gives the
                                    speed selected by decay rate beta
+                                   (minimal_speed: s = zc turns this into
+                                   one increasing root in s)
 * z^2 - cz - 1 - P e^{-zc tau}     a speed-c profile at ln p: a real
                                    negative root makes the tail
                                    eventually monotone
@@ -77,36 +79,29 @@ def mu_root(params: ModelParams) -> float:
     return mu
 
 
-def _profile_min_over_positive(params: ModelParams, c: float) -> tuple[float, float]:
-    """Location and value of the minimum of z^2 - cz - 1 + p e^{-zc tau} on z > 0.
-
-    The function is strictly convex in z, its derivative is negative at 0
-    and positive for large z, so the minimizer is unique and interior.
-    """
-    p, tau = params.p, params.tau
-    h = c * tau
-    domega = lambda z: 2.0 * z - c - p * h * math.exp(-z * h)
-    z_hi = 0.5 * (c + p * h) + 1.0
-    z_m = solve_bracketed(domega, 0.0, z_hi, tol=1e-13 * (1.0 + z_hi))
-    val = z_m * z_m - c * z_m - 1.0 + p * math.exp(-z_m * h)
-    return z_m, val
-
-
 def minimal_speed(params: ModelParams) -> float:
     """Smallest c > 0 for which z^2 - cz - 1 + p e^{-zc tau} has a positive root.
 
-    At the minimal speed the profile function at the zero equilibrium is
-    tangent to the axis: the function and its z-derivative vanish
-    simultaneously. Since the function is convex in z and decreases
-    pointwise in c, the minimum over z > 0 is a decreasing function of c,
-    and solve_bracketed finds the tangency point at its sign change.
+    With s = zc the function is z^2 - g(s), g(s) = s + 1 - p e^{-s tau}, so
+    its positive roots lie on z = sqrt(g(s)), c = s / sqrt(g(s)). c is
+    least where 2 g = s g', i.e. p e^{-s tau} = (s + 2)/(2 + s tau): in
+    x = s/2, which keeps the bracket in the float range, the root of the
+    increasing, non-cancelling k(x) = log1p(x (1 - tau)/(1 + x tau))
+    + 2 x tau - ln p, where c^2 = 4 x (1 + x tau)/(1 + tau + 2 x tau).
+    At tau = 0, c = 2 sqrt(p - 1), past the bracket's reach for p > 2^1023;
+    BracketingError where tau < ~1e-307 puts the root there too.
     """
-    g = lambda c: _profile_min_over_positive(params, c)[1]
-    c_hi = double_until(lambda c: g(c) <= 0.0, 1.0, "minimal speed search")
-    c_lo = 1e-8
-    if g(c_lo) <= 0.0:
-        return c_lo
-    return solve_bracketed(g, c_lo, c_hi, tol=1e-11 * (1.0 + c_hi))
+    p, tau = params.p, params.tau
+    if tau == 0.0:
+        return 2.0 * math.sqrt(p - 1.0)
+    lnp = math.log(p)
+    # 2 (x tau), not 2 x tau: 2 x overflows at the last doubling, 2^1023
+    k = lambda x: (math.log1p(x * (1.0 - tau) / (1.0 + x * tau))
+                   + 2.0 * (x * tau) - lnp)
+    x_hi = double_until(lambda x: k(x) >= 0.0, 1.0, "minimal speed search")
+    x = solve_bracketed(k, 0.0, x_hi, tol=0.0)
+    return 2.0 * math.sqrt(x * ((1.0 + x * tau)
+                                / (1.0 + tau + 2.0 * (x * tau))))
 
 
 def linear_spreading_speed(params: ModelParams, beta: float) -> float:
@@ -121,7 +116,7 @@ def linear_spreading_speed(params: ModelParams, beta: float) -> float:
     p, tau = params.p, params.tau
     F = lambda c: beta * beta - c * beta - 1.0 + p * math.exp(-beta * c * tau)
     c_hi = double_until(lambda c: F(c) <= 0.0, 1.0, "spreading speed search")
-    return solve_bracketed(F, 0.0, c_hi, tol=1e-12 * (1.0 + c_hi))
+    return solve_bracketed(F, 0.0, c_hi, tol=0.0)
 
 
 def _chi(z, P, c, h):

@@ -144,6 +144,9 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     t0 = expansion.handoff
     if t_end is None:
         t_end = t0 + max(10.0, 20.0 * tau)
+        if not math.isfinite(t_end):
+            raise ValueError(f"tau = {tau:g} overflows the default "
+                             f"t_end = t0 + 20 tau")
     if not math.isfinite(t_end):
         raise ValueError(f"t_end must be finite, got {t_end}")
     if not t_end > t0:

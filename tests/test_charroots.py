@@ -9,9 +9,9 @@ import pytest
 
 from nmwaves.charroots import (TailClass, classify_tail,
                                linear_spreading_speed, minimal_speed, mu_root,
-                               negative_root_exists, negative_roots_at_kappa,
-                               _profile_min_over_positive)
+                               negative_root_exists, negative_roots_at_kappa)
 from nmwaves.model import ModelParams
+from nmwaves.numerics import BracketingError
 
 
 def _chi_kappa(z, params, c):
@@ -235,21 +235,99 @@ def test_minimal_speed_example():
 
 
 def test_minimal_speed_no_delay_closed_form():
-    # tangency of z^2 - cz + (p-1): c* = 2 sqrt(p-1)
-    for p in (2.0, 5.0, 10.0):
-        got = minimal_speed(ModelParams(p=p, tau=0.0))
-        assert abs(got - 2.0 * math.sqrt(p - 1.0)) <= 1e-9, p
-    # 67 doublings above the bracket search's start at c = 1
-    got = minimal_speed(ModelParams(p=1e40, tau=0.0))
-    assert abs(got / 2e20 - 1.0) <= 1e-10
+    # tangency of z^2 - cz + (p-1): c* = 2 sqrt(p-1), to an ulp up to the
+    # top of the float range
+    with mp.workdps(50):
+        for p in (1.0001, 2.0, 5.0, 10.0, 1e40, 1e300, 1.7e308):
+            got = minimal_speed(ModelParams(p=p, tau=0.0))
+            want = float(2 * mp.sqrt(mp.mpf(p) - 1))
+            assert abs(got - want) <= math.ulp(want), p
+
+
+def _profile_min(p, tau, c):
+    """min over z > 0 of z^2 - cz - 1 + p e^{-zc tau} (tau > 0), in mpmath.
+
+    The minimiser solves 2z - c = c tau p e^{-zc tau}, i.e. the increasing
+    ln(2z - c) + zc tau - ln(c tau p) = 0 on z > c/2, which is negative
+    just above c/2 and positive at c/2 + max(1, ln(c tau p)/(c tau)).
+    """
+    with mp.workdps(50):
+        p, tau, c = mp.mpf(p), mp.mpf(tau), mp.mpf(c)
+        h = c * tau
+        lo = c / 2
+        hi = lo + max(1, mp.log(h * p) / h)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if mp.log(2 * mid - c) + mid * h - mp.log(h * p) < 0:
+                lo = mid
+            else:
+                hi = mid
+        z = (lo + hi) / 2
+        return z * z - c * z - 1 + p * mp.exp(-z * h)
 
 
 def test_minimal_speed_onset():
-    params = ModelParams(p=365.0, tau=0.07)
-    c_star = minimal_speed(params)
-    _, lo_val = _profile_min_over_positive(params, c_star * (1.0 + 1e-3))
-    _, hi_val = _profile_min_over_positive(params, c_star * (1.0 - 1e-3))
-    assert lo_val < 0.0 < hi_val
+    # a positive root appears between c*(1 - 1e-6) and c*(1 + 1e-6)
+    for p, tau in ((365.0, 0.07), (5823578936458799.0, 0.004947971588666243),
+                   (1e17, 0.07)):
+        c_star = minimal_speed(ModelParams(p=p, tau=tau))
+        assert _profile_min(p, tau, c_star * (1.0 + 1e-6)) < 0.0, (p, tau)
+        assert _profile_min(p, tau, c_star * (1.0 - 1e-6)) > 0.0, (p, tau)
+
+
+def _minimal_speed_reference(p, tau, c0):
+    """The tangency speed of z^2 - cz - 1 + p e^{-zc tau} to 50 digits.
+
+    Where the function and its z-derivative both vanish, eliminating the
+    exponential leaves c tau z^2 + (2 - c^2 tau) z - c (1 + tau) = 0, so
+    z is the positive root of that quadratic and the tangency is a simple
+    root in c of the function at that z, decreasing through it. Bracketed
+    by c0 (1 -+ 1e-9), whose sign change is asserted.
+    """
+    with mp.workdps(50):
+        p, tau, c0 = mp.mpf(p), mp.mpf(tau), mp.mpf(c0)
+
+        def F(c):
+            b = 2 - c * c * tau
+            root = mp.sqrt(b * b + 4 * c * c * tau * (1 + tau))
+            z = (2 * c * (1 + tau) / (b + root) if b > 0
+                 else (root - b) / (2 * c * tau))
+            return ((z * z - c * z - 1 + p * mp.exp(-z * c * tau))
+                    / (1 + z * z + c * z))
+
+        lo, hi = c0 * (1 - mp.mpf(10) ** -9), c0 * (1 + mp.mpf(10) ** -9)
+        assert F(lo) > 0 > F(hi)
+        return mp.findroot(F, (lo, hi), solver="anderson")
+
+
+def test_minimal_speed_against_a_50_digit_reference():
+    # ln p log-uniform in [1e-4, 709]; tau = 0 or log-uniform in [1e-6, 1e4]
+    rng = random.Random(20261020)
+    log_uniform = lambda lo, hi: math.exp(rng.uniform(math.log(lo),
+                                                      math.log(hi)))
+    for _ in range(300):
+        p = math.exp(log_uniform(1e-4, 709.0))
+        tau = 0.0 if rng.random() < 0.1 else log_uniform(1e-6, 1e4)
+        got = minimal_speed(ModelParams(p=p, tau=tau))
+        with mp.workdps(50):
+            want = (2 * mp.sqrt(mp.mpf(p) - 1) if tau == 0.0
+                    else _minimal_speed_reference(p, tau, got))
+        assert abs(got - want) <= 2e-15 * want, (p, tau, got)
+    # delays down to 1e-300: where s tau = z c tau at the tangency is
+    # small, the rounding of ln p shows in the last digits
+    for p in (1.0001, 365.0, 1e100, 1.3549348402472516e+139, 1.7e308):
+        for tau in (1e-300, 1e-100, 1e-30):
+            got = minimal_speed(ModelParams(p=p, tau=tau))
+            want = _minimal_speed_reference(p, tau, got)
+            assert math.isfinite(got) and abs(got - want) <= 1e-13 * want, (
+                p, tau, got)
+    # below about 1e-307 the root x nears p - 1, which the doubling
+    # bracket reaches up to p = 2^1023 and no further
+    got = minimal_speed(ModelParams(p=8e307, tau=1e-310))
+    want = _minimal_speed_reference(8e307, 1e-310, got)
+    assert abs(got - want) <= 1e-13 * want
+    with pytest.raises(BracketingError, match="minimal speed search"):
+        minimal_speed(ModelParams(p=1.7e308, tau=5e-324))
 
 
 def test_linear_spreading_example():

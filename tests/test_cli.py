@@ -69,6 +69,24 @@ def test_analyze_with_speed(tmp_path):
     assert abs(payload["c_star"] - 7.89) <= 0.01
     assert payload["tail_class"] == "eventually_monotone"
     assert payload["in_dm"] is True and payload["in_ds"] is True
+    # mu, qbar2 and zeta do not depend on the speed search
+    assert (payload["mu"], payload["qbar2"], payload["zeta"]) == (
+        33.640892805546166, -0.05058375927311183, 6.46588419583009)
+
+
+@pytest.mark.parametrize("p, tau, c_star", [
+    ("1e17", "0.07", 23.126267300381226),
+    ("5823578936458799", "0.004947971588666243", 80.44195609926764),
+    ("1832545993383.4265", "6.745831145274225", 1.9356867774131508),
+])
+def test_analyze_minimal_speed_at_large_p(p, tau, c_star, tmp_path):
+    # 50-digit tangency values; at large p the profile function's minimum
+    # over z is a near-cancelling sum of terms of size p
+    out = tmp_path / "report.json"
+    assert run_cli("analyze", "--p", p, "--tau", tau, "--c", "50",
+                   "--out", str(out)) == 0
+    got = json.loads(out.read_text())["c_star"]
+    assert abs(got - c_star) <= 1e-14 * c_star
 
 
 def test_analyze_determinism(tmp_path):
@@ -540,14 +558,20 @@ def test_domain_error_exit_code():
     assert run_cli("analyze", "--p", "0.5", "--tau", "0.1") == 1
 
 
-@pytest.mark.parametrize("p, tau", [
-    ("16700.719092785555", "26.037402816997748"),   # BlowUpError
-    ("636650.0078004306", "0.6583807767438601"),    # InconclusiveTail
-    ("365", "1e-5"),                                # OverflowError in p_window
-    ("1e200", "1"),                                 # qbar_2 underflows to 0
+# the start of each error line, keyed by the analyze point
+_DOMAIN_EXIT_REASONS = {
+    ("16700.719092785555", "26.037402816997748"): "|u| exceeded 1e6",
+    ("636650.0078004306", "0.6583807767438601"): "tail not settled",
+    ("365", "1e-5"): "math range error",            # OverflowError in p_window
+    ("1e200", "1"): "qbar_2 underflows to 0",
     # tau p overflows; mu = 3.09e-11 underflows qbar_2 (and p / mu in zeta)
-    ("2.4133565475654057e+299", "22289575101739.875"),
-])
+    ("2.4133565475654057e+299", "22289575101739.875"): "qbar_2 underflows",
+    # no --t-end given: the default t0 + 20 tau is inf
+    ("365", "1e308"): "tau = 1e+308 overflows the default t_end",
+}
+
+
+@pytest.mark.parametrize("p, tau", list(_DOMAIN_EXIT_REASONS))
 def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
     # a warning on the way would print a second line in the command
     with warnings.catch_warnings(record=True) as seen:
@@ -555,7 +579,8 @@ def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
         assert run_cli("analyze", "--p", p, "--tau", tau) == 1
     assert [str(w.message) for w in seen] == []
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: " + _DOMAIN_EXIT_REASONS[p, tau])
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("option", [("--t-end", "1e9"),
