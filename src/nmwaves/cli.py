@@ -195,7 +195,8 @@ def _cmd_series(args) -> tuple[int, dict, list]:
               ([t, expansion.u2(t), expansion.evaluate(t), expansion.u1(t)]
                for t in ts))
     return 0, {"p": args.p, "tau": args.tau, "n": args.n,
-               "eps": expansion.eps, "horizon": expansion.horizon}, args.out
+               "n_kept": len(expansion.coeffs), "eps": expansion.eps,
+               "horizon": expansion.horizon}, args.out
 
 
 def _cmd_heteroclinic(args) -> tuple[int, dict, list]:
@@ -356,7 +357,9 @@ def build_parser() -> CliParser:
     s = sub.add_parser("series", help="series coefficients and bounds profile")
     s.add_argument("--p", type=float, required=True)
     s.add_argument("--tau", type=float, required=True)
-    s.add_argument("--n", type=int, default=40)
+    s.add_argument("--n", default=40, help="most coefficients kept",
+                   type=_checked(int, lambda n: 2 <= n <= 1000,
+                                 "n must be an integer from 2 to 1000"))
     s.add_argument("--eps", type=float, default=None)
     s.add_argument("--out", type=_path_list(2), required=True,
                    help="coeffs.csv,profile.csv")

@@ -41,7 +41,8 @@ def _chi(z: float, params: ModelParams) -> float:
 
 
 def coefficients(params: ModelParams, n_coeffs: int) -> list[float]:
-    """First n_coeffs coefficients qbar_1..qbar_N, qbar_1 = 1.
+    """qbar_1 = 1, qbar_2, ...: at most n_coeffs, ending before the first
+    above OVERFLOW_BOUND; CoefficientOverflow if that is qbar_2 or qbar_3.
 
     With v_j = qbar_j e^{-j mu tau}, the coefficient of order n+1 in
     p * V * exp(-V) (whose linear part drops out because the order-n+1
@@ -51,8 +52,7 @@ def coefficients(params: ModelParams, n_coeffs: int) -> list[float]:
     """
     if n_coeffs < 2:
         raise ValueError("need at least two coefficients")
-    p, tau = params.p, params.tau
-    mu = params.mu
+    p, tau, mu = params.p, params.tau, params.mu
     emt = math.exp(-mu * tau)
     qb = [1.0]
     v = [0.0]   # coefficients of V: v_0 = 0, then v_1..v_n
@@ -71,6 +71,8 @@ def coefficients(params: ModelParams, n_coeffs: int) -> list[float]:
                 w += v[i] * b[n + 1 - i]
         q_next = p * w / _chi((n + 1) * mu, params)
         if abs(q_next) > OVERFLOW_BOUND:
+            if n >= 3:
+                break
             raise CoefficientOverflow(
                 f"|qbar_{n + 1}| = {abs(q_next):.3e} exceeds {OVERFLOW_BOUND:.0e}")
         qb.append(q_next)
@@ -203,7 +205,8 @@ class DirichletExpansion:
 
 def build(params: ModelParams, n_coeffs: int = 40,
           eps: float | None = None) -> DirichletExpansion:
-    """Construct the expansion, choosing eps by horizon maximization if unset."""
+    """The expansion on coefficients(params, n_coeffs), choosing eps by
+    horizon maximization if unset."""
     if params.tau <= 0.0:
         raise ValueError("the series requires a positive delay")
     mu = params.mu
@@ -227,14 +230,18 @@ def horizon(expansion: DirichletExpansion, eps: float) -> float:
 @np.errstate(over="ignore")  # p m = inf where mu underflows qbar_2 to 0
 def _zeta(p, tau, mu):
     """Peak lower bound zeta for (p, tau, mu) of one shape; see ``zeta``:
-    one series pass, exponents m + 1, m + 2 against limits 1, e^{-mu tau}."""
+    one series pass, exponents m + 1, m + 2 against limits 1, e^{-mu tau};
+    p (m [...]) only where p m overflows, so other lanes keep their bits."""
     qb2 = _qbar2(p, tau, mu)
     m = 1.0 / mu
     limits = np.array([np.exp(-mu * tau)] * 2)
     limits[0] = 1.0
     (g1, ge1), (g2, ge2) = lower_incomplete_gamma(
         limits, np.array([m + 1.0, m + 2.0])[:, None])
-    return (1.0 + qb2) * np.exp(-tau) + p * m * (g1 - ge1 + qb2 * (g2 - ge2))
+    gaps = g1 - ge1 + qb2 * (g2 - ge2)
+    pm = p * m
+    return ((1.0 + qb2) * np.exp(-tau)
+            + np.where(np.isfinite(pm), pm * gaps, p * (m * gaps)))
 
 
 def zeta(params: ModelParams) -> float:

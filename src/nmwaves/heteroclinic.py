@@ -23,8 +23,8 @@ Also here: crossings of ln p with the tail class, the first interior
 maximum, and the combined verdict for existence of a non-monotone
 non-oscillating wave.
 Crossing count and tail class come from the grid nodes alone, and every
-maximum from _peak, in closed form; only crossings() refines crossing
-times on the interpolant, and nm_verdict, which reports no time, never does.
+maximum from _peak, in closed form; crossings() refines every crossing
+time on the interpolant, nm_verdict at most the last (_classify_tail).
 """
 
 from __future__ import annotations
@@ -95,8 +95,7 @@ class CrossingReport:
     """Crossings of a level by the trajectory, with shape diagnostics.
 
     crossings: (time, slope sign) pairs, slope sign +1 for upward; the
-        times are refined on the interpolant, which crossings() alone
-        does.
+        times are refined on the interpolant.
     gaps: consecutive crossing-time differences.
     global_max: the interpolant's maximum, in closed form (_node_stage).
     tail_class: MONOTONE_TAIL or OSCILLATING.
@@ -264,9 +263,9 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
 
     The nodes are searched with numerics.level_crossings, so sign changes
     at rounding level are not crossings; the maximum is _node_stage's.
-    Only this function refines the crossing times. Raises
-    InconclusiveTail when the run is too short to establish either a
-    settling monotone tail or persistent oscillation.
+    Every crossing time is refined here. Raises InconclusiveTail when the
+    run is too short to establish either a settling monotone tail or
+    persistent oscillation.
     """
     params = traj.params
     if level is None:
@@ -426,31 +425,22 @@ def p_window(params: ModelParams) -> bool:
 def nm_verdict(params: ModelParams) -> NmVerdict:
     """Evaluate the nm-wave criteria and, for tau > 0, confirm with a run.
 
-    The run integrates with integrate()'s defaults. Its crossing count,
-    maximum and tail class come from the node stage crossings() shares;
-    no crossing time is refined here.
-
-    The run seeds its history from a 40-term series. For p close to 1
-    the normalized series coefficients grow and long expansions trip the
-    overflow guard; the run then falls back to shorter expansions (the
-    handoff time respects the certified horizon for any truncation
-    length).
+    The run integrates build()'s expansion with integrate()'s defaults;
+    where fewer than three coefficients fit there is no run. Its crossing
+    count, maximum and tail class come from the node stage crossings()
+    shares, which refines at most the last crossing time (_classify_tail).
     """
     in_window = p_window(params)  # before the run: it can overflow
     z = zeta(params)
     z_gt = z > params.kappa
     max_u = tail = n_cross = None
     if params.tau > 0.0:
-        expansion = None
-        for n in (40, 12, 6, 3):
-            try:
-                expansion = build(params, n_coeffs=n)
-                break
-            except CoefficientOverflow:
-                continue
-        if expansion is not None:
-            traj = integrate(expansion)
-            idx, max_u, tail = _node_stage(traj, params.kappa)
+        try:
+            expansion = build(params)
+        except CoefficientOverflow:
+            pass
+        else:
+            idx, max_u, tail = _node_stage(integrate(expansion), params.kappa)
             n_cross = len(idx)
     return NmVerdict(params=params, in_p_window=in_window, zeta_value=z,
                      zeta_gt_lnp=z_gt, verdict=in_window and z_gt,

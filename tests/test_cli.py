@@ -239,6 +239,68 @@ def test_series_at_a_huge_delay(tmp_path):
     assert abs(qbar2 + 2.0) <= 1e-12
 
 
+@pytest.mark.parametrize("n", ["1", "-5", "0", "1001", "100000", "2.5",
+                               "ten"])
+def test_series_n_outside_2_to_1000_is_a_usage_error(n, tmp_path, capsys):
+    out = f"{tmp_path / 'c.csv'},{tmp_path / 'p.csv'}"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("series", "--p", "365", "--tau", "0.07", "--n", n,
+                "--out", out)
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert err.count("error: ") == 1
+    assert "n must be an integer from 2 to 1000" in err
+
+
+def test_series_n_is_the_most_coefficients_kept(tmp_path):
+    # at (1.5, 0.3) qbar_32 is above the overflow bound: 31 are kept
+    coeffs = tmp_path / "coeffs.csv"
+    assert run_cli("series", "--p", "1.5", "--tau", "0.3", "--n", "1000",
+                   "--out", f"{coeffs},{tmp_path / 'profile.csv'}") == 0
+    assert len(coeffs.read_text().splitlines()) == 1 + 31
+    config = json.loads(Path(f"{coeffs}.manifest.json").read_text())["config"]
+    assert (config["n"], config["n_kept"]) == (1000, 31)
+
+
+def test_heteroclinic_runs_where_analyze_does(tmp_path):
+    # the command and analyze's confirmation run share one expansion
+    report, cross = tmp_path / "a.json", tmp_path / "cross.json"
+    assert run_cli("analyze", "--p", "1.5", "--tau", "0.3",
+                   "--out", str(report)) == 0
+    assert run_cli("heteroclinic", "--p", "1.5", "--tau", "0.3",
+                   "--out", f"{tmp_path / 'traj.csv'},{cross}") == 0
+    max_u = json.loads(report.read_text())["heteroclinic"]["max_u"]
+    assert json.loads(cross.read_text())["global_max"] == max_u
+
+
+def test_series_heteroclinic_and_analyze_agree_near_p_1(tmp_path, capsys):
+    # p - 1 log-uniform in [1e-6, 1], tau in [1e-2, 50]: each command
+    # exits 0 or 1 with one line, and heteroclinic succeeds exactly where
+    # analyze reports a run, with the same maximum
+    rng = random.Random(28)
+    report, cross = tmp_path / "a.json", tmp_path / "cross.json"
+    series_out = f"{tmp_path / 'c.csv'},{tmp_path / 'p.csv'}"
+    het_out = f"{tmp_path / 'traj.csv'},{cross}"
+    for _ in range(20):
+        p = repr(1.0 + math.exp(rng.uniform(math.log(1e-6), 0.0)))
+        tau = repr(math.exp(rng.uniform(math.log(1e-2), math.log(50.0))))
+        codes = []
+        for argv in (("series", "--out", series_out),
+                     ("heteroclinic", "--out", het_out),
+                     ("analyze", "--out", str(report))):
+            code = run_cli(argv[0], "--p", p, "--tau", tau, *argv[1:])
+            err = capsys.readouterr().err
+            assert (code, err.count("\n")) in ((0, 0), (1, 1)), (p, tau)
+            assert code == 0 or err.startswith("error: "), (p, tau)
+            codes.append(code)
+        run = (json.loads(report.read_text())["heteroclinic"]
+               if codes[2] == 0 else None)
+        assert (codes[1] == 0) == (run is not None), (p, tau)
+        if run is not None:
+            assert json.loads(cross.read_text())["global_max"] \
+                == run["max_u"], (p, tau)
+
+
 def test_analyze_where_mu_underflows_exits_1(tmp_path, capsys):
     out = tmp_path / "a.json"
     # the root ln(1.5)/1e308 is subnormal

@@ -149,10 +149,50 @@ def test_coefficient_magnitudes_respect_contour_bound():
 
 
 def test_overflow_guard():
+    # qbar_6 = 7.5e13 at this point: the one pass stops before it
+    params = ModelParams(p=1.0016820448809043, tau=0.06801012952725873)
+    qb = coefficients(params, 10)
+    assert len(qb) == 5
+    assert qb == coefficients(params, 5)
+    assert build(params).coeffs == tuple(qb)
+    # qbar_3 = 1.0e12 here: fewer than three fit
+    tight = ModelParams(p=1.000001, tau=0.1)
+    for n in (3, 40):
+        with pytest.raises(CoefficientOverflow, match=r"\|qbar_3\| = "):
+            coefficients(tight, n)
     with pytest.raises(CoefficientOverflow):
-        # qbar_6 = 7.5e13 at this point
-        coefficients(ModelParams(p=1.0016820448809043,
-                                 tau=0.06801012952725873), 10)
+        build(tight)
+    assert len(coefficients(tight, 2)) == 2
+
+
+def test_short_series_history_solves_the_delay_equation():
+    # with every coefficient below the bound (11 here), the history's
+    # u'(t0) misses the equation by 7e-14 relative; a 6-term prefix of
+    # the same series misses it by 2.2e-7
+    params = ModelParams(p=1.0675577348151144, tau=22.610499805991214)
+    expansion = build(params)
+    assert 6 < len(expansion.coeffs) < 40
+    t0 = expansion.handoff
+    rel = abs(expansion.defect(t0)) / abs(expansion.derivative(t0))
+    assert rel <= 1e-12
+    short = build(params, n_coeffs=6)
+    assert abs(short.defect(t0)) / abs(short.derivative(t0)) > 1e-8
+
+
+def test_zeta_finite_where_p_over_mu_overflows():
+    # mu = 3.09e-11 and qbar_2 underflows to -0, so p/mu is inf; zeta is
+    # about p/e. Reference: 40-digit quadrature of the defining integral,
+    # whose integrand carries e^s, so [-100, 0] holds all of it.
+    params = ModelParams(p=2.4133565475654057e+299, tau=22289575101739.875)
+    mu, qb2 = params.mu, qbar2_closed_form(params)
+    with mp.workdps(40):
+        def f(s):
+            x = mp.exp(mu * s)
+            return x * mp.exp(s) * (1 + qb2 * x) * mp.exp(-x)
+        ref = float(mp.mpf(params.p) * mp.quad(f, [-100, -40, -10, -1, 0]))
+    got = zeta(params)
+    assert math.isfinite(got)
+    assert abs(got - ref) <= 1e-14 * ref
 
 
 def test_horizon_example():

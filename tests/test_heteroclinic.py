@@ -469,13 +469,27 @@ def test_nm_verdict_negative_cases():
     assert late.in_p_window is False
 
 
-def test_nm_verdict_small_amplitude_falls_back_to_short_series():
+def test_nm_verdict_small_amplitude_falls_back_to_short_series(monkeypatch):
     # near p = 1 the normalized coefficients grow; the confirmation run
-    # still happens through a shorter expansion
+    # still happens through a shorter expansion. At (1.5, 0.3) qbar_32 is
+    # above the bound: one build keeps the 31 coefficients below it, from
+    # one pass of the recurrence
+    from nmwaves import dirichlet
+
+    built, passes = [], []
+    monkeypatch.setattr(heteroclinic, "build",
+                        lambda *a, **k: built.append(build(*a, **k))
+                        or built[-1])
+    real = dirichlet.coefficients
+    monkeypatch.setattr(dirichlet, "coefficients",
+                        lambda *a: passes.append(a) or real(*a))
     verdict = nm_verdict(ModelParams(p=1.5, tau=0.3))
     assert verdict.verdict is False
     assert verdict.tail_class is TrajectoryTail.MONOTONE_TAIL
     assert verdict.crossing_count == 0
+    assert len(built) == 1 and len(passes) == 1
+    assert len(built[0].coeffs) == 31
+    assert verdict.max_u == crossings(integrate(built[0])).global_max
 
 
 def _outcome(f):
@@ -503,8 +517,8 @@ def _refined(traj):
 
 
 def test_node_level_tail_matches_refined_crossings(monkeypatch):
-    # nm_verdict decides count, maximum and tail without refining a
-    # crossing time; crossings() refines all of them
+    # nm_verdict decides count, maximum and tail refining at most the
+    # last crossing time; crossings() refines all of them
     rng = np.random.default_rng(13)
     ps = np.exp(rng.uniform(math.log(1.5), math.log(1e6), 160))
     taus = np.exp(rng.uniform(math.log(0.01), math.log(20.0), 160))
