@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charroots import TailClass, _mu, negative_root_exists, tail_of
+from .charroots import _mu, negative_root_exists
 from .dirichlet import _zeta
 from .model import ModelParams, gsc_holds
 from .numerics import DomainError, bracketed_roots, double_until
@@ -458,16 +458,19 @@ class RegionReport:
     gsc: bool
     in_dm: bool | None
     in_ds: bool | None
-    tail_class: TailClass | None
+    tail_class: TrajectoryTail | None
 
 
 def region_report(params: ModelParams, c: float | None = None) -> RegionReport:
     """Region flags at one point; at a speed c, one _point_flags call
     gives the memberships and, from its root test, the tail class."""
+    from .heteroclinic import TrajectoryTail  # lazy: root tests need no run
+
     in_dm = in_ds = tail = None
     if c is not None:
         in_dm, in_ds, has_root = _point_flags(params, c)
-        tail = tail_of(has_root)
+        tail = (TrajectoryTail.MONOTONE_TAIL if has_root
+                else TrajectoryTail.OSCILLATING)
     return RegionReport(params=params, c=c, nm_necessary=nm_necessary(params),
                         gsc=gsc_holds(params), in_dm=in_dm, in_ds=in_ds,
                         tail_class=tail)

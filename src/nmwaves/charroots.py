@@ -22,17 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .model import ModelParams
 from .numerics import bracketed_roots, double_until, solve_bracketed
-
-
-class TailClass(Enum):
-    EVENTUALLY_MONOTONE = "eventually_monotone"
-    OSCILLATORY_TAIL = "oscillatory_tail"
 
 
 @dataclass(frozen=True)
@@ -303,13 +297,10 @@ def negative_root_exists(p: float, tau, c):
         return no_delay | (hump & _touches_zero(_chi(z_m, P, cs, h), z_m, cs))
 
 
-def tail_of(has_root) -> TailClass:
-    """Tail shape at ln p: eventually monotone exactly when the wave-frame
-    characteristic function there has a real negative root."""
-    return (TailClass.EVENTUALLY_MONOTONE if has_root
-            else TailClass.OSCILLATORY_TAIL)
+def classify_tail(params: ModelParams, c: float) -> TrajectoryTail:
+    """MONOTONE_TAIL if negative_root_exists(p, tau, c), else OSCILLATING."""
+    from .heteroclinic import TrajectoryTail  # lazy: root tests need no run
 
-
-def classify_tail(params: ModelParams, c: float) -> TailClass:
-    """tail_of the negative_root_exists flag at (params, c)."""
-    return tail_of(negative_root_exists(params.p, params.tau, c))
+    return (TrajectoryTail.MONOTONE_TAIL
+            if negative_root_exists(params.p, params.tau, c)
+            else TrajectoryTail.OSCILLATING)

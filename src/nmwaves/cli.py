@@ -168,6 +168,8 @@ def _cmd_analyze(args) -> tuple[int, dict, list]:
             "crossings": verdict.crossing_count,
             "tail": verdict.tail_class.value,
         }
+        if verdict.tail_reason is not None:
+            payload["heteroclinic"]["reason"] = verdict.tail_reason
     if args.c is not None:
         payload["c"] = args.c
         payload["c_star"] = minimal_speed(params)
@@ -281,7 +283,7 @@ def _cmd_simulate(args) -> tuple[int, dict, list]:
 def _cmd_diagnose(args) -> tuple[int, dict, list]:
     import numpy as np
 
-    from .diagnostics import classify_profile, diagnose, diagnostics_to_dict
+    from .diagnostics import diagnose, diagnostics_to_dict
     from .model import ModelParams
     from .pde import SpacetimeRecord, front_position, tracking_level
 
@@ -303,16 +305,7 @@ def _cmd_diagnose(args) -> tuple[int, dict, list]:
         track = [(t, front_position(x, u, level)) for t, u in snaps]
     record = SpacetimeRecord(x=x, snapshots=snaps, front_track=track,
                              config=None)
-    try:
-        payload = diagnostics_to_dict(diagnose(record, params))
-    except ValueError as exc:
-        # no speed fit: classify the last snapshot in the lab frame
-        u_last = snaps[-1][1]
-        payload = {"tracking_level": level, "speed": None,
-                   "speed_error": str(exc),
-                   "shape": classify_profile(x, u_last, params).value,
-                   "overshoot": float(max(u_last)) - params.kappa}
-    write_json(args.out, payload)
+    write_json(args.out, diagnostics_to_dict(diagnose(record, params)))
     return 0, {"in": args.infile, "p": args.p, "tau": args.tau}, [args.out]
 
 

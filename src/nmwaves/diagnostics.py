@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ModelParams
-from .numerics import crossing_points, is_monotone, level_crossings
+from .numerics import crossing_points, is_monotone
 from .pde import SpacetimeRecord, tracking_level
 
 
@@ -38,11 +38,12 @@ class SpeedEstimate:
 
 @dataclass(frozen=True)
 class FrontDiagnostics:
-    speed: SpeedEstimate
+    speed: SpeedEstimate | None  # None where the track gives no fit
     level: float
     shape: ProfileShape
     overshoot: float            # max u - ln p
     crossings_of_kappa: int
+    speed_error: str | None = None  # why there is no fit
 
 
 def estimate_speed(times: Sequence[float],
@@ -75,8 +76,8 @@ def estimate_speed(times: Sequence[float],
 
 
 def classify_profile(xi: Sequence[float], u: Sequence[float],
-                     params: ModelParams,
-                     speed: float | None = None) -> ProfileShape:
+                     params: ModelParams, speed: float | None = None,
+                     crossings: Sequence[float] | None = None) -> ProfileShape:
     """Shape class of a resolved profile (at least 50 points).
 
     Monotone: the discrete derivative is single-signed up to a 1e-9
@@ -88,7 +89,8 @@ def classify_profile(xi: Sequence[float], u: Sequence[float],
     inconclusive.
 
     The classification depends only on orderings and crossings, so it is
-    invariant under rescaling of the profile coordinate.
+    invariant under rescaling and translation of the profile coordinate.
+    crossings, if given, must be crossing_points(xi, u, ln p).
     """
     xi = np.asarray(xi, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -103,7 +105,8 @@ def classify_profile(xi: Sequence[float], u: Sequence[float],
     if is_monotone(u, tol):
         return ProfileShape.MONOTONE
 
-    crossings = crossing_points(xi, u, kappa)
+    if crossings is None:
+        crossings = crossing_points(xi, u, kappa)
     xi_last_quarter = xi[0] + 0.75 * (xi[-1] - xi[0])
     late = [c for c in crossings if c >= xi_last_quarter]
     if len(late) >= 2:
@@ -114,7 +117,7 @@ def classify_profile(xi: Sequence[float], u: Sequence[float],
     gaps_ok = True
     if speed is not None and len(crossings) >= 2:
         min_gap = params.tau * speed
-        gaps = np.diff(crossings)
+        gaps = np.abs(np.diff(crossings))  # given ones descend if xi did
         gaps_ok = bool(np.all(gaps > min_gap))
     if has_peak and tail_monotone and gaps_ok:
         return ProfileShape.NON_MONOTONE_NON_OSCILLATING
@@ -125,32 +128,38 @@ def diagnose(record: SpacetimeRecord,
              params: ModelParams | None = None) -> FrontDiagnostics:
     """Full diagnostics from a simulation record.
 
-    Speed from the tracked front positions; the shape is classified on
-    the last snapshot shifted by the fitted motion, xi = x - slope * t.
-    params defaults to record.config.params.
+    Speed from the tracked positions (None, with speed_error, if no fit);
+    shape and crossing count from the last snapshot's crossings of ln p in
+    x, which the co-moving shift x - slope * t only translates. params
+    defaults to record.config.params.
     """
     if params is None:
         params = record.config.params
     times = [t for t, _ in record.front_track]
     positions = [pos for _, pos in record.front_track]
-    est = estimate_speed(times, positions)
-    t_last, u_last = record.snapshots[-1]
-    xi = record.x - est.slope * t_last
-    shape = classify_profile(xi, u_last, params, speed=est.speed)
-    overshoot = float(np.max(u_last)) - params.kappa
-    n_crossings = len(level_crossings(u_last, params.kappa))
+    try:
+        est, error = estimate_speed(times, positions), None
+    except ValueError as exc:
+        est, error = None, str(exc)
+    x, u_last = record.x, record.snapshots[-1][1]
+    crossings = crossing_points(x, u_last, params.kappa)
+    shape = classify_profile(x, u_last, params, est and est.speed, crossings)
     return FrontDiagnostics(speed=est, level=tracking_level(params),
-                            shape=shape, overshoot=overshoot,
-                            crossings_of_kappa=n_crossings)
+                            shape=shape, crossings_of_kappa=len(crossings),
+                            overshoot=float(np.max(u_last)) - params.kappa,
+                            speed_error=error)
 
 
 def diagnostics_to_dict(diag: FrontDiagnostics) -> dict:
-    return {
-        "speed": diag.speed.speed,
-        "speed_stderr": diag.speed.stderr,
-        "direction": diag.speed.direction,
+    payload = {  # without a fit its keys are null and speed_error says why
+        "speed": diag.speed and diag.speed.speed,
+        "speed_stderr": diag.speed and diag.speed.stderr,
+        "direction": diag.speed and diag.speed.direction,
         "tracking_level": diag.level,
         "shape": diag.shape.value,
         "overshoot": diag.overshoot,
         "crossings_of_kappa": diag.crossings_of_kappa,
     }
+    if diag.speed is None:
+        payload["speed_error"] = diag.speed_error
+    return payload

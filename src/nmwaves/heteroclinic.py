@@ -25,6 +25,7 @@ non-oscillating wave.
 Crossing count and tail class come from the grid nodes alone, and every
 maximum from _peak, in closed form; crossings() refines every crossing
 time on the interpolant, nm_verdict at most the last (_classify_tail).
+A tail the run leaves undecided is INCONCLUSIVE, with a one-line reason.
 """
 
 from __future__ import annotations
@@ -53,13 +54,11 @@ class BlowUpError(DomainError):
     (p/e bounds the invariant range) or not finite."""
 
 
-class InconclusiveTail(DomainError):
-    """Neither convergence nor oscillation was established by t_end."""
-
-
 class TrajectoryTail(Enum):
+    """Tail of a run, and the linear class at ln p (charroots)."""
     MONOTONE_TAIL = "monotone_tail"
     OSCILLATING = "oscillating"
+    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -98,9 +97,9 @@ class CrossingReport:
         times are refined on the interpolant.
     gaps: consecutive crossing-time differences.
     global_max: the interpolant's maximum, in closed form (_node_stage).
-    tail_class: MONOTONE_TAIL or OSCILLATING.
-    anomalies: human-readable violations (a gap <= tau, or a first
-        crossing that is not upward).
+    tail_class: MONOTONE_TAIL, OSCILLATING or INCONCLUSIVE.
+    anomalies: human-readable violations (a gap <= tau, a first crossing
+        not upward, equal slope signs in a row), then _classify_tail's reason.
     """
 
     level: float
@@ -263,15 +262,15 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
 
     The nodes are searched with numerics.level_crossings, so sign changes
     at rounding level are not crossings; the maximum is _node_stage's.
-    Every crossing time is refined here. Raises InconclusiveTail when the
-    run is too short to establish either a settling monotone tail or
-    persistent oscillation.
+    Every crossing time is refined here. A run too short to establish
+    either a settling monotone tail or persistent oscillation has an
+    INCONCLUSIVE tail, whose reason ends the anomalies.
     """
     params = traj.params
     if level is None:
         level = params.kappa
     tau = params.tau
-    idx, global_max, tail = _node_stage(traj, level)
+    idx, global_max, tail, reason = _node_stage(traj, level)
     s = traj.u - level
     # a node on the level is its own crossing; sign changes between
     # neighbouring nodes are refined on the interpolant. Either way the
@@ -287,19 +286,19 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     anomalies = [f"crossing gap {g:.6g} <= tau" for g in gaps if g <= tau]
     if found and found[0][1] != 1:
         anomalies.append("first crossing is not upward")
-    for (_, s1), (_, s2) in zip(found[:-1], found[1:]):
-        if s1 == s2:
-            anomalies.append("consecutive crossings with equal slope sign")
-            break
+    if any(s1 == s2 for (_, s1), (_, s2) in zip(found[:-1], found[1:])):
+        anomalies.append("consecutive crossings with equal slope sign")
+    if reason is not None:
+        anomalies.append(reason)
     return CrossingReport(level=level, crossings=tuple(found), gaps=gaps,
                           global_max=global_max, tail_class=tail,
                           anomalies=tuple(anomalies))
 
 
 def _node_stage(traj: Trajectory, level: float):
-    """(level_crossings indices, maximum, tail class): what crossings() and
-    nm_verdict share, found without crossing times. The maximum is the top
-    node's, or _peak's on a segment beside it where u' falls through 0."""
+    """(level_crossings indices, maximum, *_classify_tail): what crossings()
+    and nm_verdict share, found without crossing times. The maximum is the
+    top node's, or _peak's on a segment beside it where u' falls through 0."""
     u, du = traj.u, traj.du
     idx = np.array(level_crossings(u, level), dtype=np.int64)
     i_max = int(np.argmax(u))
@@ -307,7 +306,7 @@ def _node_stage(traj: Trajectory, level: float):
     for k in (i_max - 1, i_max):
         if 0 <= k < len(u) - 1 and du[k] > 0.0 > du[k + 1]:
             global_max = max(global_max, _peak(traj, k)[1])
-    return idx, global_max, _classify_tail(traj, idx, level)
+    return idx, global_max, *_classify_tail(traj, idx, level)
 
 
 def _peak(traj: Trajectory, k: int) -> tuple[float, float]:
@@ -347,8 +346,9 @@ def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
 
 
 def _classify_tail(traj: Trajectory, idx: np.ndarray,
-                   level: float) -> TrajectoryTail:
-    """Tail class from the crossing indices idx of level_crossings.
+                   level: float) -> tuple[TrajectoryTail, str | None]:
+    """(tail class, reason) from the crossing indices idx of
+    level_crossings; only an INCONCLUSIVE tail has a reason (else None).
 
     The amplitude after the last crossing is taken from node i on for a
     crossing on node i, and from node i+1 on for one inside segment i,
@@ -369,14 +369,14 @@ def _classify_tail(traj: Trajectory, idx: np.ndarray,
         strict = int(traj.u[i] != level)
         amp = float(np.max(np.abs(traj.u[i + strict:] - level)))
         if monotone and (dev_end <= amp / 1e3 or dev_end < 1e-6):
-            return TrajectoryTail.MONOTONE_TAIL
+            return TrajectoryTail.MONOTONE_TAIL, None
         t_quarter = traj.t0 + 0.75 * (t_end - traj.t0)
         t_last = float(traj.t[i])
         if t_last < t_quarter <= traj.t[i + strict]:
             t_last = float(_refine(traj, idx[-1:], level)[0])
         if t_last >= t_quarter:
-            return TrajectoryTail.OSCILLATING
-        raise InconclusiveTail(
+            return TrajectoryTail.OSCILLATING, None
+        return TrajectoryTail.INCONCLUSIVE, (
             f"tail not settled by t_end = {t_end}: deviation {dev_end:.3e}, "
             f"post-crossing amplitude {amp:.3e}")
 
@@ -384,8 +384,8 @@ def _classify_tail(traj: Trajectory, idx: np.ndarray,
     i_ref = int(0.75 * (len(traj.u) - 1))
     dev_ref = abs(float(traj.u[i_ref]) - level)
     if monotone and (dev_end < dev_ref or dev_end < 1e-6):
-        return TrajectoryTail.MONOTONE_TAIL
-    raise InconclusiveTail(
+        return TrajectoryTail.MONOTONE_TAIL, None
+    return TrajectoryTail.INCONCLUSIVE, (
         f"no crossings and no trend by t_end = {t_end}")
 
 
@@ -397,7 +397,7 @@ class NmVerdict:
     zeta_gt_lnp: the peak lower bound exceeds the equilibrium.
     verdict: conjunction of the two.
     Empirical confirmation from nm_verdict's run (None at tau = 0): the
-    heteroclinic's maximum, tail class and crossing count.
+    heteroclinic's maximum, tail class, crossing count and tail reason.
     """
 
     params: ModelParams
@@ -408,6 +408,7 @@ class NmVerdict:
     max_u: float | None = None
     tail_class: TrajectoryTail | None = None
     crossing_count: int | None = None
+    tail_reason: str | None = None
 
 
 def window_upper(tau: float) -> float:
@@ -433,16 +434,18 @@ def nm_verdict(params: ModelParams) -> NmVerdict:
     in_window = p_window(params)  # before the run: it can overflow
     z = zeta(params)
     z_gt = z > params.kappa
-    max_u = tail = n_cross = None
+    max_u = tail = n_cross = reason = None
     if params.tau > 0.0:
         try:
             expansion = build(params)
         except CoefficientOverflow:
             pass
         else:
-            idx, max_u, tail = _node_stage(integrate(expansion), params.kappa)
+            traj = integrate(expansion)
+            idx, max_u, tail, reason = _node_stage(traj, params.kappa)
             n_cross = len(idx)
     return NmVerdict(params=params, in_p_window=in_window, zeta_value=z,
                      zeta_gt_lnp=z_gt, verdict=in_window and z_gt,
-                     max_u=max_u, tail_class=tail, crossing_count=n_cross)
+                     max_u=max_u, tail_class=tail, crossing_count=n_cross,
+                     tail_reason=reason)
 

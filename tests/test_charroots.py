@@ -7,9 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nmwaves.charroots import (TailClass, classify_tail,
-                               linear_spreading_speed, minimal_speed, mu_root,
-                               negative_root_exists, negative_roots_at_kappa)
+from nmwaves.charroots import (classify_tail, linear_spreading_speed,
+                               minimal_speed, mu_root, negative_root_exists,
+                               negative_roots_at_kappa)
+from nmwaves.heteroclinic import TrajectoryTail
 from nmwaves.model import ModelParams
 from nmwaves.numerics import BracketingError
 
@@ -220,13 +221,54 @@ def test_boundary_double_root():
     assert abs(z - 0.5 * (z1 + z2)) <= 1e-4
 
 
+@pytest.mark.parametrize("c", [2.0, 10.0, 50.0])
+def test_tangency_just_past_the_boundary(c):
+    # a hump maximum within TANGENCY_TOL of zero is a double root; a
+    # little further past T(c) the hump stays below zero
+    from nmwaves.atlas import T_of_c
+
+    Tc = T_of_c(ModelParams(p=365.0, tau=0.0).P, c)
+    tau = Tc * (1.0 + 1e-11)
+    z1, z2 = negative_roots_at_kappa(ModelParams(p=365.0, tau=tau),
+                                     c).real_roots
+    assert z1 == z2 < 0.0
+    assert negative_root_exists(365.0, tau, c)
+    tau = Tc * (1.0 + 1e-7)
+    assert negative_roots_at_kappa(ModelParams(p=365.0, tau=tau),
+                                   c).real_roots == ()
+    assert not negative_root_exists(365.0, tau, c)
+
+
 def test_classify_tail():
     params = ModelParams(p=365.0, tau=0.07)
-    assert classify_tail(params, 50.0) is TailClass.EVENTUALLY_MONOTONE
+    assert classify_tail(params, 50.0) is TrajectoryTail.MONOTONE_TAIL
     assert classify_tail(ModelParams(p=2.0, tau=0.3), 4.0) \
-        is TailClass.EVENTUALLY_MONOTONE
+        is TrajectoryTail.MONOTONE_TAIL
     assert classify_tail(ModelParams(p=365.0, tau=0.25), 10.0) \
-        is TailClass.OSCILLATORY_TAIL
+        is TrajectoryTail.OSCILLATING
+
+
+def test_linear_tail_class_is_the_root_test_on_a_seeded_grid():
+    # classify_tail and region_report give the run's vocabulary:
+    # MONOTONE_TAIL exactly where a negative root exists
+    from nmwaves.atlas import region_report
+
+    rng = random.Random(2929)
+    both = set()
+    for _ in range(40):
+        p = 10.0 ** rng.uniform(0.2, 4.0)
+        tau = 10.0 ** rng.uniform(-2.5, 0.5)
+        c = 10.0 ** rng.uniform(-1.0, 2.5)
+        params = ModelParams(p=p, tau=tau)
+        want = (TrajectoryTail.MONOTONE_TAIL
+                if negative_root_exists(p, tau, c)
+                else TrajectoryTail.OSCILLATING)
+        assert classify_tail(params, c) is want, (p, tau, c)
+        assert region_report(params, c).tail_class is want, (p, tau, c)
+        both.add(want)
+    assert len(both) == 2
+    assert [t.value for t in TrajectoryTail] == [
+        "monotone_tail", "oscillating", "inconclusive"]
 
 
 def test_minimal_speed_example():
@@ -387,7 +429,7 @@ def test_tail_monotone_in_delay():
     seen_osc = False
     for tau in taus:
         tc = classify_tail(ModelParams(p=365.0, tau=tau), c)
-        if tc is TailClass.OSCILLATORY_TAIL:
+        if tc is TrajectoryTail.OSCILLATING:
             seen_osc = True
         else:
             assert not seen_osc, f"monotone after oscillatory at tau={tau}"

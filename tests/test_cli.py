@@ -46,6 +46,7 @@ def test_analyze_example(tmp_path, capsys):
     assert abs(payload["lnp"] - math.log(365.0)) <= 1e-9
     assert payload["nm_verdict"] is True
     assert payload["heteroclinic"]["tail"] == "monotone_tail"
+    assert "reason" not in payload["heteroclinic"]  # only an undecided tail
     assert "metadata" in payload
     manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
     assert str(out) in manifest["outputs"]
@@ -67,7 +68,9 @@ def test_analyze_with_speed(tmp_path):
                    "--out", str(out)) == 0
     payload = json.loads(out.read_text())
     assert abs(payload["c_star"] - 7.89) <= 0.01
-    assert payload["tail_class"] == "eventually_monotone"
+    # the linear class and the run's tail speak one vocabulary
+    assert payload["tail_class"] == payload["heteroclinic"]["tail"] \
+        == "monotone_tail"
     assert payload["in_dm"] is True and payload["in_ds"] is True
     # mu, qbar2 and zeta do not depend on the speed search
     assert (payload["mu"], payload["qbar2"], payload["zeta"]) == (
@@ -196,7 +199,7 @@ def test_analyze_decides_roots_once_by_the_existence_test(tmp_path,
     assert run_cli("analyze", "--p", "365", "--tau", "0.07", "--c", "50",
                    "--out", str(out)) == 0
     assert (len(exists), len(listings)) == (1, 0)
-    assert json.loads(out.read_text())["tail_class"] == "eventually_monotone"
+    assert json.loads(out.read_text())["tail_class"] == "monotone_tail"
 
 
 def test_analyze_large_p_stays_below_the_invariant_bound(tmp_path):
@@ -440,6 +443,12 @@ def test_simulate_and_diagnose_roundtrip(tmp_path):
     payload = json.loads(diag.read_text())
     assert payload["speed"] is None and "speed_error" in payload
     assert payload["tracking_level"] == 0.5 * math.log(365.0)
+    # one payload shape: the fit's keys are null and the reason is given
+    assert payload["speed_stderr"] is None and payload["direction"] is None
+    assert payload["speed_error"].startswith("need at least 5 tracked")
+    assert payload["shape"] == "non_monotone_non_oscillating"
+    assert payload["crossings_of_kappa"] >= 1
+    assert payload["overshoot"] > 0.0
 
 
 @pytest.mark.parametrize("count", [59, 61])
@@ -623,7 +632,6 @@ def test_domain_error_exit_code():
 # the start of each error line, keyed by the analyze point
 _DOMAIN_EXIT_REASONS = {
     ("16700.719092785555", "26.037402816997748"): "|u| exceeded 1e6",
-    ("636650.0078004306", "0.6583807767438601"): "tail not settled",
     ("365", "1e-5"): "math range error",            # OverflowError in p_window
     ("1e200", "1"): "qbar_2 underflows to 0",
     # tau p overflows; mu = 3.09e-11 underflows qbar_2 (and p / mu in zeta)
@@ -643,6 +651,27 @@ def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: " + _DOMAIN_EXIT_REASONS[p, tau])
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p, tau", [
+    ("315795.2413526715", "0.5833923191030249"),
+    ("636650.0078004306", "0.6583807767438601")])
+def test_unsettled_tail_exits_0_with_its_reason(p, tau, tmp_path):
+    # the run ends with its tail still swinging: analyze keeps the whole
+    # report and gives the reason, heteroclinic lists it among anomalies
+    report = tmp_path / "report.json"
+    assert run_cli("analyze", "--p", p, "--tau", tau,
+                   "--out", str(report)) == 0
+    het = json.loads(report.read_text())["heteroclinic"]
+    assert het["tail"] == "inconclusive"
+    assert het["reason"].startswith("tail not settled")
+    traj, cross = tmp_path / "traj.csv", tmp_path / "crossings.json"
+    assert run_cli("heteroclinic", "--p", p, "--tau", tau,
+                   "--out", f"{traj},{cross}") == 0
+    payload = json.loads(cross.read_text())
+    assert payload["tail_class"] == "inconclusive"
+    assert payload["anomalies"][-1] == het["reason"]
+    assert len(payload["crossings"]) == het["crossings"]
 
 
 @pytest.mark.parametrize("option", [("--t-end", "1e9"),
@@ -837,7 +866,7 @@ def test_membership_just_above_the_boundary_at_large_speed(tmp_path):
                    "--c", "767.5744060944412", "--out", str(out)) == 0
     payload = json.loads(out.read_text())
     assert payload["in_dm"] is False
-    assert payload["tail_class"] == "oscillatory_tail"
+    assert payload["tail_class"] == "oscillating"
 
 
 @pytest.mark.parametrize("command", [
@@ -1093,10 +1122,10 @@ def test_step_whose_fourth_power_overflows_prints_one_line(tau):
 def test_package_errors_share_one_base():
     from nmwaves.atlas import MembershipInconsistency
     from nmwaves.dirichlet import CoefficientOverflow
-    from nmwaves.heteroclinic import BlowUpError, InconclusiveTail
+    from nmwaves.heteroclinic import BlowUpError
     from nmwaves.numerics import BracketingError, DomainError, QuadratureError
 
     for error in (QuadratureError, BracketingError, CoefficientOverflow,
-                  BlowUpError, InconclusiveTail, MembershipInconsistency):
+                  BlowUpError, MembershipInconsistency):
         assert issubclass(error, DomainError)
     assert DomainError in cli._domain_errors()

@@ -10,9 +10,9 @@ import pytest
 
 from nmwaves import heteroclinic
 from nmwaves.dirichlet import build, zeta
-from nmwaves.heteroclinic import (BlowUpError, InconclusiveTail, Trajectory,
-                                  TrajectoryTail, crossings, first_maximum,
-                                  integrate, nm_verdict, p_window)
+from nmwaves.heteroclinic import (BlowUpError, Trajectory, TrajectoryTail,
+                                  crossings, first_maximum, integrate,
+                                  nm_verdict, p_window)
 from nmwaves.model import ModelParams
 from nmwaves.numerics import hermite_cubic, level_crossings
 
@@ -303,7 +303,7 @@ def test_crossing_slope_signs_match_the_interpolant_slope():
         try:
             traj = integrate(build(params))
             report = crossings(traj)
-        except (BlowUpError, InconclusiveTail):
+        except BlowUpError:
             continue
         idx = level_crossings(traj.u, params.kappa)
         assert len(idx) == len(report.crossings)
@@ -492,28 +492,19 @@ def test_nm_verdict_small_amplitude_falls_back_to_short_series(monkeypatch):
     assert verdict.max_u == crossings(integrate(built[0])).global_max
 
 
-def _outcome(f):
-    """f's result, or the message of the InconclusiveTail it raised."""
-    try:
-        return f()
-    except InconclusiveTail as exc:
-        return str(exc)
-
-
 def _node_level(params):
-    """nm_verdict's (crossing_count, max_u, tail_class)."""
-    def run():
-        v = nm_verdict(params)
-        return v.crossing_count, v.max_u, v.tail_class
-    return _outcome(run)
+    """nm_verdict's (crossing_count, max_u, tail_class, tail_reason)."""
+    v = nm_verdict(params)
+    return v.crossing_count, v.max_u, v.tail_class, v.tail_reason
 
 
 def _refined(traj):
-    """crossings()'s (len(crossings), global_max, tail_class)."""
-    def run():
-        r = crossings(traj)
-        return len(r.crossings), r.global_max, r.tail_class
-    return _outcome(run)
+    """crossings()'s (len(crossings), global_max, tail_class, reason); the
+    reason of an INCONCLUSIVE tail is the last anomaly."""
+    r = crossings(traj)
+    reason = (r.anomalies[-1] if r.tail_class is TrajectoryTail.INCONCLUSIVE
+              else None)
+    return len(r.crossings), r.global_max, r.tail_class, reason
 
 
 def test_node_level_tail_matches_refined_crossings(monkeypatch):
@@ -535,7 +526,7 @@ def test_node_level_tail_matches_refined_crossings(monkeypatch):
             continue
         assert node == _refined(runs[0]), (p, tau)
         compared += 1
-        inconclusive += isinstance(node, str)
+        inconclusive += node[2] is TrajectoryTail.INCONCLUSIVE
     assert compared >= 150
     assert inconclusive >= 1
 
@@ -561,10 +552,12 @@ def test_node_level_tail_refines_a_last_crossing_straddling_the_quarter(
         monkeypatch, lambda t: 3.0 + (t - root) * w(t),
         lambda t: w(t) + 2.5 * (t - root) * np.cos(5.0 * t))
     assert node == refined
-    if isinstance(tail, str):
-        assert node.startswith(tail)
+    assert node[0] == 1
+    if isinstance(tail, str):  # the start of the reason
+        assert node[2] is TrajectoryTail.INCONCLUSIVE
+        assert node[3].startswith(tail)
     else:
-        assert node[0] == 1 and node[2] is tail
+        assert node[2] is tail and node[3] is None
 
 
 def test_node_level_tail_with_the_last_crossing_on_a_node(monkeypatch):
@@ -578,6 +571,7 @@ def test_node_level_tail_with_the_last_crossing_on_a_node(monkeypatch):
         lambda t: (1.0 - 3.0 * (t - 5.0)) * np.exp(-3.0 * (t - 5.0)))
     assert node == refined
     assert node[0] == 1 and node[2] is TrajectoryTail.MONOTONE_TAIL
+    assert node[3] is None
 
 
 @pytest.mark.parametrize("u, tail", [
@@ -586,10 +580,27 @@ def test_node_level_tail_with_the_last_crossing_on_a_node(monkeypatch):
 def test_node_level_tail_without_crossings(monkeypatch, u, tail):
     node, refined = _synthetic(monkeypatch, u, np.zeros_like)
     assert node == refined
-    if isinstance(tail, str):
-        assert node.startswith(tail)
+    assert node[0] == 0
+    if isinstance(tail, str):  # the start of the reason
+        assert node[2] is TrajectoryTail.INCONCLUSIVE
+        assert node[3].startswith(tail)
     else:
-        assert node[0] == 0 and node[2] is tail
+        assert node[2] is tail and node[3] is None
+
+
+def test_consecutive_crossings_with_equal_slope_sign_are_an_anomaly():
+    # about ln p = 3: up through the level, back to within level_tol of it
+    # (the dip below it is no crossing), up again, then a decay onto it
+    params = ModelParams(p=math.e ** 3, tau=1.0)
+    t = -1.0 + 0.2 * np.arange(56)
+    u = 3.0 + 2.0 * np.exp(-3.0 * (t - t[4]))
+    u[:4] = [2.0, 4.0, 3.0 + 1e-13, 3.0 - 1e-13]
+    traj = Trajectory(t=t, u=u, du=np.gradient(u, 0.2), t0=0.0, h=0.2,
+                      params=params)
+    report = crossings(traj)
+    assert [s for _, s in report.crossings] == [1, 1]
+    assert report.tail_class is TrajectoryTail.MONOTONE_TAIL
+    assert "consecutive crossings with equal slope sign" in report.anomalies
 
 
 def test_trajectory_csv(tmp_path):
