@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charroots import _mu, negative_root_exists
+from .charroots import TrajectoryTail, _mu, negative_root_exists
 from .dirichlet import _zeta
 from .model import ModelParams, gsc_holds
 from .numerics import DomainError, bracketed_roots, double_until
@@ -464,8 +464,6 @@ class RegionReport:
 def region_report(params: ModelParams, c: float | None = None) -> RegionReport:
     """Region flags at one point; at a speed c, one _point_flags call
     gives the memberships and, from its root test, the tail class."""
-    from .heteroclinic import TrajectoryTail  # lazy: root tests need no run
-
     in_dm = in_ds = tail = None
     if c is not None:
         in_dm, in_ds, has_root = _point_flags(params, c)

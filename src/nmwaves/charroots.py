@@ -22,11 +22,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
 from .model import ModelParams
 from .numerics import bracketed_roots, double_until, solve_bracketed
+
+
+class TrajectoryTail(Enum):
+    """Tail at ln p: the linear class (classify_tail) and a run's tail
+    (heteroclinic), which alone can be INCONCLUSIVE."""
+    MONOTONE_TAIL = "monotone_tail"
+    OSCILLATING = "oscillating"
+    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -299,8 +308,6 @@ def negative_root_exists(p: float, tau, c):
 
 def classify_tail(params: ModelParams, c: float) -> TrajectoryTail:
     """MONOTONE_TAIL if negative_root_exists(p, tau, c), else OSCILLATING."""
-    from .heteroclinic import TrajectoryTail  # lazy: root tests need no run
-
     return (TrajectoryTail.MONOTONE_TAIL
             if negative_root_exists(params.p, params.tau, c)
             else TrajectoryTail.OSCILLATING)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .model import ModelParams
-from .numerics import crossing_points, is_monotone
+from .numerics import crossing_points, is_monotone, level_crossings
 from .pde import SpacetimeRecord, tracking_level
 
 
@@ -76,8 +76,8 @@ def estimate_speed(times: Sequence[float],
 
 
 def classify_profile(xi: Sequence[float], u: Sequence[float],
-                     params: ModelParams, speed: float | None = None,
-                     crossings: Sequence[float] | None = None) -> ProfileShape:
+                     params: ModelParams,
+                     speed: float | None = None) -> ProfileShape:
     """Shape class of a resolved profile (at least 50 points).
 
     Monotone: the discrete derivative is single-signed up to a 1e-9
@@ -89,8 +89,7 @@ def classify_profile(xi: Sequence[float], u: Sequence[float],
     inconclusive.
 
     The classification depends only on orderings and crossings, so it is
-    invariant under rescaling and translation of the profile coordinate.
-    crossings, if given, must be crossing_points(xi, u, ln p).
+    invariant under rescaling of the profile coordinate.
     """
     xi = np.asarray(xi, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -105,8 +104,7 @@ def classify_profile(xi: Sequence[float], u: Sequence[float],
     if is_monotone(u, tol):
         return ProfileShape.MONOTONE
 
-    if crossings is None:
-        crossings = crossing_points(xi, u, kappa)
+    crossings = crossing_points(xi, u, kappa)
     xi_last_quarter = xi[0] + 0.75 * (xi[-1] - xi[0])
     late = [c for c in crossings if c >= xi_last_quarter]
     if len(late) >= 2:
@@ -117,7 +115,7 @@ def classify_profile(xi: Sequence[float], u: Sequence[float],
     gaps_ok = True
     if speed is not None and len(crossings) >= 2:
         min_gap = params.tau * speed
-        gaps = np.abs(np.diff(crossings))  # given ones descend if xi did
+        gaps = np.diff(crossings)
         gaps_ok = bool(np.all(gaps > min_gap))
     if has_peak and tail_monotone and gaps_ok:
         return ProfileShape.NON_MONOTONE_NON_OSCILLATING
@@ -129,9 +127,9 @@ def diagnose(record: SpacetimeRecord,
     """Full diagnostics from a simulation record.
 
     Speed from the tracked positions (None, with speed_error, if no fit);
-    shape and crossing count from the last snapshot's crossings of ln p in
-    x, which the co-moving shift x - slope * t only translates. params
-    defaults to record.config.params.
+    the shape is classified on the last snapshot in x, since the co-moving
+    shift x - slope * t only translates it. params defaults to
+    record.config.params.
     """
     if params is None:
         params = record.config.params
@@ -142,12 +140,12 @@ def diagnose(record: SpacetimeRecord,
     except ValueError as exc:
         est, error = None, str(exc)
     x, u_last = record.x, record.snapshots[-1][1]
-    crossings = crossing_points(x, u_last, params.kappa)
-    shape = classify_profile(x, u_last, params, est and est.speed, crossings)
+    shape = classify_profile(x, u_last, params, est and est.speed)
+    overshoot = float(np.max(u_last)) - params.kappa
+    n_crossings = len(level_crossings(u_last, params.kappa))
     return FrontDiagnostics(speed=est, level=tracking_level(params),
-                            shape=shape, crossings_of_kappa=len(crossings),
-                            overshoot=float(np.max(u_last)) - params.kappa,
-                            speed_error=error)
+                            shape=shape, overshoot=overshoot,
+                            crossings_of_kappa=n_crossings, speed_error=error)
 
 
 def diagnostics_to_dict(diag: FrontDiagnostics) -> dict:

@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
+from .charroots import TrajectoryTail
 from .dirichlet import CoefficientOverflow, DirichletExpansion, build, zeta
 from .model import ModelParams
 from .numerics import (DomainError, bisect_lockstep, hermite_cubic,
@@ -52,13 +52,6 @@ MAX_NODES = 20_000_000
 class BlowUpError(DomainError):
     """The integration left the physical range: |u| above max(1e6, 2 p/e)
     (p/e bounds the invariant range) or not finite."""
-
-
-class TrajectoryTail(Enum):
-    """Tail of a run, and the linear class at ln p (charroots)."""
-    MONOTONE_TAIL = "monotone_tail"
-    OSCILLATING = "oscillating"
-    INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -286,8 +279,10 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     anomalies = [f"crossing gap {g:.6g} <= tau" for g in gaps if g <= tau]
     if found and found[0][1] != 1:
         anomalies.append("first crossing is not upward")
-    if any(s1 == s2 for (_, s1), (_, s2) in zip(found[:-1], found[1:])):
-        anomalies.append("consecutive crossings with equal slope sign")
+    for (_, s1), (_, s2) in zip(found[:-1], found[1:]):
+        if s1 == s2:
+            anomalies.append("consecutive crossings with equal slope sign")
+            break
     if reason is not None:
         anomalies.append(reason)
     return CrossingReport(level=level, crossings=tuple(found), gaps=gaps,

@@ -2,15 +2,16 @@
 
 import math
 import random
+import typing
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from nmwaves.charroots import (classify_tail, linear_spreading_speed,
-                               minimal_speed, mu_root, negative_root_exists,
-                               negative_roots_at_kappa)
-from nmwaves.heteroclinic import TrajectoryTail
+from nmwaves import heteroclinic
+from nmwaves.charroots import (TrajectoryTail, classify_tail,
+                               linear_spreading_speed, minimal_speed, mu_root,
+                               negative_root_exists, negative_roots_at_kappa)
 from nmwaves.model import ModelParams
 from nmwaves.numerics import BracketingError
 
@@ -251,7 +252,7 @@ def test_classify_tail():
 def test_linear_tail_class_is_the_root_test_on_a_seeded_grid():
     # classify_tail and region_report give the run's vocabulary:
     # MONOTONE_TAIL exactly where a negative root exists
-    from nmwaves.atlas import region_report
+    from nmwaves.atlas import RegionReport, region_report
 
     rng = random.Random(2929)
     both = set()
@@ -269,6 +270,11 @@ def test_linear_tail_class_is_the_root_test_on_a_seeded_grid():
     assert len(both) == 2
     assert [t.value for t in TrajectoryTail] == [
         "monotone_tail", "oscillating", "inconclusive"]
+    # one enum, resolvable in every annotation that names it
+    assert heteroclinic.TrajectoryTail is TrajectoryTail
+    assert typing.get_type_hints(classify_tail)["return"] is TrajectoryTail
+    assert (typing.get_type_hints(RegionReport)["tail_class"]
+            == TrajectoryTail | None)
 
 
 def test_minimal_speed_example():
