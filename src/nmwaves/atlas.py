@@ -28,10 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .charroots import TrajectoryTail, _mu, negative_root_exists
+from .charroots import _mu, negative_root_exists
 from .dirichlet import _zeta
 from .model import ModelParams, gsc_holds
-from .numerics import DomainError, bracketed_roots, double_until
+from .numerics import (DomainError, TrajectoryTail, bracketed_roots,
+                       double_until)
 
 
 class MembershipInconsistency(DomainError):

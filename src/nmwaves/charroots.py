@@ -22,20 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .model import ModelParams
-from .numerics import bracketed_roots, double_until, solve_bracketed
-
-
-class TrajectoryTail(Enum):
-    """Tail at ln p: the linear class (classify_tail) and a run's tail
-    (heteroclinic), which alone can be INCONCLUSIVE."""
-    MONOTONE_TAIL = "monotone_tail"
-    OSCILLATING = "oscillating"
-    INCONCLUSIVE = "inconclusive"
+from .numerics import (TrajectoryTail, bracketed_roots, double_until,
+                       solve_bracketed)
 
 
 @dataclass(frozen=True)

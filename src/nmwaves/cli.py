@@ -290,10 +290,15 @@ def _cmd_diagnose(args) -> tuple[int, dict, list]:
     params = ModelParams(p=args.p, tau=args.tau)
     header, rows = read_csv(args.infile)
     x = np.array([float(v) for v in header[1:]])
+    if not np.all(np.isfinite(x)):
+        raise ValueError("the header holds a non-finite x position")
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"snapshot at t = {row[0]} has {len(row) - 1} "
                              f"values for {len(x)} x positions")
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"snapshot at t = {row[0]} holds a non-finite "
+                             f"value")
     snaps = [(row[0], np.array(row[1:])) for row in rows]
     if not snaps:
         raise ValueError(f"no snapshots in {args.infile}")

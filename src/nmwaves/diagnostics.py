@@ -1,11 +1,11 @@
 """Front speed, comoving profile and shape class extraction.
 
 Works on plain arrays so it applies equally to simulation snapshots and
-to heteroclinic trajectories. The shape taxonomy: Monotone profiles never
-cross the positive equilibrium more than once; non-monotone
-non-oscillating profiles overshoot it at least once but settle into a
-monotone tail; oscillating profiles keep crossing it arbitrarily far
-out.
+to heteroclinic trajectories. The shape taxonomy: monotone profiles never
+turn back; non-monotone non-oscillating profiles overshoot ln p but
+settle into a monotone tail, read by the heteroclinic run's rule
+(numerics.sampled_tail); oscillating profiles keep crossing it
+arbitrarily far out. An undecided shape is INCONCLUSIVE, with a reason.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .model import ModelParams
-from .numerics import crossing_points, is_monotone, level_crossings
+from .numerics import (TrajectoryTail, crossing_points, is_monotone,
+                       level_crossings, sampled_tail)
 from .pde import SpacetimeRecord, tracking_level
 
 
@@ -44,6 +45,7 @@ class FrontDiagnostics:
     overshoot: float            # max u - ln p
     crossings_of_kappa: int
     speed_error: str | None = None  # why there is no fit
+    shape_reason: str | None = None  # why the shape is INCONCLUSIVE
 
 
 def estimate_speed(times: Sequence[float],
@@ -76,50 +78,43 @@ def estimate_speed(times: Sequence[float],
 
 
 def classify_profile(xi: Sequence[float], u: Sequence[float],
-                     params: ModelParams,
-                     speed: float | None = None) -> ProfileShape:
-    """Shape class of a resolved profile (at least 50 points).
+                     params: ModelParams, speed: float | None = None
+                     ) -> tuple[ProfileShape, str | None]:
+    """(shape class, reason) of a sampled profile; only an INCONCLUSIVE
+    shape has a reason (else None).
 
-    Monotone: the discrete derivative is single-signed up to a 1e-9
-    relative tolerance. Oscillating: equilibrium crossings continue into
-    the last quarter of the profile. Non-monotone non-oscillating: at
-    least one interior maximum above ln p, a monotone last quarter of the
-    transition, and finitely many equilibrium crossings separated by more
-    than tau * speed (checked when the speed is known). Anything else is
-    inconclusive.
-
-    The classification depends only on orderings and crossings, so it is
-    invariant under rescaling of the profile coordinate.
+    Monotone: no step against the trend exceeds 1e-9 (max |u| + 1).
+    Otherwise the class is numerics.sampled_tail's tail at ln p from xi[0]
+    on, with the window 2 speed tau (the last quarter without a speed),
+    except that a MONOTONE_TAIL is non-monotone non-oscillating only with
+    a maximum above ln p and, given a speed, crossings more than speed tau
+    apart. Fewer than 50 points are inconclusive. The class is invariant
+    under rescaling xi and the speed together.
     """
     xi = np.asarray(xi, dtype=float)
     u = np.asarray(u, dtype=float)
     if len(xi) < 50:
-        raise ValueError(f"profile too coarse: {len(xi)} points")
+        return (ProfileShape.INCONCLUSIVE,
+                f"profile too coarse: {len(xi)} points")
     if xi[0] > xi[-1]:
         xi, u = xi[::-1], u[::-1]
     kappa = params.kappa
-    scale = float(np.max(np.abs(u))) + 1.0
-    tol = 1e-9 * scale
-
+    tol = 1e-9 * (float(np.max(np.abs(u))) + 1.0)
     if is_monotone(u, tol):
-        return ProfileShape.MONOTONE
+        return ProfileShape.MONOTONE, None
 
-    crossings = crossing_points(xi, u, kappa)
-    xi_last_quarter = xi[0] + 0.75 * (xi[-1] - xi[0])
-    late = [c for c in crossings if c >= xi_last_quarter]
-    if len(late) >= 2:
-        return ProfileShape.OSCILLATING
-
-    has_peak = float(np.max(u)) > kappa + tol
-    tail_monotone = is_monotone(u[xi >= xi_last_quarter], tol)
-    gaps_ok = True
-    if speed is not None and len(crossings) >= 2:
-        min_gap = params.tau * speed
-        gaps = np.diff(crossings)
-        gaps_ok = bool(np.all(gaps > min_gap))
-    if has_peak and tail_monotone and gaps_ok:
-        return ProfileShape.NON_MONOTONE_NON_OSCILLATING
-    return ProfileShape.INCONCLUSIVE
+    idx = level_crossings(u, kappa)
+    window = None if speed is None else 2.0 * speed * params.tau
+    tail, reason = sampled_tail(xi, u, kappa, idx, xi[0], window)
+    if tail is not TrajectoryTail.MONOTONE_TAIL:  # spelled alike in both enums
+        return ProfileShape(tail.value), reason
+    gaps = np.diff(crossing_points(xi, u, kappa, idx))
+    if not float(np.max(u)) > kappa + tol:
+        return ProfileShape.INCONCLUSIVE, "monotone tail, no peak above ln p"
+    if speed is not None and np.any(gaps <= speed * params.tau):
+        return ProfileShape.INCONCLUSIVE, (
+            f"monotone tail, crossing gap {np.min(gaps):.6g} <= speed tau")
+    return ProfileShape.NON_MONOTONE_NON_OSCILLATING, None
 
 
 def diagnose(record: SpacetimeRecord,
@@ -140,12 +135,13 @@ def diagnose(record: SpacetimeRecord,
     except ValueError as exc:
         est, error = None, str(exc)
     x, u_last = record.x, record.snapshots[-1][1]
-    shape = classify_profile(x, u_last, params, est and est.speed)
+    shape, reason = classify_profile(x, u_last, params, est and est.speed)
     overshoot = float(np.max(u_last)) - params.kappa
     n_crossings = len(level_crossings(u_last, params.kappa))
     return FrontDiagnostics(speed=est, level=tracking_level(params),
                             shape=shape, overshoot=overshoot,
-                            crossings_of_kappa=n_crossings, speed_error=error)
+                            crossings_of_kappa=n_crossings, speed_error=error,
+                            shape_reason=reason)
 
 
 def diagnostics_to_dict(diag: FrontDiagnostics) -> dict:
@@ -158,6 +154,8 @@ def diagnostics_to_dict(diag: FrontDiagnostics) -> dict:
         "overshoot": diag.overshoot,
         "crossings_of_kappa": diag.crossings_of_kappa,
     }
+    if diag.shape is ProfileShape.INCONCLUSIVE:
+        payload["reason"] = diag.shape_reason
     if diag.speed is None:
         payload["speed_error"] = diag.speed_error
     return payload

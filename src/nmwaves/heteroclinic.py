@@ -22,10 +22,11 @@ range check is one array pass after the last chunk.
 Also here: crossings of ln p with the tail class, the first interior
 maximum, and the combined verdict for existence of a non-monotone
 non-oscillating wave.
-Crossing count and tail class come from the grid nodes alone, and every
-maximum from _peak, in closed form; crossings() refines every crossing
-time on the interpolant, nm_verdict at most the last (_classify_tail).
-A tail the run leaves undecided is INCONCLUSIVE, with a one-line reason.
+Crossing count and tail class come from the grid nodes alone, the tail
+from numerics.sampled_tail (from t0, window 2 tau), and every maximum from
+_peak, in closed form; crossings() refines every crossing time on the
+interpolant, nm_verdict none. An undecided tail is INCONCLUSIVE, with a
+one-line reason.
 """
 
 from __future__ import annotations
@@ -35,11 +36,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charroots import TrajectoryTail
 from .dirichlet import CoefficientOverflow, DirichletExpansion, build, zeta
 from .model import ModelParams
-from .numerics import (DomainError, bisect_lockstep, hermite_cubic,
-                       is_monotone, level_crossings, level_tol)
+from .numerics import (DomainError, TrajectoryTail, bisect_lockstep,
+                       hermite_cubic, level_crossings, sampled_tail)
 
 
 # steps advanced by one matrix-vector product (fewer when K is smaller)
@@ -92,7 +92,7 @@ class CrossingReport:
     global_max: the interpolant's maximum, in closed form (_node_stage).
     tail_class: MONOTONE_TAIL, OSCILLATING or INCONCLUSIVE.
     anomalies: human-readable violations (a gap <= tau, a first crossing
-        not upward, equal slope signs in a row), then _classify_tail's reason.
+        not upward, equal slope signs in a row), then sampled_tail's reason.
     """
 
     level: float
@@ -266,11 +266,13 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
     idx, global_max, tail, reason = _node_stage(traj, level)
     s = traj.u - level
     # a node on the level is its own crossing; sign changes between
-    # neighbouring nodes are refined on the interpolant. Either way the
-    # slope sign is that of the side the crossing goes to.
+    # neighbouring nodes are bisected in lockstep on the interpolant.
+    # Either way the slope sign is that of the side the crossing goes to.
     strict = s[idx] != 0.0
     times = traj.t[idx]
-    times[strict] = _refine(traj, idx[strict], level)
+    seg = traj._segments(idx[strict])
+    times[strict] = bisect_lockstep(lambda m: hermite_cubic(*seg, m) - level,
+                                    seg[0], seg[1], seg[2] - level)
     ups = s[idx + 1] > 0.0
     found = [(tc_, 1 if up else -1)
              for tc_, up in zip(times.tolist(), ups.tolist())]
@@ -291,7 +293,7 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
 
 
 def _node_stage(traj: Trajectory, level: float):
-    """(level_crossings indices, maximum, *_classify_tail): what crossings()
+    """(level_crossings indices, maximum, *sampled_tail): what crossings()
     and nm_verdict share, found without crossing times. The maximum is the
     top node's, or _peak's on a segment beside it where u' falls through 0."""
     u, du = traj.u, traj.du
@@ -301,7 +303,8 @@ def _node_stage(traj: Trajectory, level: float):
     for k in (i_max - 1, i_max):
         if 0 <= k < len(u) - 1 and du[k] > 0.0 > du[k + 1]:
             global_max = max(global_max, _peak(traj, k)[1])
-    return idx, global_max, *_classify_tail(traj, idx, level)
+    return idx, global_max, *sampled_tail(traj.t, u, level, idx, traj.t0,
+                                          2.0 * traj.params.tau)
 
 
 def _peak(traj: Trajectory, k: int) -> tuple[float, float]:
@@ -320,14 +323,6 @@ def _peak(traj: Trajectory, k: int) -> tuple[float, float]:
     return t, hermite_cubic(t0, t1, y0, y1, dy0, dy1, t)
 
 
-def _refine(traj: Trajectory, idx: np.ndarray, level: float) -> np.ndarray:
-    """The level's time in each segment idx, where u - level changes sign,
-    bisected in lockstep on the Hermite interpolant."""
-    seg = traj._segments(idx)
-    return bisect_lockstep(lambda m: hermite_cubic(*seg, m) - level,
-                           seg[0], seg[1], seg[2] - level)
-
-
 def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
     """(t, u) at the first + -> - sign change of u', inside a segment (_peak)
     or at a node where u' is exactly 0; None if the trajectory is monotone."""
@@ -338,50 +333,6 @@ def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
     if on_node.size and not (peaks.size and peaks[0] < on_node[0]):
         return float(t[on_node[0]]), float(u[on_node[0]])
     return _peak(traj, int(peaks[0])) if peaks.size else None
-
-
-def _classify_tail(traj: Trajectory, idx: np.ndarray,
-                   level: float) -> tuple[TrajectoryTail, str | None]:
-    """(tail class, reason) from the crossing indices idx of
-    level_crossings; only an INCONCLUSIVE tail has a reason (else None).
-
-    The amplitude after the last crossing is taken from node i on for a
-    crossing on node i, and from node i+1 on for one inside segment i,
-    wherever the root lies in it. Crossings are in time order, so the
-    last one decides whether any lies in the run's last quarter; only
-    when its segment straddles the quarter mark is it refined, as one
-    lane of crossings()' bisection, whose lanes are independent.
-    """
-    tau = traj.params.tau
-    t_end = float(traj.t[-1])
-    window = traj.t >= t_end - 2.0 * tau
-    tail_u = traj.u[window]
-    dev_end = abs(float(traj.u[-1]) - level)
-    monotone = is_monotone(tail_u, level_tol(level))
-
-    if idx.size:
-        i = int(idx[-1])
-        strict = int(traj.u[i] != level)
-        amp = float(np.max(np.abs(traj.u[i + strict:] - level)))
-        if monotone and (dev_end <= amp / 1e3 or dev_end < 1e-6):
-            return TrajectoryTail.MONOTONE_TAIL, None
-        t_quarter = traj.t0 + 0.75 * (t_end - traj.t0)
-        t_last = float(traj.t[i])
-        if t_last < t_quarter <= traj.t[i + strict]:
-            t_last = float(_refine(traj, idx[-1:], level)[0])
-        if t_last >= t_quarter:
-            return TrajectoryTail.OSCILLATING, None
-        return TrajectoryTail.INCONCLUSIVE, (
-            f"tail not settled by t_end = {t_end}: deviation {dev_end:.3e}, "
-            f"post-crossing amplitude {amp:.3e}")
-
-    # no crossings: a monotone approach with shrinking deviation is a tail
-    i_ref = int(0.75 * (len(traj.u) - 1))
-    dev_ref = abs(float(traj.u[i_ref]) - level)
-    if monotone and (dev_end < dev_ref or dev_end < 1e-6):
-        return TrajectoryTail.MONOTONE_TAIL, None
-    return TrajectoryTail.INCONCLUSIVE, (
-        f"no crossings and no trend by t_end = {t_end}")
 
 
 @dataclass(frozen=True)
@@ -424,7 +375,7 @@ def nm_verdict(params: ModelParams) -> NmVerdict:
     The run integrates build()'s expansion with integrate()'s defaults;
     where fewer than three coefficients fit there is no run. Its crossing
     count, maximum and tail class come from the node stage crossings()
-    shares, which refines at most the last crossing time (_classify_tail).
+    shares, which refines no crossing time.
     """
     in_window = p_window(params)  # before the run: it can overflow
     z = zeta(params)

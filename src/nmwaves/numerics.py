@@ -4,10 +4,11 @@ Provides the low-level machinery the rest of the package is built on:
 bracket growth by doubling, bracketed root finding (Chandrupatla's
 method for scalars, lockstep bisection over arrays), adaptive
 Gauss-Kronrod 7/15 quadrature vectorised over subintervals, the lower
-incomplete gamma function (array-valued), level crossings and
-monotonicity of samples, a factor-once tridiagonal Toeplitz solve,
-cubic Hermite interpolation and golden-section maximisation. Series
-products and line fits are numpy's (np.convolve, np.polyfit).
+incomplete gamma function (array-valued), level crossings, monotonicity
+and the one tail rule of samples (sampled_tail, TrajectoryTail), a
+factor-once tridiagonal Toeplitz solve, cubic Hermite interpolation and
+golden-section maximisation. Series products and line fits are numpy's
+(np.convolve, np.polyfit).
 
 All routines are pure functions of their inputs, except that
 ToeplitzTridiagonal.solve writes into the array it is given. The bracket
@@ -19,6 +20,7 @@ tol if tol > 0.
 from __future__ import annotations
 
 import math
+from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -340,12 +342,13 @@ def level_crossings(u, level: float) -> list[int]:
     return found
 
 
-def crossing_points(x, u, level: float) -> list[float]:
-    """Abscissae of level_crossings(u, level), linear in x between samples."""
+def crossing_points(x, u, level: float, idx=None) -> list[float]:
+    """Abscissae of the crossings idx (default level_crossings(u, level)),
+    linear in x between samples."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    out = []
-    for i in level_crossings(u, level):
+    out = []  # a loop: simulate calls this every step, mostly for 1 point
+    for i in level_crossings(u, level) if idx is None else idx:
         a, b = u[i] - level, u[i + 1] - level
         out.append(float(x[i] + (x[i + 1] - x[i]) * a / (a - b)))
     return out
@@ -355,6 +358,52 @@ def is_monotone(u, tol: float) -> bool:
     """Whether successive samples never fall, or never rise, by more than tol."""
     d = np.diff(u)
     return bool(np.all(d >= -tol) or np.all(d <= tol))
+
+
+class TrajectoryTail(Enum):
+    """Tail at ln p: the linear class (charroots.classify_tail) or the one
+    sampled_tail reads from samples, which alone can be INCONCLUSIVE."""
+    MONOTONE_TAIL = "monotone_tail"
+    OSCILLATING = "oscillating"
+    INCONCLUSIVE = "inconclusive"
+
+
+def sampled_tail(s, u, level: float, idx, start: float,
+                 window: float | None) -> tuple[TrajectoryTail, str | None]:
+    """(tail class, reason) of arrays u at increasing s about the level,
+    with idx = level_crossings(u, level); only INCONCLUSIVE has a reason.
+
+    q = start + 3/4 (s[-1] - start) is the quarter mark, and the tail is
+    monotone (at level_tol) over s >= s[-1] - window, or s >= q for
+    window None. Two crossings at or after q (crossing_points) are
+    OSCILLATING; else a monotone tail whose end deviation is below 1e-6,
+    or below 1/1000 of the largest one after the last crossing (below the
+    one at q without crossings), is MONOTONE_TAIL; else a last crossing at
+    or after q is OSCILLATING, and anything else INCONCLUSIVE.
+    """
+    end = float(s[-1])
+    q = start + 0.75 * (end - start)
+    late = sum(c >= q for c in crossing_points(s, u, level, idx[-2:]))
+    if late == 2:
+        return TrajectoryTail.OSCILLATING, None
+    lo = q if window is None else end - window
+    monotone = is_monotone(u[s >= lo], level_tol(level))
+    dev_end = abs(float(u[-1]) - level)
+    if len(idx):
+        i = int(idx[-1])
+        amp = float(np.max(np.abs(u[i + int(u[i] != level):] - level)))
+        if monotone and (dev_end <= amp / 1e3 or dev_end < 1e-6):
+            return TrajectoryTail.MONOTONE_TAIL, None
+        if late:
+            return TrajectoryTail.OSCILLATING, None
+        return TrajectoryTail.INCONCLUSIVE, (
+            f"tail not settled by t_end = {end}: deviation {dev_end:.3e}, "
+            f"post-crossing amplitude {amp:.3e}")
+    dev_ref = abs(float(u[np.searchsorted(s, q)]) - level)
+    if monotone and (dev_end < dev_ref or dev_end < 1e-6):
+        return TrajectoryTail.MONOTONE_TAIL, None
+    return TrajectoryTail.INCONCLUSIVE, (
+        f"no crossings and no trend by t_end = {end}")
 
 
 # ---------------------------------------------------------------------------

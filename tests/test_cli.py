@@ -52,6 +52,18 @@ def test_analyze_example(tmp_path, capsys):
     assert str(out) in manifest["outputs"]
 
 
+def test_analyze_crossings_late_in_the_run_are_an_oscillating_tail(tmp_path):
+    # outside the p window (P tau e^{1+tau} = 2.06): 8 crossings, the last
+    # two after the run's quarter mark, decide the tail before the flat end
+    out = tmp_path / "report.json"
+    assert run_cli("analyze", "--p", "8.0", "--tau", "0.4481404746557166",
+                   "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert payload["in_p_window"] is False
+    assert payload["heteroclinic"]["crossings"] == 8
+    assert payload["heteroclinic"]["tail"] == "oscillating"
+
+
 def test_analyze_monotone_case(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli("analyze", "--p", "2", "--tau", "0.1",
@@ -447,8 +459,54 @@ def test_simulate_and_diagnose_roundtrip(tmp_path):
     assert payload["speed_stderr"] is None and payload["direction"] is None
     assert payload["speed_error"].startswith("need at least 5 tracked")
     assert payload["shape"] == "non_monotone_non_oscillating"
+    assert "reason" not in payload  # only an inconclusive shape has one
     assert payload["crossings_of_kappa"] >= 1
     assert payload["overshoot"] > 0.0
+
+
+def _front_csv(path, n_x, n_t, cell=None):
+    """Snapshots of a logistic front moving left at speed 2 (n_x x
+    positions, n_t times), with cell = (row, column, text) replaced."""
+    lnp = math.log(365.0)
+    x = np.linspace(-10.0, 10.0, n_x)
+    rows = [["t"] + [repr(v) for v in x.tolist()]]
+    for k in range(n_t):
+        t = 0.5 * k
+        u = lnp / (1.0 + np.exp(-(x + 2.0 * t - 5.0)))
+        rows.append([repr(t)] + [repr(v) for v in u.tolist()])
+    if cell is not None:
+        row, col, text = cell
+        rows[row][col] = text
+    path.write_text("".join(",".join(r) + "\n" for r in rows))
+
+
+def test_diagnose_coarse_profile_is_inconclusive_with_the_speed(tmp_path):
+    # 40 x positions are too few to read a tail; the speed is still fit
+    snaps = tmp_path / "snaps.csv"
+    _front_csv(snaps, 40, 10)
+    out = tmp_path / "d.json"
+    assert run_cli("diagnose", "--in", str(snaps), "--p", "365",
+                   "--tau", "0.07", "--out", str(out)) == 0
+    payload = json.loads(out.read_text())
+    assert payload["shape"] == "inconclusive"
+    assert payload["reason"] == "profile too coarse: 40 points"
+    assert abs(payload["speed"] - 2.0) <= 0.05
+    assert payload["direction"] == -1
+
+
+@pytest.mark.parametrize("cell, fragment", [
+    ((3, 7, "nan"), "t = 1.0"), ((4, 2, "inf"), "t = 1.5"),
+    ((1, 0, "nan"), "t = nan"), ((0, 5, "-inf"), "header")],
+    ids=["nan value", "inf value", "nan time", "inf x"])
+def test_diagnose_non_finite_input_exits_1(tmp_path, capsys, cell, fragment):
+    # a nan or inf would reach the payload as a non-standard JSON constant
+    snaps = tmp_path / "snaps.csv"
+    _front_csv(snaps, 60, 10, cell)
+    out = tmp_path / "d.json"
+    assert run_cli("diagnose", "--in", str(snaps), "--p", "365",
+                   "--tau", "0.07", "--out", str(out)) == 1
+    _assert_one_error_line(capsys, fragment, "non-finite")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("count", [59, 61])

@@ -62,13 +62,13 @@ def test_estimate_speed_needs_points():
 def test_classify_monotone():
     xi = np.linspace(-20.0, 20.0, 400)
     u = LNP / (1.0 + np.exp(-xi))
-    assert classify_profile(xi, u, PARAMS) is ProfileShape.MONOTONE
+    assert classify_profile(xi, u, PARAMS) == (ProfileShape.MONOTONE, None)
 
 
 def test_classify_oscillating():
     xi = np.linspace(0.0, 40.0, 800)
     u = LNP + np.exp(-0.05 * xi) * np.sin(xi)
-    assert classify_profile(xi, u, PARAMS) is ProfileShape.OSCILLATING
+    assert classify_profile(xi, u, PARAMS) == (ProfileShape.OSCILLATING, None)
 
 
 def test_classify_nm_shape():
@@ -79,22 +79,23 @@ def test_classify_nm_shape():
     bump = 4.7 * np.exp(-((xi - 2.0) / 3.0) ** 2)
     u = rise + bump
     got = classify_profile(xi, u, PARAMS, speed=50.0)
-    assert got is ProfileShape.NON_MONOTONE_NON_OSCILLATING
+    assert got == (ProfileShape.NON_MONOTONE_NON_OSCILLATING, None)
 
 
 def test_classify_rescaling_invariance():
     xi = np.linspace(-30.0, 30.0, 1200)
     u = LNP / (1.0 + np.exp(-xi)) + 4.7 * np.exp(-((xi - 2.0) / 3.0) ** 2)
     a = classify_profile(xi, u, PARAMS)
-    b = classify_profile(xi * 50.0, u, PARAMS)
-    assert a is b
-    c = classify_profile(xi[::-1], u[::-1], PARAMS)
-    assert a is c
+    assert classify_profile(xi * 50.0, u, PARAMS) == a
+    assert classify_profile(xi[::-1], u[::-1], PARAMS) == a
+    assert (classify_profile(xi * 50.0, u, PARAMS, speed=50.0)
+            == classify_profile(xi, u, PARAMS, speed=1.0))
 
 
 def test_classify_needs_resolution():
-    with pytest.raises(ValueError):
-        classify_profile([0.0, 1.0], [0.0, 1.0], PARAMS)
+    # too few points to read a tail: undecided, with the reason
+    assert classify_profile([0.0, 1.0], [0.0, 1.0], PARAMS) == (
+        ProfileShape.INCONCLUSIVE, "profile too coarse: 2 points")
 
 
 def test_snapshot_displacement_matches_speed():
@@ -145,10 +146,36 @@ def test_one_crossing_rule_across_modules():
     assert crossing_points(x, u, LNP) == list(x[4:-1:4])
     assert front_position(x, u, LNP) == 2.0  # node 0 is no crossing
 
-    assert classify_profile(x, u, PARAMS) is ProfileShape.OSCILLATING
+    assert classify_profile(x, u, PARAMS) == (ProfileShape.OSCILLATING, None)
     track = [(0.1 * k, 5.0 - 0.1 * k) for k in range(11)]
     record = SpacetimeRecord(x=x, snapshots=[(1.0, u)], front_track=track,
                              config=None)
     diag = diagnose(record, PARAMS)
     assert diag.crossings_of_kappa == 49
     assert diag.shape is ProfileShape.OSCILLATING
+
+
+def test_profile_and_run_read_one_tail():
+    # a heteroclinic run read from t0 as a profile at speed 1 (window
+    # 2 tau) has the run's tail: the same rule over the same samples
+    from nmwaves.dirichlet import build
+    from nmwaves.heteroclinic import TrajectoryTail, crossings, integrate
+
+    grid = [(p, tau) for p in np.geomspace(8.0, 1e4, 25)
+            for tau in np.geomspace(0.01, 3.0, 25)]
+    rng = np.random.default_rng(30)
+    shapes = {TrajectoryTail.OSCILLATING: {ProfileShape.OSCILLATING},
+              TrajectoryTail.MONOTONE_TAIL: {
+                  ProfileShape.MONOTONE,
+                  ProfileShape.NON_MONOTONE_NON_OSCILLATING}}
+    seen = set()
+    for k in rng.choice(len(grid), 30, replace=False).tolist():
+        params = ModelParams(*map(float, grid[k]))
+        traj = integrate(build(params))
+        tail = crossings(traj).tail_class
+        keep = traj.t >= traj.t0
+        shape, reason = classify_profile(traj.t[keep], traj.u[keep], params,
+                                         speed=1.0)
+        assert shape in shapes[tail] and reason is None, (params, tail)
+        seen.add(tail)
+    assert len(seen) == 2

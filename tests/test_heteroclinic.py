@@ -508,8 +508,8 @@ def _refined(traj):
 
 
 def test_node_level_tail_matches_refined_crossings(monkeypatch):
-    # nm_verdict decides count, maximum and tail refining at most the
-    # last crossing time; crossings() refines all of them
+    # nm_verdict decides count, maximum and tail refining no crossing
+    # time; crossings() refines all of them
     rng = np.random.default_rng(13)
     ps = np.exp(rng.uniform(math.log(1.5), math.log(1e6), 160))
     taus = np.exp(rng.uniform(math.log(0.01), math.log(20.0), 160))
@@ -546,7 +546,8 @@ def _synthetic(monkeypatch, u, du):
 def test_node_level_tail_refines_a_last_crossing_straddling_the_quarter(
         monkeypatch, root, tail):
     # one crossing, in the segment [7.4, 7.6] around the quarter mark,
-    # then a growing wobble: only the root's side of 7.5 decides
+    # then a growing wobble: only the side of 7.5 where the chord between
+    # the nodes crosses (7.433 and 7.528) decides
     w = lambda t: 1.0 + 0.5 * np.sin(5.0 * t)
     node, refined = _synthetic(
         monkeypatch, lambda t: 3.0 + (t - root) * w(t),

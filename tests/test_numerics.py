@@ -10,11 +10,12 @@ import pytest
 from nmwaves.diagnostics import estimate_speed
 from nmwaves.numerics import (BracketingError, NoSignChange,
                               QuadratureError, ToeplitzTridiagonal,
-                              bisect_lockstep, crossing_points,
-                              double_until, golden_section_max,
-                              hermite_cubic, integrate_adaptive,
-                              is_monotone, level_crossings,
-                              lower_incomplete_gamma, solve_bracketed)
+                              TrajectoryTail, bisect_lockstep,
+                              crossing_points, double_until,
+                              golden_section_max, hermite_cubic,
+                              integrate_adaptive, is_monotone,
+                              level_crossings, lower_incomplete_gamma,
+                              sampled_tail, solve_bracketed)
 
 mp.mp.dps = 30
 
@@ -380,6 +381,28 @@ def test_crossing_points_interpolate_linearly():
     assert crossing_points(x, [1.0, 2.0, 4.0, 5.0, 5.0], 3.0) == [1.5]
     assert crossing_points(x, [5.0, 5.0, 1.0, 1.0, 5.0], 3.0) == [1.5, 3.5]
     assert crossing_points(x, [1.0, 1.0, 1.0, 1.0, 1.0], 3.0) == []
+    # given crossing indices are located, not searched for
+    assert crossing_points(x, [5.0, 5.0, 1.0, 1.0, 5.0], 3.0, [3]) == [3.5]
+
+
+def test_sampled_tail_reads_late_crossings_before_a_settled_window():
+    # a wave about 3 until s = 9, then exactly on the level: its last
+    # crossings lie at 7.7, 8.2 and 8.7, and its end deviation is 0
+    s = 0.1 * np.arange(101)
+    u = 3.0 + np.where(s < 9.0, np.cos(2.0 * np.pi * s + 0.3), 0.0)
+    idx = level_crossings(u, 3.0)
+    tail = lambda start, window: sampled_tail(s, u, 3.0, idx, start, window)
+    # start 0 puts the quarter mark at 7.5: two crossings after it
+    # outrank the flat window
+    assert tail(0.0, 0.5) == (TrajectoryTail.OSCILLATING, None)
+    # start 6 puts it at 9: the flat window, explicit or from the mark on,
+    # has settled
+    assert tail(6.0, 0.5) == (TrajectoryTail.MONOTONE_TAIL, None)
+    assert tail(6.0, None) == (TrajectoryTail.MONOTONE_TAIL, None)
+    # a window reaching back into the wave is not monotone
+    got, reason = tail(6.0, 2.0)
+    assert got is TrajectoryTail.INCONCLUSIVE
+    assert reason.startswith("tail not settled by t_end = 10.0")
 
 
 def test_is_monotone_tolerance():
