@@ -30,7 +30,7 @@ import numpy as np
 
 from .charroots import _mu, negative_root_exists
 from .dirichlet import _zeta
-from .model import ModelParams, gsc_holds
+from .model import ModelParams, gsc_holds, in_p_window, window_margin
 from .numerics import (DomainError, TrajectoryTail, bracketed_roots,
                        double_until)
 
@@ -97,10 +97,9 @@ def tau_star() -> float:
 
 @dataclass(frozen=True)
 class NecessaryConditions:
-    """The necessary conditions for a non-monotone non-oscillating wave.
-
-    overall: p > e^2, growth_product < 1 and delay_product > 1.
-    """
+    """The necessary conditions for a non-monotone non-oscillating wave;
+    overall is model.in_p_window (p > e^2, growth_product < 1) and
+    delay_product > 1."""
 
     p_gt_e2: bool
     growth_product: float        # P tau e^{1+tau}, must be < 1
@@ -113,10 +112,9 @@ def nm_necessary(params: ModelParams) -> NecessaryConditions:
     p, tau = params.p, params.tau
     growth = params.P * tau * math.exp(1.0 + tau)
     delay = p * tau * math.exp(tau - 1.0)
-    p_gt_e2 = p > math.e ** 2
     return NecessaryConditions(
-        p_gt_e2=p_gt_e2, growth_product=growth, delay_product=delay,
-        overall=p_gt_e2 and growth < 1.0 and delay > 1.0)
+        p_gt_e2=p > math.e ** 2, growth_product=growth, delay_product=delay,
+        overall=bool(in_p_window(params.P, tau)) and delay > 1.0)
 
 
 def Phi(tau: float, frame: SpeedFrame) -> float:
@@ -229,11 +227,12 @@ def T_of_c(P, c):
 
 
 def T_star(P: float) -> float:
-    """Large-speed limit of T(c): the root of P e T e^T = 1 (P > 0)."""
+    """Large-speed limit of T(c): the root of window_margin(P, T) = 0, that
+    is of P e T e^T = 1 (P > 0)."""
     if not P > 0.0:
         raise ValueError(f"T_star needs P > 0, got {P}")
-    g = lambda t: P * math.e * t * np.exp(t) - 1.0
-    return _boundary_roots(g, (), "bracketing T_star")
+    return _boundary_roots(lambda t: window_margin(P, t), (),
+                           "bracketing T_star")
 
 
 # width of the strip around T(c) where the boundary comparison decides
@@ -479,22 +478,21 @@ def region_grid(tau_values: Sequence[float],
                 p_values: Sequence[float]) -> list[tuple[float, float, bool]]:
     """(tau, ln ln p, flag) rows over a (tau, p) grid, tau by tau.
 
-    The flag is p_window and zeta > ln p. heteroclinic.window_upper runs
-    once per tau (a small tau overflows at every p, as in p_window) and
-    masks the p array; zeta runs once, as an array, over the points inside.
+    The flag is p_window and zeta > ln p: model.in_p_window, one call over
+    the tau column against the P row (ln P taken once per p), masks the
+    grid, and zeta runs once, as an array, over the points inside.
     """
-    from .heteroclinic import window_upper
-
     ps = np.array(p_values, dtype=float)
     bad_p = ps.size and not 1.0 < ps.min() <= ps.max() < math.inf
     if bad_p or not all(0.0 <= t < math.inf for t in tau_values):
         raise ValueError("region_grid needs finite p > 1 and tau >= 0")
     kappa = [math.log(p) for p in p_values]
-    upper = np.array([window_upper(t) for t in tau_values]).reshape(-1, 1)
-    flags = (math.e ** 2 < ps) & (ps < upper)
+    lnp = np.array(kappa)
+    taus = np.array(tau_values, dtype=float)
+    flags = in_p_window(lnp - 1.0, taus.reshape(-1, 1))
     it, ip = np.nonzero(flags)
-    p, t = ps[ip], np.array(tau_values, dtype=float)[it]
-    flags[it, ip] = _zeta(p, t, _mu(p, t)) > np.array(kappa)[ip]
+    p, t = ps[ip], taus[it]
+    flags[it, ip] = _zeta(p, t, _mu(p, t)) > lnp[ip]
     return [(t, math.log(k), flag)
             for t, row in zip(tau_values, flags.tolist())
             for k, flag in zip(kappa, row)]

@@ -162,7 +162,7 @@ def _cmd_analyze(args) -> tuple[int, dict, list]:
             "zeta": "dimensionless population level",
         },
     }
-    if verdict.max_u is not None:
+    if verdict.tail_class is not None:  # max_u is None for a run not started
         payload["heteroclinic"] = {
             "max_u": verdict.max_u,
             "crossings": verdict.crossing_count,

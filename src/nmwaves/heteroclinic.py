@@ -25,8 +25,8 @@ non-oscillating wave.
 Crossing count and tail class come from the grid nodes alone, the tail
 from numerics.sampled_tail (from t0, window 2 tau), and every maximum from
 _peak, in closed form; crossings() refines every crossing time on the
-interpolant, nm_verdict none. An undecided tail is INCONCLUSIVE, with a
-one-line reason.
+interpolant, nm_verdict none. An undecided tail, or one of a run
+nm_verdict does not start, is INCONCLUSIVE, with a one-line reason.
 """
 
 from __future__ import annotations
@@ -37,21 +37,38 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import CoefficientOverflow, DirichletExpansion, build, zeta
-from .model import ModelParams
+from .model import ModelParams, in_p_window
 from .numerics import (DomainError, TrajectoryTail, bisect_lockstep,
                        hermite_cubic, level_crossings, sampled_tail)
 
 
 # steps advanced by one matrix-vector product (fewer when K is smaller)
 CHUNK = 64
-# nodes one run may allocate: t, u, u' and the two interleaved birth
-# terms take 40 bytes per node
-MAX_NODES = 20_000_000
+K_DEFAULT = 64  # steps per delay interval of a default run
+# nodes one run may allocate, at 40 bytes each (t, u, u' and two birth
+# terms); a default run reaches it at tau of about 3.2e-4
+MAX_NODES = 2_000_000
 
 
 class BlowUpError(DomainError):
     """The integration left the physical range: |u| above max(1e6, 2 p/e)
     (p/e bounds the invariant range) or not finite."""
+
+
+class NodeCapError(ValueError):
+    """A run would need more than MAX_NODES nodes; raised before allocating."""
+
+
+def _run_steps(steps: float, K: int) -> int:
+    """ceil(steps - 1e-12), the steps after K + 1 history nodes (steps may
+    be inf); NodeCapError if K + n_steps + 1 is above MAX_NODES."""
+    n_steps = math.ceil(steps - 1e-12) if steps < math.inf else steps
+    n_total = K + n_steps + 1
+    if n_total > MAX_NODES:  # 16 digits: exact below 1e16, then 6.4e+22
+        raise NodeCapError(f"the run needs K + n_steps + 1 = {n_total:.16g} "
+                           f"nodes (K = {K}, n_steps = {n_steps:.16g}), above "
+                           f"the cap of {MAX_NODES}")
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -104,7 +121,7 @@ class CrossingReport:
 
 
 def integrate(expansion: DirichletExpansion, t_end: float | None = None,
-              K: int = 64) -> Trajectory:
+              K: int = K_DEFAULT) -> Trajectory:
     """Integrate forward from the series handoff time.
 
     The history on [t0 - tau, t0], t0 = expansion.handoff, is evaluated
@@ -120,8 +137,8 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     or u is not finite, an overflowing birth term included, found by
     stepping its chunk again node by node. Raises ValueError, before
     allocating, for a t_end that is not finite, more than MAX_NODES nodes
-    or a step h = tau/K whose h^4 overflows (tau above about 7.4e78 at
-    K = 64).
+    (NodeCapError) or a step h = tau/K whose h^4 overflows (tau above
+    about 7.4e78 at K = 64).
     """
     if K < 20:
         raise ValueError(f"need at least 20 steps per delay interval, got {K}")
@@ -151,12 +168,8 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
         raise ValueError(f"tau = {tau:g} gives the step h = tau/K = {h:g} "
                          f"(K = {K}), whose h^4 in the RK4 step overflows"
                          ) from None
-    n_steps = int(math.ceil((t_end - t0) / h - 1e-12))
+    n_steps = _run_steps((t_end - t0) / h, K)
     n_total = K + n_steps + 1  # history nodes + integrated nodes
-    if n_total > MAX_NODES:
-        raise ValueError(f"the run needs K + n_steps + 1 = {n_total} nodes "
-                         f"(K = {K}, n_steps = {n_steps}), above the cap of "
-                         f"{MAX_NODES}")
     t = np.empty(n_total)
     t[:K + 1] = t0 - tau + np.arange(K + 1) * h
     t[K + 1:] = t0 + np.arange(1, n_steps + 1) * h
@@ -339,11 +352,12 @@ def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
 class NmVerdict:
     """Combined criterion for a non-monotone non-oscillating wave.
 
-    in_p_window: e^2 < p < exp(1 + exp(-1-tau)/tau).
+    in_p_window: p_window, p > e^2 and P tau e^{1+tau} < 1.
     zeta_gt_lnp: the peak lower bound exceeds the equilibrium.
     verdict: conjunction of the two.
     Empirical confirmation from nm_verdict's run (None at tau = 0): the
-    heteroclinic's maximum, tail class, crossing count and tail reason.
+    heteroclinic's maximum, tail class, crossing count and tail reason;
+    a run not started has only the INCONCLUSIVE tail and its reason.
     """
 
     params: ModelParams
@@ -357,35 +371,30 @@ class NmVerdict:
     tail_reason: str | None = None
 
 
-def window_upper(tau: float) -> float:
-    """exp(1 + exp(-1-tau)/tau), or 0 without delay: p below it is
-    P tau e^{1+tau} < 1. OverflowError below tau of about 5.2e-4."""
-    return math.exp(1.0 + math.exp(-1.0 - tau) / tau) if tau > 0.0 else 0.0
-
-
 def p_window(params: ModelParams) -> bool:
-    """e^2 < p < window_upper(tau)."""
-    upper = window_upper(params.tau)  # first: a small tau overflows at any p
-    return math.e ** 2 < params.p < upper
+    """model.in_p_window at (P, tau): p > e^2 and P tau e^{1+tau} < 1."""
+    return bool(in_p_window(params.P, params.tau))
 
 
 def nm_verdict(params: ModelParams) -> NmVerdict:
     """Evaluate the nm-wave criteria and, for tau > 0, confirm with a run.
 
-    The run integrates build()'s expansion with integrate()'s defaults;
-    where fewer than three coefficients fit there is no run. Its crossing
-    count, maximum and tail class come from the node stage crossings()
-    shares, which refines no crossing time.
+    The run integrates build()'s expansion with integrate()'s defaults.
+    It is not started (tail INCONCLUSIVE, with the reason) where its
+    K + ceil(K max(10/tau, 20)) + 1 nodes, counted before build(), are
+    above MAX_NODES, or where fewer than three coefficients fit. Its
+    crossings, maximum and tail come from crossings()' node stage.
     """
-    in_window = p_window(params)  # before the run: it can overflow
+    in_window = p_window(params)
     z = zeta(params)
     z_gt = z > params.kappa
     max_u = tail = n_cross = reason = None
     if params.tau > 0.0:
         try:
+            _run_steps(K_DEFAULT * max(10.0 / params.tau, 20.0), K_DEFAULT)
             expansion = build(params)
-        except CoefficientOverflow:
-            pass
+        except (NodeCapError, CoefficientOverflow) as exc:
+            tail, reason = TrajectoryTail.INCONCLUSIVE, str(exc)
         else:
             traj = integrate(expansion)
             idx, max_u, tail, reason = _node_stage(traj, params.kappa)

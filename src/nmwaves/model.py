@@ -2,9 +2,9 @@
 
 Holds the model parameters (p, tau) with their derived constants, the
 birth function with derivatives up to third order, its Schwarz
-derivative, and the two scalar conditions used by the region logic:
-the negative-feedback condition around the positive equilibrium and the
-global-convergence inequality that guarantees u(+inf) = ln p.
+derivative, the conditions used by the region logic: negative feedback
+around the positive equilibrium, the global-convergence inequality that
+guarantees u(+inf) = ln p, and the nm-wave window P tau e^{1+tau} < 1.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -130,3 +132,15 @@ def gsc_holds(params: ModelParams) -> bool:
         return True
     P = params.P
     return math.exp(-params.tau) > P * math.log((P * P + P) / (P * P + 1.0))
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def window_margin(P, tau):
+    """ln(P tau e^{1+tau}) = ln P + ln tau + 1 + tau, broadcast; quiet on
+    ln 0 (-inf) and on the ln of a negative P (NaN)."""
+    return np.log(P) + np.log(tau) + 1.0 + tau
+
+
+def in_p_window(P, tau):
+    """P > 1 (p > e^2), tau > 0 and window_margin(P, tau) < 0, broadcast."""
+    return (P > 1.0) & (tau > 0.0) & (window_margin(P, tau) < 0.0)

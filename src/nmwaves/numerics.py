@@ -362,7 +362,8 @@ def is_monotone(u, tol: float) -> bool:
 
 class TrajectoryTail(Enum):
     """Tail at ln p: the linear class (charroots.classify_tail) or the one
-    sampled_tail reads from samples, which alone can be INCONCLUSIVE."""
+    read from samples, INCONCLUSIVE where sampled_tail leaves it undecided
+    or heteroclinic.nm_verdict does not start its run."""
     MONOTONE_TAIL = "monotone_tail"
     OSCILLATING = "oscillating"
     INCONCLUSIVE = "inconclusive"
@@ -397,13 +398,13 @@ def sampled_tail(s, u, level: float, idx, start: float,
         if late:
             return TrajectoryTail.OSCILLATING, None
         return TrajectoryTail.INCONCLUSIVE, (
-            f"tail not settled by t_end = {end}: deviation {dev_end:.3e}, "
-            f"post-crossing amplitude {amp:.3e}")
+            f"tail not settled by the last sample, at {end}: deviation "
+            f"{dev_end:.3e}, post-crossing amplitude {amp:.3e}")
     dev_ref = abs(float(u[np.searchsorted(s, q)]) - level)
     if monotone and (dev_end < dev_ref or dev_end < 1e-6):
         return TrajectoryTail.MONOTONE_TAIL, None
     return TrajectoryTail.INCONCLUSIVE, (
-        f"no crossings and no trend by t_end = {end}")
+        f"no crossings and no trend by the last sample, at {end}")
 
 
 # ---------------------------------------------------------------------------

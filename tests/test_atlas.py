@@ -404,12 +404,13 @@ def test_region_grid_nonempty_and_inside_necessary():
     points = [ModelParams(p=p, tau=t) for t in taus for p in ps]
     assert rows == [(q.tau, math.log(q.kappa),
                      p_window(q) and zeta(q) > q.kappa) for q in points]
-    # the window bound overflows at small tau, at every p
-    for p in (365.0, 5.0):
-        with pytest.raises(OverflowError):
-            p_window(ModelParams(p=p, tau=3e-4))
-        with pytest.raises(OverflowError):
-            region_grid([3e-4], [p])
+    # a small delay gets an answer from both routes: the window holds
+    # above p = e^2 only
+    for p, inside in ((365.0, True), (5.0, False)):
+        q = ModelParams(p=p, tau=3e-4)
+        assert p_window(q) is inside
+        assert region_grid([3e-4], [p]) == [
+            (3e-4, math.log(q.kappa), inside and zeta(q) > q.kappa)]
     hits = [(t, ll) for t, ll, flag in rows if flag]
     assert hits  # the admissible region is nonempty at this resolution
     for t, ll in hits:

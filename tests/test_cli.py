@@ -690,7 +690,6 @@ def test_domain_error_exit_code():
 # the start of each error line, keyed by the analyze point
 _DOMAIN_EXIT_REASONS = {
     ("16700.719092785555", "26.037402816997748"): "|u| exceeded 1e6",
-    ("365", "1e-5"): "math range error",            # OverflowError in p_window
     ("1e200", "1"): "qbar_2 underflows to 0",
     # tau p overflows; mu = 3.09e-11 underflows qbar_2 (and p / mu in zeta)
     ("2.4133565475654057e+299", "22289575101739.875"): "qbar_2 underflows",
@@ -709,6 +708,31 @@ def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: " + _DOMAIN_EXIT_REASONS[p, tau])
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("p, tau, nodes, steps", [
+    ("365", "3e-4", "2133399", "2133334"),
+    ("365", "1e-5", "64000065", "64000000"),
+    ("365", "1e-20", "6.4e+22", "6.4e+22"),
+    ("1e6", "1e-300", "6.4e+302", "6.4e+302")],
+    ids=["365-3e-4", "365-1e-5", "365-1e-20", "1e6-1e-300"])
+def test_small_delay_reports_the_run_not_started(p, tau, nodes, steps,
+                                                 tmp_path, capsys):
+    # above the node cap the heteroclinic run is not started: analyze
+    # answers the rest and says why there is no maximum
+    report = tmp_path / "report.json"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert run_cli("analyze", "--p", p, "--tau", tau,
+                       "--out", str(report)) == 0
+    assert [str(w.message) for w in seen] == []
+    assert capsys.readouterr().err == ""
+    payload = json.loads(report.read_text())
+    assert payload["in_p_window"] is True
+    assert payload["heteroclinic"] == {
+        "max_u": None, "crossings": None, "tail": "inconclusive",
+        "reason": f"the run needs K + n_steps + 1 = {nodes} nodes (K = 64, "
+                  f"n_steps = {steps}), above the cap of 2000000"}
 
 
 @pytest.mark.parametrize("p, tau", [
@@ -733,8 +757,9 @@ def test_unsettled_tail_exits_0_with_its_reason(p, tau, tmp_path):
 
 
 @pytest.mark.parametrize("option", [("--t-end", "1e9"),
-                                    ("--k", "1000000000")],
-                         ids=["t_end", "k"])
+                                    ("--k", "1000000000"),
+                                    ("--tau", "1e-5")],  # the later --tau
+                         ids=["t_end", "k", "tau"])
 def test_heteroclinic_over_the_node_cap_exits_1_unallocated(
         option, tmp_path, capsys):
     import tracemalloc
@@ -752,7 +777,7 @@ def test_heteroclinic_over_the_node_cap_exits_1_unallocated(
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the run needs K + n_steps + 1 = ")
-    assert err.endswith(", above the cap of 20000000\n")
+    assert err.endswith(", above the cap of 2000000\n")
     assert err.count("\n") == 1
     assert peak < 2**20
     assert not list(tmp_path.iterdir())
@@ -1107,7 +1132,7 @@ def _check_boundaries_run(P, c_range, out):
     (4.8999, "1e-300:1e-300:1", 0),
     (1.0000000000001, "1e-8:1:3", 0),
     (1e300, "1e-300:1e300:3", 0),      # tau(c) is NaN above P = 2^26
-    (1e-300, "0.01:1000:5", 0),        # T_star's bracket overflows quietly
+    (1e-300, "0.01:1000:5", 0),        # T_star is large: T + ln T = 689.8
 ])
 def test_boundaries_at_extreme_inputs(P, c_range, code, tmp_path):
     assert _check_boundaries_run(P, c_range, tmp_path / "b.csv") == code

@@ -96,6 +96,13 @@ def test_classify_needs_resolution():
     # too few points to read a tail: undecided, with the reason
     assert classify_profile([0.0, 1.0], [0.0, 1.0], PARAMS) == (
         ProfileShape.INCONCLUSIVE, "profile too coarse: 2 points")
+    # a profile swinging above ln p to its end: the reason names the last
+    # sample's position, not a run's end time
+    xi = np.linspace(0.0, 40.0, 800)
+    shape, reason = classify_profile(xi, LNP + 1.0 + 0.5 * np.sin(xi), PARAMS)
+    assert shape is ProfileShape.INCONCLUSIVE
+    assert reason == "no crossings and no trend by the last sample, at 40.0"
+    assert "t_end" not in reason
 
 
 def test_snapshot_displacement_matches_speed():

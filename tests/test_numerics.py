@@ -402,7 +402,7 @@ def test_sampled_tail_reads_late_crossings_before_a_settled_window():
     # a window reaching back into the wave is not monotone
     got, reason = tail(6.0, 2.0)
     assert got is TrajectoryTail.INCONCLUSIVE
-    assert reason.startswith("tail not settled by t_end = 10.0")
+    assert reason.startswith("tail not settled by the last sample, at 10.0")
 
 
 def test_is_monotone_tolerance():
