@@ -55,19 +55,15 @@ class BlowUpError(DomainError):
     (p/e bounds the invariant range) or not finite."""
 
 
-class NodeCapError(ValueError):
-    """A run would need more than MAX_NODES nodes; raised before allocating."""
-
-
 def _run_steps(steps: float, K: int) -> int:
     """ceil(steps - 1e-12), the steps after K + 1 history nodes (steps may
-    be inf); NodeCapError if K + n_steps + 1 is above MAX_NODES."""
+    be inf); ValueError if K + n_steps + 1 is above MAX_NODES."""
     n_steps = math.ceil(steps - 1e-12) if steps < math.inf else steps
     n_total = K + n_steps + 1
     if n_total > MAX_NODES:  # 16 digits: exact below 1e16, then 6.4e+22
-        raise NodeCapError(f"the run needs K + n_steps + 1 = {n_total:.16g} "
-                           f"nodes (K = {K}, n_steps = {n_steps:.16g}), above "
-                           f"the cap of {MAX_NODES}")
+        raise ValueError(f"the run needs K + n_steps + 1 = {n_total:.16g} "
+                         f"nodes (K = {K}, n_steps = {n_steps:.16g}), above "
+                         f"the cap of {MAX_NODES}")
     return n_steps
 
 
@@ -137,8 +133,8 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     or u is not finite, an overflowing birth term included, found by
     stepping its chunk again node by node. Raises ValueError, before
     allocating, for a t_end that is not finite, more than MAX_NODES nodes
-    (NodeCapError) or a step h = tau/K whose h^4 overflows (tau above
-    about 7.4e78 at K = 64).
+    or a step h = tau/K whose h^4 overflows (tau above about 7.4e78 at
+    K = 64).
     """
     if K < 20:
         raise ValueError(f"need at least 20 steps per delay interval, got {K}")
@@ -357,7 +353,8 @@ class NmVerdict:
     verdict: conjunction of the two.
     Empirical confirmation from nm_verdict's run (None at tau = 0): the
     heteroclinic's maximum, tail class, crossing count and tail reason;
-    a run not started has only the INCONCLUSIVE tail and its reason.
+    a run not started for want of coefficients has only the INCONCLUSIVE
+    tail and its reason.
     """
 
     params: ModelParams
@@ -380,20 +377,22 @@ def nm_verdict(params: ModelParams) -> NmVerdict:
     """Evaluate the nm-wave criteria and, for tau > 0, confirm with a run.
 
     The run integrates build()'s expansion with integrate()'s defaults.
-    It is not started (tail INCONCLUSIVE, with the reason) where its
-    K + ceil(K max(10/tau, 20)) + 1 nodes, counted before build(), are
-    above MAX_NODES, or where fewer than three coefficients fit. Its
-    crossings, maximum and tail come from crossings()' node stage.
+    ValueError, before anything is computed, where its
+    K + ceil(K max(10/tau, 20)) + 1 nodes are above MAX_NODES. Where fewer
+    than three coefficients fit the run is not started (tail INCONCLUSIVE,
+    with the reason). Its crossings, maximum and tail come from
+    crossings()' node stage.
     """
+    if params.tau > 0.0:
+        _run_steps(K_DEFAULT * max(10.0 / params.tau, 20.0), K_DEFAULT)
     in_window = p_window(params)
     z = zeta(params)
     z_gt = z > params.kappa
     max_u = tail = n_cross = reason = None
     if params.tau > 0.0:
         try:
-            _run_steps(K_DEFAULT * max(10.0 / params.tau, 20.0), K_DEFAULT)
             expansion = build(params)
-        except (NodeCapError, CoefficientOverflow) as exc:
+        except CoefficientOverflow as exc:
             tail, reason = TrajectoryTail.INCONCLUSIVE, str(exc)
         else:
             traj = integrate(expansion)

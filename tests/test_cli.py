@@ -690,6 +690,11 @@ def test_domain_error_exit_code():
 # the start of each error line, keyed by the analyze point
 _DOMAIN_EXIT_REASONS = {
     ("16700.719092785555", "26.037402816997748"): "|u| exceeded 1e6",
+    # over the node cap: refused before the series is built
+    ("365", "3e-4"): "the run needs K + n_steps + 1 = 2133399 nodes",
+    ("365", "1e-5"): "the run needs K + n_steps + 1 = 64000065 nodes",
+    ("365", "1e-20"): "the run needs K + n_steps + 1 = 6.4e+22 nodes",
+    ("1e6", "1e-300"): "the run needs K + n_steps + 1 = 6.4e+302 nodes",
     ("1e200", "1"): "qbar_2 underflows to 0",
     # tau p overflows; mu = 3.09e-11 underflows qbar_2 (and p / mu in zeta)
     ("2.4133565475654057e+299", "22289575101739.875"): "qbar_2 underflows",
@@ -708,31 +713,6 @@ def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: " + _DOMAIN_EXIT_REASONS[p, tau])
     assert err.count("\n") == 1
-
-
-@pytest.mark.parametrize("p, tau, nodes, steps", [
-    ("365", "3e-4", "2133399", "2133334"),
-    ("365", "1e-5", "64000065", "64000000"),
-    ("365", "1e-20", "6.4e+22", "6.4e+22"),
-    ("1e6", "1e-300", "6.4e+302", "6.4e+302")],
-    ids=["365-3e-4", "365-1e-5", "365-1e-20", "1e6-1e-300"])
-def test_small_delay_reports_the_run_not_started(p, tau, nodes, steps,
-                                                 tmp_path, capsys):
-    # above the node cap the heteroclinic run is not started: analyze
-    # answers the rest and says why there is no maximum
-    report = tmp_path / "report.json"
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        assert run_cli("analyze", "--p", p, "--tau", tau,
-                       "--out", str(report)) == 0
-    assert [str(w.message) for w in seen] == []
-    assert capsys.readouterr().err == ""
-    payload = json.loads(report.read_text())
-    assert payload["in_p_window"] is True
-    assert payload["heteroclinic"] == {
-        "max_u": None, "crossings": None, "tail": "inconclusive",
-        "reason": f"the run needs K + n_steps + 1 = {nodes} nodes (K = 64, "
-                  f"n_steps = {steps}), above the cap of 2000000"}
 
 
 @pytest.mark.parametrize("p, tau", [
