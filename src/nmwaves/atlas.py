@@ -31,8 +31,7 @@ import numpy as np
 from .charroots import _mu, negative_root_exists
 from .dirichlet import _zeta
 from .model import ModelParams, gsc_holds, in_p_window, window_margin
-from .numerics import (DomainError, TrajectoryTail, bracketed_roots,
-                       double_until)
+from .numerics import DomainError, TrajectoryTail, increasing_root
 
 
 class MembershipInconsistency(DomainError):
@@ -149,8 +148,8 @@ def tau_of_c(P, c):
     """Unique positive root of Phi(tau, c) = 1 - 1/P (1 < P <= 2^26).
 
     Float P and c give a float, numpy arrays broadcast; every lane is
-    solved to rounding level (_boundary_roots). Rounding 1 - 1/P costs
-    tau(c) about P 1e-16 of relative accuracy, hence the bound on P.
+    solved to rounding level (numerics.increasing_root). Rounding 1 - 1/P
+    costs tau(c) about P 1e-16 of relative accuracy, hence the bound on P.
     """
     if not np.all((P > 1.0) & (P <= TAU_OF_C_MAX_P)):
         raise ValueError(f"tau(c) needs 1 < P <= 2^26, got {P}")
@@ -158,21 +157,8 @@ def tau_of_c(P, c):
         raise ValueError(f"speed must be positive, got {c}")
     lam, nu = _speed_roots(c)
     target = 1.0 - 1.0 / P
-    return _boundary_roots(lambda t: target - _phi(t, lam, nu),
+    return increasing_root(lambda t: target - _phi(t, lam, nu),
                            np.broadcast(P, c).shape, "bracketing tau(c)")
-
-
-@np.errstate(all="ignore")
-def _boundary_roots(g, shape, what):
-    """Root in tau > 0 of g, increasing from g(0) < 0, per lane of shape.
-
-    numerics.double_until doubles each lane's end hi from 1 until
-    g(hi) >= 0 (a NaN does not count), and numerics.bracketed_roots
-    solves [0, hi] to rounding level: a float for shape (), an array
-    otherwise. g may overflow; its values decide, so numpy stays quiet.
-    """
-    hi = double_until(lambda t: g(t) >= 0.0, np.ones(shape)[()], what)
-    return bracketed_roots(g, np.zeros(shape), hi)
 
 
 def tau_hat(P: float) -> float:
@@ -217,12 +203,12 @@ def T_of_c(P, c):
     (c tau)^2 (c^2 + 4) + 4 overflows, the left side takes a scaled form
     that is finite for every finite c. Float P and c give a float,
     numpy arrays broadcast; every lane is solved to rounding level
-    (_boundary_roots).
+    (numerics.increasing_root).
     """
     if not np.all(P > 0.0):
         raise ValueError(f"the boundary needs P > 0, got {P}")
     target = 1.0 / P
-    return _boundary_roots(lambda t: _monotone_boundary_lhs(t, c) - target,
+    return increasing_root(lambda t: _monotone_boundary_lhs(t, c) - target,
                            np.broadcast(P, c).shape, "bracketing T(c)")
 
 
@@ -231,7 +217,7 @@ def T_star(P: float) -> float:
     is of P e T e^T = 1 (P > 0)."""
     if not P > 0.0:
         raise ValueError(f"T_star needs P > 0, got {P}")
-    return _boundary_roots(lambda t: window_margin(P, t), (),
+    return increasing_root(lambda t: window_margin(P, t), (),
                            "bracketing T_star")
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .model import ModelParams
 from .numerics import (TrajectoryTail, bracketed_roots, double_until,
-                       solve_bracketed)
+                       increasing_root, solve_bracketed)
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ def minimal_speed(params: ModelParams) -> float:
     # 2 (x tau), not 2 x tau: 2 x overflows at the last doubling, 2^1023
     k = lambda x: (math.log1p(x * (1.0 - tau) / (1.0 + x * tau))
                    + 2.0 * (x * tau) - lnp)
-    x_hi = double_until(lambda x: k(x) >= 0.0, 1.0, "minimal speed search")
-    x = solve_bracketed(k, 0.0, x_hi, tol=0.0)
+    x = increasing_root(k, (), "minimal speed search")
     return 2.0 * math.sqrt(x * ((1.0 + x * tau)
                                 / (1.0 + tau + 2.0 * (x * tau))))
 
@@ -110,8 +109,7 @@ def linear_spreading_speed(params: ModelParams, beta: float) -> float:
         raise ValueError(f"decay rate must be positive, got {beta}")
     p, tau = params.p, params.tau
     F = lambda c: beta * beta - c * beta - 1.0 + p * math.exp(-beta * c * tau)
-    c_hi = double_until(lambda c: F(c) <= 0.0, 1.0, "spreading speed search")
-    return solve_bracketed(F, 0.0, c_hi, tol=0.0)
+    return increasing_root(lambda c: -F(c), (), "spreading speed search")
 
 
 def _chi(z, P, c, h):

@@ -23,10 +23,12 @@ Also here: crossings of ln p with the tail class, the first interior
 maximum, and the combined verdict for existence of a non-monotone
 non-oscillating wave.
 Crossing count and tail class come from the grid nodes alone, the tail
-from numerics.sampled_tail (from t0, window 2 tau), and every maximum from
-_peak, in closed form; crossings() refines every crossing time on the
-interpolant, nm_verdict none. An undecided tail, or one of a run
-nm_verdict does not start, is INCONCLUSIVE, with a one-line reason.
+from numerics.sampled_tail (from t0, window 2 tau). A maximum is a fall
+of u' through 0 beyond rounding level, by the crossing rule
+(numerics.level_crossings), in closed form (_peak). crossings() refines
+every crossing time on the interpolant, nm_verdict none. An undecided
+tail, or one of a run nm_verdict does not start, is INCONCLUSIVE, with a
+one-line reason.
 """
 
 from __future__ import annotations
@@ -304,14 +306,12 @@ def crossings(traj: Trajectory, level: float | None = None) -> CrossingReport:
 def _node_stage(traj: Trajectory, level: float):
     """(level_crossings indices, maximum, *sampled_tail): what crossings()
     and nm_verdict share, found without crossing times. The maximum is the
-    top node's, or _peak's on a segment beside it where u' falls through 0."""
-    u, du = traj.u, traj.du
+    top node's, or a higher one of _maxima on the segments beside it."""
+    u = traj.u
     idx = np.array(level_crossings(u, level), dtype=np.int64)
     i_max = int(np.argmax(u))
-    global_max = float(u[i_max])
-    for k in (i_max - 1, i_max):
-        if 0 <= k < len(u) - 1 and du[k] > 0.0 > du[k + 1]:
-            global_max = max(global_max, _peak(traj, k)[1])
+    beside = _maxima(traj, max(i_max - 1, 0), i_max + 2)
+    global_max = max([float(u[i_max])] + [m for _, m in beside])
     return idx, global_max, *sampled_tail(traj.t, u, level, idx, traj.t0,
                                           2.0 * traj.params.tau)
 
@@ -332,16 +332,21 @@ def _peak(traj: Trajectory, k: int) -> tuple[float, float]:
     return t, hermite_cubic(t0, t1, y0, y1, dy0, dy1, t)
 
 
+def _maxima(traj: Trajectory, lo: int, hi: int):
+    """(t, u) at each fall of u' through 0 on the nodes lo to hi - 1 that
+    level_crossings(u', 0) reports, in order: _peak's inside a segment,
+    the node's where u' is exactly 0."""
+    du = traj.du[lo:hi]
+    for k in level_crossings(du, 0.0):
+        if du[k + 1] < 0.0:
+            yield (_peak(traj, lo + k) if du[k] != 0.0
+                   else (float(traj.t[lo + k]), float(traj.u[lo + k])))
+
+
 def first_maximum(traj: Trajectory) -> tuple[float, float] | None:
-    """(t, u) at the first + -> - sign change of u', inside a segment (_peak)
-    or at a node where u' is exactly 0; None if the trajectory is monotone."""
-    t, u, du = traj.t, traj.u, traj.du
-    peaks = np.flatnonzero((du[:-1] > 0.0) & (du[1:] < 0.0))
-    on_node = 1 + np.flatnonzero((du[:-2] > 0.0) & (du[1:-1] == 0.0)
-                                 & (du[2:] < 0.0))
-    if on_node.size and not (peaks.size and peaks[0] < on_node[0]):
-        return float(t[on_node[0]]), float(u[on_node[0]])
-    return _peak(traj, int(peaks[0])) if peaks.size else None
+    """(t, u) at the first of _maxima; None where u' never falls through 0
+    beyond rounding level, as on a monotone trajectory."""
+    return next(_maxima(traj, 0, len(traj.t)), None)
 
 
 @dataclass(frozen=True)

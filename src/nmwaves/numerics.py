@@ -2,13 +2,17 @@
 
 Provides the low-level machinery the rest of the package is built on:
 bracket growth by doubling, bracketed root finding (Chandrupatla's
-method for scalars, lockstep bisection over arrays), adaptive
-Gauss-Kronrod 7/15 quadrature vectorised over subintervals, the lower
-incomplete gamma function (array-valued), level crossings, monotonicity
-and the one tail rule of samples (sampled_tail, TrajectoryTail), a
-factor-once tridiagonal Toeplitz solve, cubic Hermite interpolation and
-golden-section maximisation. Series products and line fits are numpy's
-(np.convolve, np.polyfit).
+method for scalars, lockstep bisection over arrays) and the one
+grow-and-solve search for the root of an increasing function
+(increasing_root), adaptive Gauss-Kronrod 7/15 quadrature vectorised
+over subintervals, the lower incomplete gamma function (array-valued),
+level crossings, monotonicity and the one tail rule of samples
+(sampled_tail, TrajectoryTail), a factor-once tridiagonal Toeplitz
+solve, cubic Hermite interpolation and golden-section maximisation.
+Series products and line fits are numpy's (np.convolve, np.polyfit).
+
+level_crossings is the one reader of sign changes in sampled arrays:
+crossings, maxima (u' falling through 0) and fixed points, past level_tol.
 
 All routines are pure functions of their inputs, except that
 ToeplitzTridiagonal.solve writes into the array it is given. The bracket
@@ -180,6 +184,16 @@ def bracketed_roots(g: Callable, lo, hi):
         return solve_bracketed(lambda x: float(g(x)), float(lo), float(hi),
                                tol=0.0)
     return bisect_lockstep(g, lo, hi, g(lo))
+
+
+@np.errstate(all="ignore")
+def increasing_root(g: Callable, shape, what: str):
+    """Root in x > 0 of g, increasing from g(0) < 0, per lane of shape:
+    double_until grows each lane's end hi from 1 until g(hi) >= 0, and
+    bracketed_roots solves [0, hi] to rounding level (a float for shape
+    ()). g may overflow; its values decide, so numpy stays quiet."""
+    hi = double_until(lambda x: g(x) >= 0.0, np.ones(shape)[()], what)
+    return bracketed_roots(g, np.zeros(shape), hi)
 
 
 # Gauss-Kronrod 7/15 rule on [-1, 1] (QUADPACK qk15), listed for the

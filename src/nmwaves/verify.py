@@ -12,6 +12,7 @@ import math
 import numpy as np
 
 from .model import ModelParams, birth, feedback_holds, gsc_holds, schwarz
+from .numerics import level_crossings
 
 Check = tuple[str, float, float, bool]
 
@@ -139,14 +140,10 @@ def _suite_model(grid: int | None) -> list[Check]:
                         params.p * u - birth(u, 0, params))
     checks.append(_check("birth_below_linearization", worst_lin + 1e-15))
 
-    # exactly two fixed points on [0, 3 ln p]
-    f = lambda x: birth(x, 0, params) - x
-    count = 0
+    # exactly two fixed points on [0, 3 ln p]: 0 at the left end, and one
+    # crossing of f(x) - x through 0 on the grid (numerics.level_crossings)
     xs = [3.0 * params.kappa * i / 2000 for i in range(2001)]
-    for a, b in zip(xs[:-1], xs[1:]):
-        if f(a) * f(b) < 0.0:
-            count += 1
-    # the zero fixed point sits at the boundary; count interior crossings + 1
+    count = len(level_crossings([birth(x, 0, params) - x for x in xs], 0.0))
     checks.append(_check("fixed_point_count", 1.0 if count == 1 else -1.0))
 
     # feedback flips across the p threshold near 17

@@ -316,6 +316,23 @@ def test_series_heteroclinic_and_analyze_agree_near_p_1(tmp_path, capsys):
                 == run["max_u"], (p, tau)
 
 
+def test_run_not_started_is_inconclusive_in_analyze_and_exits_1_alone(
+        tmp_path, capsys):
+    # at (1.000001, 0.1) fewer than three coefficients fit: analyze keeps
+    # its report, with no run and the reason; heteroclinic exits 1 with it
+    reason = "|qbar_3| = 1.000e+12 exceeds 1e+12"
+    report = tmp_path / "report.json"
+    assert run_cli("analyze", "--p", "1.000001", "--tau", "0.1",
+                   "--out", str(report)) == 0
+    assert json.loads(report.read_text())["heteroclinic"] == {
+        "max_u": None, "crossings": None, "tail": "inconclusive",
+        "reason": reason}
+    assert capsys.readouterr().err == ""
+    assert run_cli("heteroclinic", "--p", "1.000001", "--tau", "0.1", "--out",
+                   f"{tmp_path / 'traj.csv'},{tmp_path / 'cross.json'}") == 1
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
 def test_analyze_where_mu_underflows_exits_1(tmp_path, capsys):
     out = tmp_path / "a.json"
     # the root ln(1.5)/1e308 is subnormal

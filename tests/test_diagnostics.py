@@ -103,6 +103,19 @@ def test_classify_needs_resolution():
     assert shape is ProfileShape.INCONCLUSIVE
     assert reason == "no crossings and no trend by the last sample, at 40.0"
     assert "t_end" not in reason
+    # a monotone tail is no nm shape without a peak above ln p, nor with
+    # crossings at most speed tau apart (3.5 at speed 50; 10 gives 0.7)
+    u = LNP - np.exp(-0.2 * xi) - 0.5 * np.exp(-xi) * np.sin(3.0 * xi)
+    assert classify_profile(xi, u, PARAMS) == (
+        ProfileShape.INCONCLUSIVE, "monotone tail, no peak above ln p")
+    xi = np.linspace(-30.0, 30.0, 1200)
+    u = (LNP / (1.0 + np.exp(-xi)) + 4.7 * np.exp(-((xi - 2.0) / 3.0) ** 2)
+         - 6.0 * np.exp(-(xi - 6.0) ** 2))
+    assert classify_profile(xi, u, PARAMS, speed=50.0) == (
+        ProfileShape.INCONCLUSIVE,
+        "monotone tail, crossing gap 3.19645 <= speed tau")
+    assert classify_profile(xi, u, PARAMS, speed=10.0) == (
+        ProfileShape.NON_MONOTONE_NON_OSCILLATING, None)
 
 
 def test_snapshot_displacement_matches_speed():

@@ -80,6 +80,11 @@ def test_monotone_case_small_p():
     assert report.tail_class is TrajectoryTail.MONOTONE_TAIL
     assert np.all(np.diff(traj.u) > 0.0)
     assert traj.u[-1] < math.log(2.0)
+    # run on to t = 60, u' wobbles in sign within 6e-15 of 0 about
+    # u = ln 2: rounding noise, no maximum
+    traj = integrate(expansion, t_end=60.0)
+    assert crossings(traj).crossings == ()
+    assert first_maximum(traj) is None
 
 
 def test_oscillating_case():
@@ -419,6 +424,19 @@ def test_maximum_is_the_interpolant_maximum(p, tau):
         traj.du[k + 1], tt)))
     for got in (nm_verdict(params).max_u, crossings(traj).global_max):
         assert dense * (1.0 - 1e-15) <= got <= dense * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("p, tau", [
+    (256.94920854730003, 0.016133362623507997),
+    (396.8362275779543, 0.013266532121307215),
+    (26.72080437003644, 0.06241326798664485)])
+def test_no_first_maximum_from_sign_changes_at_rounding_level(p, tau):
+    # runs that never cross ln p, settling onto it with |u'| <= 4.5e-15:
+    # u' changes sign there within level_tol(0) = 1e-12 of 0, which is no
+    # fall through 0 (at the last point that node's u was ln p to the bit)
+    traj = integrate(build(ModelParams(p=p, tau=tau)))
+    assert crossings(traj).crossings == ()
+    assert first_maximum(traj) is None
 
 
 @pytest.mark.parametrize("p, tau, t_max, u_max", [

@@ -169,7 +169,7 @@ def test_minimal_speed_is_superlinear(monkeypatch):
     # minimal_speed runs its one solve to adjacent floats (tol = 0): 10
     # evaluations here and at most 11 on 2,000 seeded (p, tau), where
     # bisection of its bracket would take over 50
-    from nmwaves import charroots
+    from nmwaves import charroots, numerics
     from nmwaves.model import ModelParams
 
     count = [0]
@@ -180,7 +180,8 @@ def test_minimal_speed_is_superlinear(monkeypatch):
             return f(x)
         return solve_bracketed(f_counted, *args, **kwargs)
 
-    monkeypatch.setattr(charroots, "solve_bracketed", counted)
+    # the solve runs in numerics.increasing_root, the one grow-and-solve
+    monkeypatch.setattr(numerics, "solve_bracketed", counted)
     c_star = charroots.minimal_speed(ModelParams(p=365.0, tau=0.07))
     assert abs(c_star - 7.89) <= 0.01
     assert 0 < count[0] <= 16
