@@ -153,24 +153,38 @@ class DirichletExpansion:
         x = math.exp(self.mu * t)
         return x + self.coeffs[1] * x * x
 
-    def _partial_sum(self, t, weights):
-        """sum_n weights[n-1] e^{n mu t} and the magnitude of its last term.
-
-        t is a float or a 1-D array; e^{mu t} is math.exp's at every
-        element, so an array gives each element the float result bit for
-        bit. Refuses t (the largest, for an array) at or beyond the
-        certified horizon.
-        """
+    def _refuse_at_horizon(self, t) -> None:
+        """ValueError for t (the largest, for an array) at or beyond the
+        certified horizon."""
         t_max = float(np.max(t))
         if t_max >= self.horizon:
             raise ValueError(
                 f"t = {t_max} is not below the series horizon {self.horizon}; "
                 "the series is not certified there")
+
+    def _powers(self, t: np.ndarray) -> np.ndarray:
+        """e^{n mu t} for n = 1..len(coeffs), one row per n, at the 1-D
+        array t: math.exp's e^{mu t} at each element, then its running
+        products, the scalar loop's powers bit for bit."""
+        x = np.array([math.exp(self.mu * ti) for ti in t.tolist()])
+        return np.cumprod(np.broadcast_to(x, (len(self.coeffs), x.size)),
+                          axis=0)
+
+    def _derivative_weights(self) -> list[float]:
+        return [n * self.mu * q for n, q in enumerate(self.coeffs, start=1)]
+
+    def _partial_sum(self, t, weights):
+        """sum_n weights[n-1] e^{n mu t} and the magnitude of its last term.
+
+        t is a float or a 1-D array; an array gives each element the float
+        result bit for bit (sum along axis 0 adds the rows in order).
+        Refuses t at or beyond the certified horizon.
+        """
+        self._refuse_at_horizon(t)
         if np.ndim(t):
-            x = np.array([math.exp(self.mu * ti)
-                          for ti in np.asarray(t).tolist()])
-        else:
-            x = math.exp(self.mu * t)
+            terms = np.array(weights)[:, None] * self._powers(np.asarray(t))
+            return terms.sum(axis=0), np.abs(terms[-1])
+        x = math.exp(self.mu * t)
         total = 0.0
         power = x
         last = 0.0
@@ -193,8 +207,15 @@ class DirichletExpansion:
 
     def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
         """Termwise derivative sum(n mu qbar_n e^{n mu t})."""
-        return self._partial_sum(
-            t, [n * self.mu * q for n, q in enumerate(self.coeffs, start=1)])[0]
+        return self._partial_sum(t, self._derivative_weights())[0]
+
+    def evaluate_with_derivative(self, t: np.ndarray) -> tuple:
+        """(evaluate(t), derivative(t)) at the 1-D array t, bit for bit,
+        from one set of powers e^{n mu t}."""
+        self._refuse_at_horizon(t)
+        powers = self._powers(t)
+        return tuple((np.array(w)[:, None] * powers).sum(axis=0)
+                     for w in (self.coeffs, self._derivative_weights()))
 
     def defect(self, t: float) -> float:
         """Residual u'(t) + u(t) - f(u(t - tau)) of the truncated series."""

@@ -15,9 +15,13 @@ map from the chunk's delayed birth terms and its first node to its new
 nodes; since u' = f(u(t - tau)) - u, the Hermite half-node values are
 linear in the same inputs, so the same product yields the half-node
 values a later chunk reads. With the node and half-node birth terms
-interleaved in one array, each chunk is one matrix-vector product and
-one exp pass; the map depends on the step alone, not on p, and the
-range check is one array pass after the last chunk.
+interleaved in one array, a full chunk is one copy of its delayed birth
+terms into the product input, one product with the negated map (exact,
+so it gives minus the new values to the bit), the birth terms formed in
+place from them by three passes (exp, times the negated values, times
+-p), and one negated copy of the new nodes. The map depends on the step
+alone, not on p, and the range check is one reduction after the last
+chunk.
 
 Also here: crossings of ln p with the tail class, the first interior
 maximum, and the combined verdict for existence of a non-monotone
@@ -127,11 +131,16 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     time is in units of the linear decay rate, so a fixed budget covers
     both the excursion and the settling tail.
 
-    Each chunk of min(K, 64) steps is one product of _chunk_matrix(h, B),
-    which does not depend on p, with the chunk's interleaved delayed
-    birth terms and first node: it yields the new nodes and the half-node
-    values a later chunk reads. The range is checked once all chunks are
-    stepped; BlowUpError names the first node where |u| > max(1e6, 2 p/e)
+    The history's u and u' come from one series pass. Each chunk of
+    B = min(K, 64) steps is one product of -W, W = _chunk_matrix(h, B),
+    which does not depend on p, with the chunk's 2B + 1 interleaved
+    delayed birth terms and first node: it yields minus the new nodes and
+    the half-node values a later chunk reads. A full chunk then forms its
+    birth terms as exp(-y), times -y, times -p, in place, and copies -y's
+    nodes into u; the first chunk, whose d_K takes u'_K from the series,
+    and a short last chunk are stepped outside the loop. The range is
+    checked by one reduction once all chunks are stepped; BlowUpError
+    names the first node where |u| > max(1e6, 2 p/e)
     or u is not finite, an overflowing birth term included, found by
     stepping its chunk again node by node. Raises ValueError, before
     allocating, for a t_end that is not finite, more than MAX_NODES nodes
@@ -170,45 +179,73 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     n_total = K + n_steps + 1  # history nodes + integrated nodes
     t = np.empty(n_total)
     t[:K + 1] = t0 - tau + np.arange(K + 1) * h
-    t[K + 1:] = t0 + np.arange(1, n_steps + 1) * h
+    np.multiply(np.arange(1, n_steps + 1), h, out=t[K + 1:])  # no temporary
+    t[K + 1:] += t0
     u = np.empty(n_total)
     du = np.empty(n_total)
-    u[:K + 1] = expansion.evaluate(t[:K + 1])
-    du[:K + 1] = expansion.derivative(t[:K + 1])
+    u[:K + 1], du[:K + 1] = expansion.evaluate_with_derivative(t[:K + 1])
 
     # G interleaves the birth terms f(u) = p u e^{-u} at nodes and
     # half-nodes: G[2i] = f(u_i) and G[2i+1] = f(d_i), d_i = u(t_i + h/2).
+    # A chunk's product with -W (negation is exact) is y = -(d_n, u_{n+1},
+    # d_{n+1}, ..., u_{n+B}) to the bit, and f = e^{-d} (-d) (-p).
     G = np.empty(2 * n_total - 1)
-    y = np.empty(2 * B)  # d_n, u_{n+1}, d_{n+1}, ..., u_{n+B}
-    z = np.empty(2 * B + 2)
+    nW = -W
+    y = np.empty(2 * B)
+    z = np.empty(2 * B + 2)  # the chunk's 2B + 1 delayed birth terms, u_n
     dh = 0.5 * (u[:K] + u[1:K + 1]) + 0.125 * h * (du[:K] - du[1:K + 1])
     with np.errstate(over="ignore", invalid="ignore"):
         G[:2 * K + 1:2] = p * u[:K + 1] * np.exp(-u[:K + 1])
         G[1:2 * K:2] = p * dh * np.exp(-dh)
-        for n in range(K, K + n_steps, B):
-            m = min(B, K + n_steps - n)
-            # B <= K: every delayed input is known when the chunk starts
-            z[:-1] = G[2 * (n - K):2 * (n - K + B) + 1]
-            z[-1] = u[n]
-            if m < B:  # a short last chunk reads only its own inputs
-                z[2 * m + 1:-1] = 0.0
+
+        def chunk(j, m):
+            """The loop's step for chunk j, m <= B steps from n = K + jB:
+            a short chunk reads only its own inputs, and chunk 0's d_K
+            takes u'_K from the series, like the history."""
+            n = K + j * B
+            z[:-1] = G[2 * j * B:2 * (j + 1) * B + 1]
+            z[2 * m + 1:-1] = 0.0
             ym = y[:2 * m]
-            W[:2 * m].dot(z, out=ym)
-            if n == K:  # like the history, d_K takes u'_K from the series
-                ym[0] += 0.125 * h * (du[K] - (z[0] - u[K]))
+            nW[:2 * m].dot(z, out=ym)
+            if j == 0:
+                ym[0] -= 0.125 * h * (du[K] - (G[0] - u[K]))
             g = G[2 * n + 1:2 * (n + m) + 1]
-            np.exp(-ym, out=g)
+            np.exp(ym, out=g)
             g *= ym
-            g *= p
-            u[n + 1:n + m + 1] = ym[1::2]
+            g *= -p
+            np.negative(ym[1::2], out=u[n + 1:n + m + 1])
+            z[-1] = u[n + m]
+
+        # Full chunk j >= 1 reads the window G[2jB:2jB+2B+1] (known, as
+        # B <= K) and writes the rows G[2n+1:2n+2B+1] and u[n+1:n+B+1];
+        # the last node it writes is the next chunk's u_n.
+        n_full, m = divmod(n_steps, B)
+        z[-1] = u[K]
+        if n_full:
+            chunk(0, B)
+        win = np.lib.stride_tricks.sliding_window_view(G, 2 * B + 1)
+        G_out = G[2 * (K + B) + 1:2 * (K + B * n_full) + 1].reshape(-1, 2 * B)
+        u_out = u[K + B + 1:K + B * n_full + 1].reshape(-1, B)
+        z_birth, nodes, minus_p = z[:-1], y[1::2], -p
+        for w, g, un in zip(win[2 * B::2 * B], G_out, u_out):
+            z_birth[...] = w
+            nW.dot(z, out=y)
+            np.exp(y, out=g)
+            g *= y
+            g *= minus_p
+            np.negative(nodes, out=un)
+            z[-1] = un[-1]
+        if m:
+            chunk(n_full, m)
         np.subtract(G[2:2 * n_steps + 1:2], u[K + 1:], out=du[K + 1:])
 
-        # One pass checks the range. A non-finite input turns the whole
-        # chunk's product into nan (0 * inf), so the first flagged chunk
-        # is stepped again node by node from its start to find the node
-        # (the flagged one stands if rounding puts the two on either side).
-        bad = np.flatnonzero(~(np.abs(u[K + 1:]) <= bound))
-        if bad.size:
+        # One reduction checks the range. A non-finite input turns the
+        # whole chunk's product into nan (0 * inf), so the first flagged
+        # chunk is stepped again node by node from its start to find the
+        # node (the flagged one stands if rounding puts the two on either
+        # side).
+        if not np.abs(u[K + 1:]).max(initial=0.0) <= bound:  # nan too
+            bad = np.flatnonzero(~(np.abs(u[K + 1:]) <= bound))
             n = K + int(bad[0]) // B * B
             i = K + 1 + int(bad[0])
             m = min(B, K + n_steps - n)

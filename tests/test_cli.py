@@ -291,14 +291,16 @@ def test_heteroclinic_runs_where_analyze_does(tmp_path):
 def test_series_heteroclinic_and_analyze_agree_near_p_1(tmp_path, capsys):
     # p - 1 log-uniform in [1e-6, 1], tau in [1e-2, 50]: each command
     # exits 0 or 1 with one line, and heteroclinic succeeds exactly where
-    # analyze reports a run, with the same maximum
+    # analyze reports a run (a maximum), with the same maximum; at
+    # (1.000001, 0.1) the run is not started
     rng = random.Random(28)
+    points = [(repr(1.0 + math.exp(rng.uniform(math.log(1e-6), 0.0))),
+               repr(math.exp(rng.uniform(math.log(1e-2), math.log(50.0)))))
+              for _ in range(20)]
     report, cross = tmp_path / "a.json", tmp_path / "cross.json"
     series_out = f"{tmp_path / 'c.csv'},{tmp_path / 'p.csv'}"
     het_out = f"{tmp_path / 'traj.csv'},{cross}"
-    for _ in range(20):
-        p = repr(1.0 + math.exp(rng.uniform(math.log(1e-6), 0.0)))
-        tau = repr(math.exp(rng.uniform(math.log(1e-2), math.log(50.0))))
+    for p, tau in [("1.000001", "0.1")] + points:
         codes = []
         for argv in (("series", "--out", series_out),
                      ("heteroclinic", "--out", het_out),
@@ -308,12 +310,12 @@ def test_series_heteroclinic_and_analyze_agree_near_p_1(tmp_path, capsys):
             assert (code, err.count("\n")) in ((0, 0), (1, 1)), (p, tau)
             assert code == 0 or err.startswith("error: "), (p, tau)
             codes.append(code)
-        run = (json.loads(report.read_text())["heteroclinic"]
-               if codes[2] == 0 else None)
-        assert (codes[1] == 0) == (run is not None), (p, tau)
-        if run is not None:
-            assert json.loads(cross.read_text())["global_max"] \
-                == run["max_u"], (p, tau)
+        max_u = (json.loads(report.read_text())["heteroclinic"]["max_u"]
+                 if codes[2] == 0 else None)
+        assert (codes[1] == 0) == (max_u is not None), (p, tau)
+        if max_u is not None:
+            assert json.loads(cross.read_text())["global_max"] == max_u, (
+                p, tau)
 
 
 def test_run_not_started_is_inconclusive_in_analyze_and_exits_1_alone(

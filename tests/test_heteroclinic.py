@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nmwaves import heteroclinic
-from nmwaves.dirichlet import build, zeta
+from nmwaves.dirichlet import CoefficientOverflow, build, zeta
 from nmwaves.heteroclinic import (BlowUpError, Trajectory, TrajectoryTail,
                                   crossings, first_maximum, integrate,
                                   nm_verdict, p_window)
@@ -237,6 +237,123 @@ def test_blow_up_names_the_first_node_out_of_range(p, tau):
     with pytest.raises(BlowUpError) as exc:
         integrate(expansion)
     assert str(exc.value).endswith(f" at t = {t_ref[first]}")
+    _assert_matches_reference(expansion)
+
+
+def _reference_integrate(expansion, t_end=None, K=64):
+    """The chunk loop before it was made lean: per chunk, min and slice
+    arithmetic, the product with W, a -y temporary and p y e^{-y}; the
+    history from scalar series calls. (t, u, du), or the BlowUpError."""
+    params = expansion.params
+    p, tau = params.p, params.tau
+    bound = max(1e6, 2.0 * params.f_max)
+    bound_text = "1e6" if bound == 1e6 else f"2p/e = {bound:.6g}"
+    t0 = expansion.handoff
+    if t_end is None:
+        t_end = t0 + max(10.0, 20.0 * tau)
+    h = tau / K
+    B = min(K, heteroclinic.CHUNK)
+    W = heteroclinic._chunk_matrix(h, B)
+    n_steps = heteroclinic._run_steps((t_end - t0) / h, K)
+    n_total = K + n_steps + 1
+    t = np.empty(n_total)
+    t[:K + 1] = t0 - tau + np.arange(K + 1) * h
+    t[K + 1:] = t0 + np.arange(1, n_steps + 1) * h
+    u = np.empty(n_total)
+    du = np.empty(n_total)
+    u[:K + 1] = [expansion.evaluate(ti) for ti in t[:K + 1].tolist()]
+    du[:K + 1] = [expansion.derivative(ti) for ti in t[:K + 1].tolist()]
+    G = np.empty(2 * n_total - 1)
+    y = np.empty(2 * B)
+    z = np.empty(2 * B + 2)
+    dh = 0.5 * (u[:K] + u[1:K + 1]) + 0.125 * h * (du[:K] - du[1:K + 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        G[:2 * K + 1:2] = p * u[:K + 1] * np.exp(-u[:K + 1])
+        G[1:2 * K:2] = p * dh * np.exp(-dh)
+        for n in range(K, K + n_steps, B):
+            m = min(B, K + n_steps - n)
+            z[:-1] = G[2 * (n - K):2 * (n - K + B) + 1]
+            z[-1] = u[n]
+            if m < B:
+                z[2 * m + 1:-1] = 0.0
+            ym = y[:2 * m]
+            W[:2 * m].dot(z, out=ym)
+            if n == K:
+                ym[0] += 0.125 * h * (du[K] - (z[0] - u[K]))
+            g = G[2 * n + 1:2 * (n + m) + 1]
+            np.exp(-ym, out=g)
+            g *= ym
+            g *= p
+            u[n + 1:n + m + 1] = ym[1::2]
+        np.subtract(G[2:2 * n_steps + 1:2], u[K + 1:], out=du[K + 1:])
+        bad = np.flatnonzero(~(np.abs(u[K + 1:]) <= bound))
+        if bad.size:
+            n = K + int(bad[0]) // B * B
+            i = K + 1 + int(bad[0])
+            m = min(B, K + n_steps - n)
+            Gc = G[2 * (n - K):2 * (n - K + m) + 1]
+            c0, ch, c1, R = W[1, [0, 1, 2, -1]].tolist()
+            g = c0 * Gc[:-1:2] + ch * Gc[1::2] + c1 * Gc[2::2]
+            un = float(u[n])
+            for k, gk in enumerate(g.tolist()):
+                un = R * un + gk
+                if not abs(un) <= bound:
+                    i = n + 1 + k
+                    break
+            raise BlowUpError(f"|u| exceeded {bound_text} at t = {t[i]}")
+    return t, u, du
+
+
+def _assert_matches_reference(expansion, t_end=None, K=64):
+    try:
+        ref = _reference_integrate(expansion, t_end=t_end, K=K)
+    except BlowUpError as exc:
+        with pytest.raises(BlowUpError) as got:
+            integrate(expansion, t_end=t_end, K=K)
+        assert str(got.value) == str(exc)
+        return
+    traj = integrate(expansion, t_end=t_end, K=K)
+    for got, want in zip((traj.t, traj.u, traj.du), ref):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("K", [20, 64, 200])
+def test_lean_loop_is_the_reference_loop_bit_for_bit(K):
+    # default runs; K = 200 ends on a short chunk. A 3-term history misses
+    # the equation above rounding, so the series' u'_K moves d_K's bits
+    _assert_matches_reference(build(EXAMPLE), K=K)
+    _assert_matches_reference(build(EXAMPLE, n_coeffs=3), K=K)
+    _assert_matches_reference(build(ModelParams(p=2.0, tau=0.1)), K=K)
+
+
+@pytest.mark.parametrize("K", [20, 64, 200])
+@pytest.mark.parametrize("steps", ["0", "1", "B-1", "B", "B+1", "K+1"])
+def test_lean_loop_at_chunk_edges_is_the_reference_loop(K, steps):
+    # the first chunk (with the series' u'_K) and a short last chunk are
+    # stepped outside the loop; with no step the run is its history
+    B = min(K, heteroclinic.CHUNK)
+    n_steps = {"1": 1, "B-1": B - 1, "B": B, "B+1": B + 1, "K+1": K + 1}
+    expansion = build(EXAMPLE)
+    t0 = expansion.handoff
+    h = EXAMPLE.tau / K
+    t_end = t0 + (n_steps[steps] * h if steps != "0" else 1e-13 * h)
+    _assert_matches_reference(expansion, t_end=t_end, K=K)
+    assert len(integrate(expansion, t_end=t_end, K=K).t) == (
+        K + 1 + n_steps.get(steps, 0))
+
+
+def test_lean_loop_is_the_reference_loop_at_seeded_points():
+    # p and tau log-uniform over the point-analysis box; blow-ups must give
+    # the same text
+    rng = np.random.default_rng(33)
+    for _ in range(40):
+        p = float(np.exp(rng.uniform(np.log(1.001), np.log(1e6))))
+        tau = float(np.exp(rng.uniform(np.log(0.01), np.log(50.0))))
+        try:
+            expansion = build(ModelParams(p=p, tau=tau))
+        except CoefficientOverflow:
+            continue
+        _assert_matches_reference(expansion)
 
 
 def test_node_cap_names_the_node_count_and_the_cap():
