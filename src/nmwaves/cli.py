@@ -203,10 +203,13 @@ def _cmd_series(args) -> tuple[int, dict, list]:
 
 def _cmd_heteroclinic(args) -> tuple[int, dict, list]:
     from .dirichlet import build
-    from .heteroclinic import crossings, first_maximum, integrate
+    from .heteroclinic import (check_default_run, crossings, first_maximum,
+                               integrate)
     from .model import ModelParams
 
     params = ModelParams(p=args.p, tau=args.tau)
+    if args.t_end is None:
+        check_default_run(params.tau, args.k)
     expansion = build(params)
     traj = integrate(expansion, t_end=args.t_end, K=args.k)
     report = crossings(traj)

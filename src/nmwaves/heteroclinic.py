@@ -73,6 +73,15 @@ def _run_steps(steps: float, K: int) -> int:
     return n_steps
 
 
+def check_default_run(tau: float, K: int = K_DEFAULT) -> None:
+    """_run_steps' ValueError where integrate()'s default run, ceil(K
+    max(10/tau, 20)) steps, is above MAX_NODES; nothing at tau = 0, where
+    no run is made. Called before build(), whose eps cap rounds to 0 at
+    such small delays."""
+    if tau > 0.0:
+        _run_steps(K * max(10.0 / tau, 20.0), K)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Dense-output record at uniform step h = tau / K.
@@ -425,8 +434,7 @@ def nm_verdict(params: ModelParams) -> NmVerdict:
     with the reason). Its crossings, maximum and tail come from
     crossings()' node stage.
     """
-    if params.tau > 0.0:
-        _run_steps(K_DEFAULT * max(10.0 / params.tau, 20.0), K_DEFAULT)
+    check_default_run(params.tau)
     in_window = p_window(params)
     z = zeta(params)
     z_gt = z > params.kappa

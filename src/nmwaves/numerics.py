@@ -8,14 +8,17 @@ grow-and-solve search for the root of an increasing function
 over subintervals, the lower incomplete gamma function (array-valued),
 level crossings, monotonicity and the one tail rule of samples
 (sampled_tail, TrajectoryTail), a factor-once tridiagonal Toeplitz
-solve, cubic Hermite interpolation and golden-section maximisation.
+solve (Thomas pivots, each substitution run over blocks of BLOCK rows as
+one matrix product), cubic Hermite interpolation and golden-section
+maximisation.
 Series products and line fits are numpy's (np.convolve, np.polyfit).
 
 level_crossings is the one reader of sign changes in sampled arrays:
 crossings, maxima (u' falling through 0) and fixed points, past level_tol.
 
 All routines are pure functions of their inputs, except that
-ToeplitzTridiagonal.solve writes into the array it is given. The bracket
+ToeplitzTridiagonal.solve writes into the array it is given (and into
+buffers of its own). The bracket
 solvers take ends lo < hi and stop at rounding level, once a bracket's
 midpoint rounds onto an end; solve_bracketed stops earlier at a width
 tol if tol > 0.
@@ -425,83 +428,164 @@ def sampled_tail(s, u, level: float, idx, start: float,
 # tridiagonal Toeplitz solve
 # ---------------------------------------------------------------------------
 
+BLOCK = 64  # rows per block of ToeplitzTridiagonal.solve
+
+
 class ToeplitzTridiagonal:
     """The m x m matrix with ``diag`` on the diagonal and ``off`` on both
     off-diagonals, factored once for repeated solves.
 
     Thomas elimination: the pivots b_0 = diag, b_i = diag - off^2/b_{i-1}
-    are computed here. Forward and back substitution are the first-order
-    recurrences y_i = f_i + a_i y_{i-1} with a_i = -off/b_{i-1}, and
-    x_i = y_i/b_i + c_i x_{i+1} with c_i = -off/b_i. Each runs by recursive
-    doubling: level k adds P_k[i] y[i - 2^k] to y[i], where P_k[i] is the
-    product of the 2^k coefficients ending at i, precomputed here.
+    are computed here. Once a pivot repeats its predecessor to the bit,
+    every later one does, and the loop stops (at row 27 on fast-front's
+    matrix, diag = 5.005 and off = -2). Forward and back substitution are
+    the first-order recurrences y_i = f_i + a_i y_{i-1} with
+    a_i = -off/b_{i-1}, and x_i = y_i/b_i + c_i x_{i+1} with c_i = -off/b_i.
+
+    Both run in blocks of BLOCK rows, the last one padded with zero rows.
+    A block's rows followed by its carry (the y just before the block, the
+    x just after it) times a (BLOCK + 1) x BLOCK propagator give the
+    block's y or x. The propagator holds the coefficient products:
+    lower-triangular forward, upper-triangular with 1/b folded in
+    backward, and the carry's products in its last row. The blocks after
+    the pivots settle share one propagator and run as one matrix product.
+    Their carries, the block ends, are a first-order recurrence over the
+    blocks with one constant coefficient: one matrix-vector product gives
+    each block's end without its carry, and recursive doubling adds the
+    carries. The head blocks before them keep their own propagators and
+    run one at a time, so storage is O(m BLOCK), never m^2.
+
     Requires diag > 2|off| (strict diagonal dominance), which keeps every
     pivot above |off| and so every coefficient below 1 in magnitude: the
     products decay geometrically. Products below the smallest normal
-    float are set to 0, and the doubling stops at the level where every
-    product is 0 (or 2^k reaches m). Each x_i is then a sum over its own
-    neighbourhood, as in sequential elimination, so the far tail of a
-    solution spanning hundreds of decades keeps its relative accuracy; a
-    dropped term is below that float times max |f|.
+    float are set to 0, so a dropped term is below that float times
+    max |f|. Every term is a product of coefficients times one f, as in
+    sequential elimination, so the far tail of a solution spanning
+    hundreds of decades keeps its relative accuracy.
     """
 
     def __init__(self, m: int, diag: float, off: float):
         if not diag > 2.0 * abs(off):
             raise ValueError(
                 f"need diag > 2|off|, got diag = {diag}, off = {off}")
-        pivots = [float(diag)] * m
-        for i in range(1, m):
-            pivots[i] = diag - off * off / pivots[i - 1]
-        self.pivots = np.array(pivots)
-        ratio = -off / self.pivots
-        # y_i gets a_i y_{i-1}; a_0 = 0 since y_{-1} does not exist
-        self._forward = _doubling_products(np.concatenate(([0.0], ratio[:-1])))
-        # x_i gets c_i x_{i+1}, c_{m-1} = 0: the same products on the
-        # reversed order, stored back in natural order
-        self._backward = [P[::-1].copy() for P in _doubling_products(
-            np.concatenate(([0.0], ratio[-2::-1])))]
-        self._tmp = np.empty(m)
+        B = BLOCK
+        nb = max(1, -(-m // B))
+        pivots = [float(diag)]
+        while len(pivots) < nb * B:
+            b = diag - off * off / pivots[-1]
+            if b == pivots[-1]:
+                break
+            pivots.append(b)
+        self.pivots = np.full(m, pivots[-1])
+        self.pivots[:len(pivots)] = pivots[:m]
+        # the head: every block with a row at or before the first settled
+        # pivot (a block's first coefficient reads the pivot before it);
+        # propagators are built for it and for one settled block
+        head = min(nb, (len(pivots) - 1 + B) // B)
+        b = np.full((head + 1) * B, pivots[-1])
+        b[:len(pivots)] = pivots
+        ratio = -off / b
+        fwd, bwd = _block_propagators(
+            np.concatenate(([0.0], ratio[:-1])).reshape(-1, B),
+            ratio.reshape(-1, B), b.reshape(-1, B))
+        self._head_fwd, self._head_bwd = fwd[:head], bwd[:head]
+        self._fwd, self._bwd = fwd[head], bwd[head]
+        # a settled block's end without its carry
+        self._fwd_end = fwd[head, :B, B - 1].copy()
+        self._bwd_end = bwd[head, :B, 0].copy()
+        self.m, self._head, self._split = m, head, nb * B - B
+        # solve's buffers: x = [f | y before], y = [y | x after], z = x
+        # with a zero row after the last block; x's padded rows stay 0.
+        # Its views are made here, since slicing them in each solve costs
+        # about as much as the products.
+        x = self._x = np.zeros((nb, B + 1))
+        y = self._y = np.zeros((nb, B + 1))
+        z = self._z = np.zeros((nb + 1, B))
+        v = self._v = np.empty(nb - head + 1)  # carries of the settled blocks
+        t = np.empty_like(v)
+        rest = m - self._split
+        self._rows = (x[:-1, :B], x[-1, :rest], z.reshape(-1)[:m])
+        self._pad = y[-1, rest:B]
+        self._settled = (x[head:], y[head:], z[head:-1])
+        self._ends = (v[1:], v[:-1])
+        self._fwd_steps = [(g, v[:-s], t[:-s], v[s:]) for s, g in
+                           _doubling_levels(fwd[head, B, B - 1], len(v))]
+        self._bwd_steps = [(h, v[s:], t[s:], v[:-s]) for s, h in
+                           _doubling_levels(bwd[head, B, 0], len(v))]
 
     def solve(self, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the solution x of A x = rhs into ``out`` and return it;
         ``out`` may be rhs itself, which is then solved in place."""
-        x = out
-        if out is not rhs:
-            x[...] = rhs
-        tmp = self._tmp  # one scratch row, reused by every level
-        s = 1
-        for P in self._forward:
-            t = tmp[:len(P)]
-            np.multiply(P, x[:-s], out=t)
-            x[s:] += t
-            s *= 2
-        x /= self.pivots
-        s = 1
-        for P in self._backward:
-            t = tmp[:len(P)]
-            np.multiply(P, x[s:], out=t)
-            x[:-s] += t
-            s *= 2
-        return x
+        B, head = BLOCK, self._head
+        x, y, z, v = self._x, self._y, self._z, self._v
+        body, last, solution = self._rows
+        xs, ys, zs = self._settled
+        hi, lo = self._ends
+        body[...] = rhs[:self._split].reshape(-1, B)
+        last[...] = rhs[self._split:]
+        # forward sweep: the head block by block, then the settled blocks
+        for j in range(head):
+            if j:
+                x[j, B] = y[j - 1, B - 1]
+            np.dot(x[j], self._head_fwd[j], out=y[j, :B])
+        v[0] = y[head - 1, B - 1]
+        np.dot(xs[:, :B], self._fwd_end, out=hi)
+        for g, src, tmp, dst in self._fwd_steps:
+            np.multiply(src, g, out=tmp)
+            dst += tmp
+        xs[:, B] = lo
+        np.matmul(xs, self._fwd, out=ys[:, :B])
+        self._pad[...] = 0.0
+        # back sweep: the settled blocks, then the head from its end
+        v[-1] = 0.0
+        np.dot(ys[:, :B], self._bwd_end, out=lo)
+        for h, src, tmp, dst in self._bwd_steps:
+            np.multiply(src, h, out=tmp)
+            dst += tmp
+        ys[:, B] = hi
+        np.matmul(ys, self._bwd, out=zs)
+        for j in range(head - 1, -1, -1):
+            y[j, B] = z[j + 1, 0]
+            np.dot(y[j], self._head_bwd[j], out=z[j])
+        out[...] = solution
+        return out
 
 
-def _doubling_products(a: np.ndarray) -> list[np.ndarray]:
-    """Doubling levels of y_i = f_i + a_i y_{i-1}, where a_0 = 0.
+def _block_propagators(a: np.ndarray, c: np.ndarray,
+                       b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward and backward (k, B + 1, B) propagators of k blocks with
+    coefficients a, c and pivots b, each (k, B).
 
-    Level k is P_k[2^k:], P_k[i] being the product a_{i-2^k+1} ... a_i.
+    Forward F[l, i] = a_{l+1} ... a_i for l <= i, and F[B, i] = a_0 ... a_i
+    multiplies the y before the block. Backward R[l, i] =
+    c_i ... c_{l-1} / b_l for l >= i, and R[B, i] = c_i ... c_{B-1}
+    multiplies the x after it. Entries below the smallest normal float
+    are 0.
     """
-    tiny = np.finfo(float).tiny
-    levels = []
-    P = a.copy()
-    s = 1
-    while s < len(P):
-        P[np.abs(P) < tiny] = 0.0
-        if not P[s:].any():
-            break
-        levels.append(P[s:].copy())
-        # the product of 2s coefficients ending at i
-        P[s:] *= P[:-s].copy()
-        P[:s] = 0.0
+    k, B = a.shape
+    later = np.triu(np.ones((B, B), dtype=bool), 1)  # [l, i] with i > l
+    F = np.empty((k, B + 1, B))
+    F[:, :B] = np.triu(np.cumprod(np.where(later, a[:, None, :], 1.0),
+                                  axis=2))
+    F[:, B] = np.cumprod(a, axis=1)
+    R = np.empty((k, B + 1, B))
+    R[:, :B] = np.tril(np.cumprod(np.where(later.T, c[:, None, :], 1.0)
+                                  [:, :, ::-1], axis=2)[:, :, ::-1])
+    R[:, :B] /= b[:, :, None]
+    R[:, B] = np.cumprod(c[:, ::-1], axis=1)[:, ::-1]
+    for P in (F, R):
+        P[np.abs(P) < np.finfo(float).tiny] = 0.0
+    return F, R
+
+
+def _doubling_levels(g: float, n: int) -> list[tuple[int, float]]:
+    """(2^k, g^(2^k)) for the levels k of recursive doubling over n values
+    of y_i = f_i + g y_{i-1}, up to the first power below the smallest
+    normal float."""
+    levels, s = [], 1
+    while s < n and abs(g) >= np.finfo(float).tiny:
+        levels.append((s, g))
+        g *= g
         s *= 2
     return levels
 

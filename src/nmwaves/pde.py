@@ -12,8 +12,10 @@ second order in time:
   t + dt - tau, both already known because tau >= dt. The matrix is the
   same at every step (diagonal 1 + 2r + dt/2, off-diagonals -r, with
   r = dt/(2 dx^2)), so numerics.ToeplitzTridiagonal factors it once per
-  run; each solve is Thomas elimination with its two substitutions run
-  by recursive doubling. The solve is local, like elimination, so the
+  run; each solve is Thomas elimination with each substitution run over
+  blocks of 64 rows as one matrix product, plus a short recurrence for
+  the carries between blocks. Every term of the solve is a product of
+  coefficients times one right-side value, as in elimination, so the
   leading edge (u near e^{-105} on fast-front) keeps its relative
   accuracy; a global transform such as a sine-transform solve would
   spread rounding of eps * max|u| over it, and since u = 0 is unstable

@@ -735,6 +735,21 @@ def test_domain_exceptions_exit_1_with_one_line(p, tau, capsys):
 
 
 @pytest.mark.parametrize("p, tau", [
+    key for key, reason in _DOMAIN_EXIT_REASONS.items()
+    if reason.startswith("the run needs")])
+def test_heteroclinic_over_the_node_cap_exits_1_like_analyze(
+        p, tau, tmp_path, capsys):
+    # the default run's nodes are counted before the series is built,
+    # whose eps cap rounds to 0 at tau = 1e-20
+    assert run_cli("analyze", "--p", p, "--tau", tau) == 1
+    want = capsys.readouterr().err
+    assert run_cli("heteroclinic", "--p", p, "--tau", tau, "--out",
+                   f"{tmp_path / 'traj.csv'},{tmp_path / 'x.json'}") == 1
+    assert capsys.readouterr().err == want
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("p, tau", [
     ("315795.2413526715", "0.5833923191030249"),
     ("636650.0078004306", "0.6583807767438601")])
 def test_unsettled_tail_exits_0_with_its_reason(p, tau, tmp_path):

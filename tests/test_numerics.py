@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nmwaves.diagnostics import estimate_speed
-from nmwaves.numerics import (BracketingError, NoSignChange,
+from nmwaves.numerics import (BLOCK, BracketingError, NoSignChange,
                               QuadratureError, ToeplitzTridiagonal,
                               TrajectoryTail, bisect_lockstep,
                               crossing_points, double_until,
@@ -461,14 +461,109 @@ def test_toeplitz_solve_matches_dense_solve(m, r):
 def test_toeplitz_solve_matches_thomas_at_fast_front_size(r):
     # m = 5999 is the fast-front interior; a dense oracle there would need
     # a 288 MB matrix, so the sequential elimination is the reference.
-    # At r = 50 the coefficient products underflow only after about 5,000
-    # rows, so this size is the one where large r stops the doubling early.
+    # It has 94 blocks, and the carry between blocks at r = 50 falls below
+    # the smallest normal float only across 79 of them, so the doubling
+    # of the carries runs all 7 levels (4 at r = 2).
     diag, off, rhs = _cn_system(5999, r)
     solver = ToeplitzTridiagonal(5999, diag, off)
     for f in rhs.values():
         want = _thomas(diag, off, f)
         got = solver.solve(f, np.empty(5999))
         assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def _exact_substitution(pivots, off, f):
+    """The two substitutions on the given pivots in 40-digit arithmetic:
+    the exact solution of the factored system a solver holds."""
+    with mp.workdps(40):
+        off = mp.mpf(off)
+        b = [mp.mpf(float(v)) for v in pivots]
+        y = [mp.mpf(float(v)) for v in f]
+        for i in range(1, len(y)):
+            y[i] -= off / b[i - 1] * y[i - 1]
+        x = y[-1] / b[-1]
+        out = [float(x)]
+        for i in range(len(y) - 2, -1, -1):
+            x = (y[i] - off * x) / b[i]
+            out.append(float(x))
+    return np.array(out[::-1])
+
+
+def _first_repeated_pivot(diag, off):
+    """The first row whose Thomas pivot equals the one before to the bit;
+    every later pivot equals it too."""
+    b, i = [diag], 0
+    while i == 0 or b[i] != b[i - 1]:
+        b.append(diag - off * off / b[i])
+        i += 1
+    return i
+
+
+def _block_layout_edges(r):
+    """Sizes at the edges of the solver's block layout at this r: 1-3
+    rows, one block +-1, the pivots' settling row +-1, and the head
+    blocks (every block holding a row before it) +-1, also one block on."""
+    settle = _first_repeated_pivot(*_cn_system(1, r)[:2])
+    head = BLOCK * -(-settle // BLOCK)
+    sizes = {1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1}
+    for edge in (settle, head, head + BLOCK):
+        sizes |= {edge - 1, edge, edge + 1}
+    return sorted(sizes)
+
+
+@pytest.mark.parametrize("r, m", [(r, m) for r in (0.1, 2.0, 50.0, 1e4)
+                                  for m in _block_layout_edges(r)]
+                         + [(1e6, 5999)])
+def test_toeplitz_block_layout_matches_sequential_elimination(r, m):
+    diag, off, rhs = _cn_system(m, r)
+    solver = ToeplitzTridiagonal(m, diag, off)
+    b = [diag]
+    for _ in range(m - 1):
+        b.append(diag - off * off / b[-1])
+    # the pivots stop being computed once they settle
+    assert solver.pivots.tobytes() == np.array(b).tobytes()
+    for f in rhs.values():
+        got = solver.solve(f, np.empty(m))
+        if r < 1e4:
+            want = _thomas(diag, off, f)
+        else:
+            # here diag - 2|off| is below 1e-4 diag, so rounding the
+            # pivots alone moves the solution by up to 2.5e-13, and
+            # _thomas forms them as diag - (off/b) off; at (5999, 1e6)
+            # two float substitutions on the same pivots still differ by
+            # 1.05e-14, each 7.7e-15 from the exact one. The exact
+            # substitution on the solver's pivots measures what the
+            # blocks change.
+            want = _exact_substitution(solver.pivots, off, f)
+        assert np.max(np.abs(got - want) / want) <= 1e-14
+        assert solver.solve(f, np.empty(m)).tobytes() == got.tobytes()
+
+
+def _stored_floats(solver):
+    """Floats held by the solver's arrays, each buffer counted once."""
+    buffers = {}
+
+    def visit(value):
+        if isinstance(value, np.ndarray):
+            while value.base is not None:
+                value = value.base
+            buffers[id(value)] = value
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                visit(item)
+
+    for value in vars(solver).values():
+        visit(value)
+    return sum(a.nbytes for a in buffers.values()) // 8
+
+
+def test_toeplitz_storage_is_linear_when_the_pivots_never_settle():
+    # at r = 1e6 the pivots settle only at row 12,391, so every one of
+    # the 94 blocks keeps its own propagators
+    diag, off, _ = _cn_system(5999, 1e6)
+    assert _first_repeated_pivot(diag, off) == 12391
+    solver = ToeplitzTridiagonal(5999, diag, off)
+    assert _stored_floats(solver) <= 4 * 5999 * BLOCK
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 1499, 5999])

@@ -285,8 +285,30 @@ def test_snapshots_csv_formats_like_plain_repr(tmp_path):
         assert path.read_text() == _plain_snapshots_text(rec)
 
 
-def _plain_snapshots(config):
-    """simulate's snapshots, stepped with plain array expressions."""
+class _SequentialElimination:
+    """Thomas elimination one row at a time, for the same matrix as
+    ToeplitzTridiagonal(m, diag, off)."""
+
+    def __init__(self, m, diag, off):
+        self.diag, self.off = diag, off
+
+    def solve(self, rhs, out):
+        diag, off = self.diag, self.off
+        m = len(rhs)
+        b, y = [diag] * m, rhs.tolist()
+        for i in range(1, m):
+            w = off / b[i - 1]
+            b[i] = diag - w * off
+            y[i] -= w * y[i - 1]
+        out[-1] = y[-1] / b[-1]
+        for i in range(m - 2, -1, -1):
+            out[i] = (y[i] - off * out[i + 1]) / b[i]
+        return out
+
+
+def _plain_snapshots(config, solver=ToeplitzTridiagonal):
+    """simulate's snapshots, stepped with plain array expressions and
+    the given tridiagonal solver."""
     p, dt, dx2 = config.params.p, config.dt, config.dx * config.dx
     x = config.grid()
     n, slots = len(x), config.delay_steps + 1
@@ -302,7 +324,7 @@ def _plain_snapshots(config):
     births[:] = fbirth(u0)
     if config.scheme is Scheme.CRANK_NICOLSON:
         r = dt / (2.0 * dx2)
-        lhs = ToeplitzTridiagonal(n - 2, 1.0 + 2.0 * r + 0.5 * dt, -r)
+        lhs = solver(n - 2, 1.0 + 2.0 * r + 0.5 * dt, -r)
         bc_vec = np.zeros(n - 2)
         bc_vec[0], bc_vec[-1] = config.bc.u_lo / dx2, config.bc.u_hi / dx2
     snapshots = [(0.0, u.copy())] if 0 in snap_steps else []
@@ -349,3 +371,14 @@ def test_buffered_steps_match_plain_expressions(config):
     assert [t for t, _ in got] == [t for t, _ in want]
     for (_, a), (_, b) in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+def test_crank_nicolson_solve_in_place_matches_sequential_elimination():
+    # simulate's own solver, checked where it runs: against stepping with
+    # one-row-at-a-time elimination, every snapshot to 1e-12 relative
+    config = preset("fast-front-smoke")
+    got = simulate(config).snapshots
+    want = _plain_snapshots(config, _SequentialElimination)
+    assert [t for t, _ in got] == [t for t, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert np.all(np.abs(a - b) <= 1e-12 * np.abs(b))
