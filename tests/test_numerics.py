@@ -501,8 +501,8 @@ def _first_repeated_pivot(diag, off):
 
 def _block_layout_edges(r):
     """Sizes at the edges of the solver's block layout at this r: 1-3
-    rows, one block +-1, the pivots' settling row +-1, and the head
-    blocks (every block holding a row before it) +-1, also one block on."""
+    rows, one block +-1, and +-1 around the first repeated pivot, the end
+    of the head blocks (those holding a row up to it) and one block on."""
     settle = _first_repeated_pivot(*_cn_system(1, r)[:2])
     head = BLOCK * -(-settle // BLOCK)
     sizes = {1, 2, 3, BLOCK - 1, BLOCK, BLOCK + 1}
@@ -527,13 +527,12 @@ def test_toeplitz_block_layout_matches_sequential_elimination(r, m):
         if r < 1e4:
             want = _thomas(diag, off, f)
         else:
-            # here diag - 2|off| is below 1e-4 diag, so rounding the
-            # pivots alone moves the solution by up to 2.5e-13, and
-            # _thomas forms them as diag - (off/b) off; at (5999, 1e6)
+            # diag - 2|off| is below 1e-4 diag here, so one ulp in the
+            # pivots moves the solution by up to 2.5e-13 relative, and
+            # _thomas rounds them as diag - (off/b) off. At (5999, 1e6)
             # two float substitutions on the same pivots still differ by
-            # 1.05e-14, each 7.7e-15 from the exact one. The exact
-            # substitution on the solver's pivots measures what the
-            # blocks change.
+            # 1.05e-14, each 7.7e-15 from the exact one; so the reference
+            # is the exact substitution on the solver's own pivots.
             want = _exact_substitution(solver.pivots, off, f)
         assert np.max(np.abs(got - want) / want) <= 1e-14
         assert solver.solve(f, np.empty(m)).tobytes() == got.tobytes()
