@@ -11,7 +11,9 @@ coefficients alternate in sign and satisfy a recurrence obtained by
 matching coefficients of e^{(n+1) mu t} once the birth nonlinearity is
 expanded as a power series. The series converges absolutely up to a
 computable horizon T(eps) parameterized by a free growth parameter
-eps in (0, e^{mu tau} - 1).
+eps in (0, e^{mu tau} - 1). Its partial sums have one code path for a
+float and for a 1-D array of times, so each array element gets the bits
+of the same time given as a float.
 
 Also provided here: the sandwich bounds u2(t) < u(t) < u1(t) = e^{mu t}
 for t <= 0, and the peak lower bound zeta, in both its incomplete-gamma
@@ -98,29 +100,39 @@ def qbar3_closed_form(params: ModelParams) -> float:
             / _chi(3.0 * mu, params))
 
 
-def _horizon_value(mu: float, tau: float, qb2: float, eps: float) -> float:
-    """Horizon T(eps); eps must lie in (0, e^{mu tau} - 1)."""
+def _eps_cap(mu: float, tau: float) -> float:
+    """e^{mu tau} - 1, the upper end of eps's range; ValueError where it
+    rounds to 0 (mu tau below about 1.1e-16)."""
     hi = math.exp(mu * tau) - 1.0
+    if hi == 0.0:
+        raise ValueError(f"the eps cap e^{{mu tau}} - 1 rounds to 0 at mu tau "
+                         f"= {mu * tau:.3g}; the series horizon is undefined")
+    return hi
+
+
+def _horizon_value(mu: float, tau: float, qb2: float, eps: float,
+                   hi: float) -> float:
+    """Horizon T(eps); eps must lie in (0, hi), hi = _eps_cap(mu, tau)."""
     if not 0.0 < eps < hi:
         raise ValueError(f"eps must lie in (0, {hi:.6g}), got {eps}")
     inner = eps / (1.0 + eps) * math.log(1.0 + 1.0 / (abs(qb2) * (1.0 + eps)))
     return tau + math.log(inner) / mu
 
 
-def _best_eps(mu: float, tau: float, qb2: float) -> float:
-    """The eps in (0, e^{mu tau} - 1) that maximizes the horizon.
+def _best_eps(qb2: float, hi: float) -> float:
+    """The eps in (0, hi) that maximizes the horizon, hi being the cap
+    e^{mu tau} - 1.
 
     With a = 1/|qbar_2| and r = a/(1 + eps), the horizon is
     tau + ln((1 - r/a) ln(1 + r))/mu, and its derivative vanishes exactly
     where r + (1 + r) ln(1 + r) = a. The left side increases from 0, so
     the root is unique and lies in (0, a]; the horizon tends to -infinity
     at both ends of eps's range, so the root is the maximum. Past the
-    cap e^{mu tau} - 1 the horizon increases all the way up to it.
+    cap the horizon increases all the way up to it.
     """
     a = 1.0 / abs(qb2)
     r = solve_bracketed(lambda r: r + (1.0 + r) * math.log1p(r) - a, 0.0, a,
                         tol=0.0)
-    hi = math.exp(mu * tau) - 1.0
     return min(a / r - 1.0, hi * (1.0 - 1e-12))
 
 
@@ -153,69 +165,51 @@ class DirichletExpansion:
         x = math.exp(self.mu * t)
         return x + self.coeffs[1] * x * x
 
-    def _refuse_at_horizon(self, t) -> None:
-        """ValueError for t (the largest, for an array) at or beyond the
-        certified horizon."""
+    def _sums(self, t, derivative: bool = False) -> tuple:
+        """(u, u') at t with derivative set, else (u, |u's last term|).
+
+        The one code path for a float (floats back) and a 1-D array: the
+        powers e^{n mu t}, one row per n, are the running products of
+        math.exp's e^{mu t}, and each sum adds its terms in order of n.
+        sum(axis=0) does that over two or more lanes but sums one lane
+        pairwise, so a single time runs as two equal lanes; each element
+        thus gets the bits of the same time given as a float. Refuses t
+        (the largest, for an array) at or beyond the certified horizon.
+        """
         t_max = float(np.max(t))
         if t_max >= self.horizon:
             raise ValueError(
                 f"t = {t_max} is not below the series horizon {self.horizon}; "
                 "the series is not certified there")
-
-    def _powers(self, t: np.ndarray) -> np.ndarray:
-        """e^{n mu t} for n = 1..len(coeffs), one row per n, at the 1-D
-        array t: math.exp's e^{mu t} at each element, then its running
-        products, the scalar loop's powers bit for bit."""
-        x = np.array([math.exp(self.mu * ti) for ti in t.tolist()])
-        return np.cumprod(np.broadcast_to(x, (len(self.coeffs), x.size)),
-                          axis=0)
-
-    def _derivative_weights(self) -> list[float]:
-        return [n * self.mu * q for n, q in enumerate(self.coeffs, start=1)]
-
-    def _partial_sum(self, t, weights):
-        """sum_n weights[n-1] e^{n mu t} and the magnitude of its last term.
-
-        t is a float or a 1-D array; an array gives each element the float
-        result bit for bit (sum along axis 0 adds the rows in order).
-        Refuses t at or beyond the certified horizon.
-        """
-        self._refuse_at_horizon(t)
-        if np.ndim(t):
-            terms = np.array(weights)[:, None] * self._powers(np.asarray(t))
-            return terms.sum(axis=0), np.abs(terms[-1])
-        x = math.exp(self.mu * t)
-        total = 0.0
-        power = x
-        last = 0.0
-        for w in weights:
-            last = w * power
-            total = total + last
-            power = power * x
-        return total, abs(last)
+        times = np.atleast_1d(t).tolist()
+        x = np.array([math.exp(self.mu * ti)
+                      for ti in (times * 2 if len(times) == 1 else times)])
+        powers = np.cumprod(np.broadcast_to(x, (len(self.coeffs), x.size)),
+                            axis=0)
+        q = np.array(self.coeffs)
+        terms = q[:, None] * powers
+        second = (((np.arange(1.0, q.size + 1) * self.mu * q)[:, None]
+                   * powers).sum(axis=0) if derivative else np.abs(terms[-1]))
+        u = terms.sum(axis=0)
+        if np.ndim(t) == 0:
+            return float(u[0]), float(second[0])
+        return u[:len(times)], second[:len(times)]
 
     def evaluate_with_tail(self, t: float | np.ndarray) -> tuple:
-        """Partial sum at t plus the magnitude of the last kept term.
-
-        t is a float or a 1-D array; refuses t at or beyond the horizon.
-        """
-        return self._partial_sum(t, self.coeffs)
+        """Partial sum at t plus the magnitude of the last kept term."""
+        return self._sums(t)
 
     def evaluate(self, t: float | np.ndarray) -> float | np.ndarray:
         """Partial sum of the series at t (t must lie below the horizon)."""
-        return self._partial_sum(t, self.coeffs)[0]
+        return self._sums(t)[0]
 
     def derivative(self, t: float | np.ndarray) -> float | np.ndarray:
         """Termwise derivative sum(n mu qbar_n e^{n mu t})."""
-        return self._partial_sum(t, self._derivative_weights())[0]
+        return self._sums(t, derivative=True)[1]
 
-    def evaluate_with_derivative(self, t: np.ndarray) -> tuple:
-        """(evaluate(t), derivative(t)) at the 1-D array t, bit for bit,
-        from one set of powers e^{n mu t}."""
-        self._refuse_at_horizon(t)
-        powers = self._powers(t)
-        return tuple((np.array(w)[:, None] * powers).sum(axis=0)
-                     for w in (self.coeffs, self._derivative_weights()))
+    def evaluate_with_derivative(self, t: float | np.ndarray) -> tuple:
+        """(evaluate(t), derivative(t)) from one set of powers e^{n mu t}."""
+        return self._sums(t, derivative=True)
 
     def defect(self, t: float) -> float:
         """Residual u'(t) + u(t) - f(u(t - tau)) of the truncated series."""
@@ -235,17 +229,18 @@ def build(params: ModelParams, n_coeffs: int = 40,
     if qb[1] == 0.0:
         raise ValueError(f"qbar_2 underflows to 0 at p = {params.p:g}, tau = "
                          f"{params.tau:g}; the series horizon is undefined")
+    hi = _eps_cap(mu, params.tau)
     if eps is None:
-        eps = _best_eps(mu, params.tau, qb[1])
-    T = _horizon_value(mu, params.tau, qb[1], eps)
+        eps = _best_eps(qb[1], hi)
+    T = _horizon_value(mu, params.tau, qb[1], eps, hi)
     return DirichletExpansion(params=params, mu=mu, coeffs=tuple(qb),
                               eps=eps, horizon=T)
 
 
 def horizon(expansion: DirichletExpansion, eps: float) -> float:
     """Convergence horizon for a growth parameter eps in (0, e^{mu tau} - 1)."""
-    return _horizon_value(expansion.mu, expansion.params.tau,
-                          expansion.qbar2, eps)
+    mu, tau = expansion.mu, expansion.params.tau
+    return _horizon_value(mu, tau, expansion.qbar2, eps, _eps_cap(mu, tau))
 
 
 @np.errstate(over="ignore")  # p m = inf where mu underflows qbar_2 to 0

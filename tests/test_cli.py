@@ -749,6 +749,22 @@ def test_heteroclinic_over_the_node_cap_exits_1_like_analyze(
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ("series", "--p", "365", "--tau", "1e-20"),
+    ("series", "--p", "365", "--tau", "1e-20", "--eps", "0.5"),
+    ("heteroclinic", "--p", "365", "--tau", "1e-20", "--t-end", "1")],
+    ids=["series", "series_eps", "heteroclinic_t_end"])
+def test_eps_cap_rounding_to_0_exits_1_with_one_line(argv, tmp_path, capsys):
+    # e^{mu tau} - 1 is 0 in floats at mu tau = 3.6e-18: the series has no
+    # eps range, whichever eps is asked for
+    assert run_cli(*argv, "--out",
+                   f"{tmp_path / 'a.csv'},{tmp_path / 'b.csv'}") == 1
+    err = capsys.readouterr().err
+    assert err == ("error: the eps cap e^{mu tau} - 1 rounds to 0 at mu tau = "
+                   "3.64e-18; the series horizon is undefined\n")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("p, tau", [
     ("315795.2413526715", "0.5833923191030249"),
     ("636650.0078004306", "0.6583807767438601")])

@@ -310,6 +310,27 @@ def test_array_evaluation_matches_the_scalar_sums(p, tau):
     assert [expansion.evaluate(ti) for ti in t.tolist()] == u_ref
 
 
+@pytest.mark.parametrize("n_coeffs", [40, 6])
+@pytest.mark.parametrize("size", [1, 2, 3, 65])
+def test_array_elements_get_the_float_bits(n_coeffs, size):
+    # one code path: each element of an array of times gets the bits of the
+    # same time given as a float, a single time as well as many
+    expansion = build(EXAMPLE, n_coeffs=n_coeffs)
+    grid = expansion.handoff - 12.0 / expansion.mu * np.linspace(0, 1, 65)
+    e, d, et = (expansion.evaluate, expansion.derivative,
+                expansion.evaluate_with_tail)
+    for start in range(0, 66 - size, size):
+        t = grid[start:start + size]
+        floats = t.tolist()
+        pairs = [(e(t), [e(ti) for ti in floats]),
+                 (d(t), [d(ti) for ti in floats])]
+        pairs += zip(et(t), zip(*[et(ti) for ti in floats]))
+        pairs += zip(expansion.evaluate_with_derivative(t),
+                     (pairs[0][1], pairs[1][1]))
+        for got, want in pairs:
+            assert got.tobytes() == np.array(want).tobytes(), t
+
+
 def test_evaluate_against_ode_integration():
     # integrate u' = -u + f(series(t - tau)) from -0.4 to -0.2; the delayed
     # argument stays inside the series domain, so this is a plain ODE with
