@@ -181,6 +181,8 @@ def _cmd_analyze(args) -> tuple[int, dict, list]:
 
 
 def _cmd_series(args) -> tuple[int, dict, list]:
+    import numpy as np
+
     from .dirichlet import build
     from .model import ModelParams
 
@@ -192,10 +194,11 @@ def _cmd_series(args) -> tuple[int, dict, list]:
     t_hi = expansion.handoff
     t_lo = t_hi - 8.0 / expansion.mu
     ts = [t_lo + (t_hi - t_lo) * i / 199 for i in range(200)]
+    us = expansion.evaluate(np.array(ts)).tolist()  # each a float call's bits
     # bounds profile below the horizon: u2 < u < u1
     write_csv(profile_path, ["t", "u2", "u", "u1"],
-              ([t, expansion.u2(t), expansion.evaluate(t), expansion.u1(t)]
-               for t in ts))
+              ([t, expansion.u2(t), u, expansion.u1(t)]
+               for t, u in zip(ts, us)))
     return 0, {"p": args.p, "tau": args.tau, "n": args.n,
                "n_kept": len(expansion.coeffs), "eps": expansion.eps,
                "horizon": expansion.horizon}, args.out

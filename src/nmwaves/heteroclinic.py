@@ -21,7 +21,10 @@ so it gives minus the new values to the bit), the birth terms formed in
 place from them by three passes (exp, times the negated values, times
 -p), and one negated copy of the new nodes. The map depends on the step
 alone, not on p, and the range check is one reduction after the last
-chunk.
+chunk. A chunk's bits are a function of its state, the birth terms over
+its delay interval and its first node, so once a settling run's state
+repeats the previous chunk's bit for bit, every later full chunk would
+write the same block again: it is copied instead of stepped.
 
 Also here: crossings of ln p with the tail class, the first interior
 maximum, and the combined verdict for existence of a non-monotone
@@ -147,14 +150,16 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
     the half-node values a later chunk reads. A full chunk then forms its
     birth terms as exp(-y), times -y, times -p, in place, and copies -y's
     nodes into u; the first chunk, whose d_K takes u'_K from the series,
-    and a short last chunk are stepped outside the loop. The range is
-    checked by one reduction once all chunks are stepped; BlowUpError
-    names the first node where |u| > max(1e6, 2 p/e)
-    or u is not finite, an overflowing birth term included, found by
-    stepping its chunk again node by node. Raises ValueError, before
-    allocating, for a t_end that is not finite, more than MAX_NODES nodes
-    or a step h = tau/K whose h^4 overflows (tau above about 7.4e78 at
-    K = 64).
+    and a short last chunk are stepped outside the loop. Once the next
+    chunk's state (its 2K + 1 delayed birth terms and u_n) equals the
+    last one's bit for bit, the loop copies the last block into the rest
+    of the full chunks and stops: the outputs are those of stepping them.
+    The range is checked by one reduction once all chunks are written;
+    BlowUpError names the first node where |u| > max(1e6, 2 p/e) or u is
+    not finite, an overflowing birth term included, found by stepping its
+    chunk again node by node. Raises ValueError, before allocating, for a
+    t_end that is not finite, more than MAX_NODES nodes or a step
+    h = tau/K whose h^4 overflows (tau above about 7.4e78 at K = 64).
     """
     if K < 20:
         raise ValueError(f"need at least 20 steps per delay interval, got {K}")
@@ -236,14 +241,25 @@ def integrate(expansion: DirichletExpansion, t_end: float | None = None,
         G_out = G[2 * (K + B) + 1:2 * (K + B * n_full) + 1].reshape(-1, 2 * B)
         u_out = u[K + B + 1:K + B * n_full + 1].reshape(-1, B)
         z_birth, nodes, minus_p = z[:-1], y[1::2], -p
-        for w, g, un in zip(win[2 * B::2 * B], G_out, u_out):
+        G_bits, L = G.view(np.int64), 2 * K + 1  # state j: G[2jB:][:L]
+        u_bits, u_n = u.view(np.int64)[K::B], z.item(-1)
+        for j, w, g, un in zip(range(1, n_full), win[2 * B::2 * B], G_out,
+                               u_out):
             z_birth[...] = w
             nW.dot(z, out=y)
             np.exp(y, out=g)
             g *= y
             g *= minus_p
             np.negative(nodes, out=un)
-            z[-1] = un[-1]
+            # chunk j + 1 starts from chunk j's state, bit for bit (a nan
+            # u_n fails ==): so does every later one
+            u_next = un.item(-1)
+            if u_next == u_n and u_bits[j] == u_bits[j + 1] and (
+                    np.array_equal(G_bits[2 * j * B:][:L],
+                                   G_bits[2 * (j + 1) * B:][:L])):
+                G_out[j:], u_out[j:] = g, un
+                break  # z[-1] holds the last node's bits already
+            z[-1] = u_n = u_next
         if m:
             chunk(n_full, m)
         np.subtract(G[2:2 * n_steps + 1:2], u[K + 1:], out=du[K + 1:])

@@ -96,9 +96,9 @@ def _suite_series(grid: int | None) -> list[Check]:
                          abs(zeta(params) - zeta_by_quadrature(params)))
         # sandwich bounds checked down to 12 e-folds, where the gaps are
         # still resolvable in double precision
-        for i in range(60):
-            t = expansion.handoff - 12.0 / expansion.mu * i / 59
-            u = expansion.evaluate(t)
+        ts = [expansion.handoff - 12.0 / expansion.mu * i / 59
+              for i in range(60)]
+        for t, u in zip(ts, expansion.evaluate(np.array(ts)).tolist()):
             worst_bound = min(worst_bound, expansion.u1(t) - u,
                               u - expansion.u2(t))
         # defect budget with a short expansion: the residual's leading

@@ -660,6 +660,43 @@ def test_verify_series_suite():
     assert run_cli("verify", "--suite", "series") == 0
 
 
+def _per_float_evaluate(monkeypatch):
+    """Make DirichletExpansion.evaluate of an array one float call per
+    element, the way the series profile and suite evaluated it before."""
+    from nmwaves.dirichlet import DirichletExpansion
+
+    evaluate = DirichletExpansion.evaluate
+
+    def per_float(self, t):
+        if np.ndim(t) == 0:
+            return evaluate(self, t)
+        return np.array([evaluate(self, ti) for ti in np.asarray(t).tolist()])
+    monkeypatch.setattr(DirichletExpansion, "evaluate", per_float)
+
+
+@pytest.mark.parametrize("argv", [
+    ("series", "--p", "365", "--tau", "0.07"),
+    ("series", "--p", "365", "--tau", "0.07", "--n", "10"),
+    ("series", "--p", "1.5", "--tau", "0.3"),
+    ("series", "--p", "5e5", "--tau", "2.0"),
+    ("verify", "--suite", "series")], ids=["series", "series_n10",
+                                           "series_small_p", "series_large",
+                                           "verify_series"])
+def test_series_outputs_are_per_float_evaluations(argv, tmp_path,
+                                                  monkeypatch):
+    # one array evaluate over the profile or sandwich times gives every
+    # float call's bits, so the files are those of a loop of float calls
+    outs = []
+    for tag in ("array", "float"):
+        if tag == "float":
+            _per_float_evaluate(monkeypatch)
+        paths = [tmp_path / f"{tag}_{i}.csv" for i in range(2)]
+        out = ",".join(map(str, paths if argv[0] == "series" else paths[:1]))
+        assert run_cli(*argv, "--out", out) == 0
+        outs.append([path.read_bytes() for path in paths if path.exists()])
+    assert outs[0] == outs[1]
+
+
 def test_simulate_byte_determinism(tmp_path):
     outs = []
     for tag in ("a", "b"):
@@ -903,6 +940,16 @@ def test_out_path_count_is_a_usage_error(command, n, tmp_path, capsys):
         assert (f"expected {n} comma-separated paths, got {count}"
                 in capsys.readouterr().err)
     assert not list(tmp_path.iterdir())
+
+
+def test_python_m_nmwaves_is_the_cli():
+    argv = ["analyze", "--p", "365", "--tau", "0.07", "--c", "50"]
+    procs = [subprocess.run([sys.executable, "-m", module, *argv],
+                            capture_output=True, env=_child_env())
+             for module in ("nmwaves", "nmwaves.cli")]
+    assert procs[0].returncode == procs[1].returncode == 0
+    assert procs[0].stdout == procs[1].stdout
+    assert procs[0].stderr == procs[1].stderr == b""
 
 
 def test_usage_exit_code():

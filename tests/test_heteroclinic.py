@@ -243,7 +243,8 @@ def test_blow_up_names_the_first_node_out_of_range(p, tau):
 def _reference_integrate(expansion, t_end=None, K=64):
     """The chunk loop before it was made lean: per chunk, min and slice
     arithmetic, the product with W, a -y temporary and p y e^{-y}; the
-    history from scalar series calls. (t, u, du), or the BlowUpError."""
+    history from scalar series calls. Every chunk is stepped, also after
+    the state repeats. (t, u, du), or the BlowUpError."""
     params = expansion.params
     p, tau = params.p, params.tau
     bound = max(1e6, 2.0 * params.f_max)
@@ -354,6 +355,40 @@ def test_lean_loop_is_the_reference_loop_at_seeded_points():
         except CoefficientOverflow:
             continue
         _assert_matches_reference(expansion)
+
+
+@pytest.mark.parametrize("K", [64, 128, 200])
+@pytest.mark.parametrize("p, tau", [(365.0, 0.012), (4042.0, 0.01428),
+                                    (1e4, 0.011), (20.0, 0.015)])
+def test_repeating_state_fill_is_the_reference_loop(p, tau, K):
+    # the first three reach a bitwise fixed point of one chunk from about
+    # half of their nodes on, the last never does; K = 200 is no multiple
+    # of the chunk
+    _assert_matches_reference(build(ModelParams(p=p, tau=tau)), K=K)
+
+
+@pytest.mark.parametrize("p, tau, fills", [(365.0, 0.012, True),
+                                           (20.0, 0.015, False)])
+def test_repeating_state_stops_the_chunk_loop(monkeypatch, p, tau, fills):
+    # each chunk makes one np.exp pass, and the history two more; the
+    # filling run stops stepping about half way
+    passes = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def exp(self, *args, **kwargs):
+            passes.append(1)
+            return np.exp(*args, **kwargs)
+
+    expansion = build(ModelParams(p=p, tau=tau))
+    monkeypatch.setattr(heteroclinic, "np", CountingNumpy())
+    traj = integrate(expansion)
+    n_full, m = divmod(len(traj.t) - 65, heteroclinic.CHUNK)
+    unfilled = 2 + n_full + (m > 0)
+    assert (len(passes) < 0.6 * unfilled) if fills else (
+        len(passes) == unfilled)
 
 
 def test_node_cap_names_the_node_count_and_the_cap():
