@@ -188,25 +188,11 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
     chi = lambda z: float(_chi(z, P, c, h))
     dchi = lambda z: float(_dchi(z, P, c, h))
 
-    def polish(z):
-        # bisection tolerances scale with the window; Newton steps bring
-        # the residual down to the report contract regardless of |chi'|
-        for _ in range(3):
-            d = dchi(z)
-            if not math.isfinite(d) or d == 0.0:
-                break
-            step = chi(z) / d
-            if not math.isfinite(step):
-                break
-            z -= step
-        return z
-
     if P < 0.0:
         # strictly decreasing on the negative axis; expand until positive
         z_lo = double_until(lambda z: chi(z) > 0.0, -max(1.0, c),
                             "negative root search")
-        z = solve_bracketed(chi, z_lo, 0.0, tol=1e-13 * (1.0 + abs(z_lo)))
-        return RootReport((polish(z),), (z_lo, 0.0))
+        return RootReport((solve_bracketed(chi, z_lo, 0.0),), (z_lo, 0.0))
 
     z_lo = float(_certified_window(P, c, h))
 
@@ -220,9 +206,8 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
     seams.append(0.0)
     for a, b in zip(seams[:-1], seams[1:]):
         fa, fb = dchi(a), dchi(b)
-        if fa * fb < 0.0:
-            crit.append(solve_bracketed(dchi, a, b,
-                                        tol=1e-13 * (1.0 + abs(a))))
+        if fa < 0.0 < fb or fb < 0.0 < fa:
+            crit.append(solve_bracketed(dchi, a, b))
 
     nodes = [z_lo] + sorted(crit) + [0.0]
     roots: list[float] = []
@@ -230,9 +215,8 @@ def negative_roots_at_kappa(params: ModelParams, c: float) -> RootReport:
         if b - a <= 0.0:
             continue
         fa, fb = chi(a), chi(b)
-        if fa * fb < 0.0:
-            z = solve_bracketed(chi, a, b, tol=1e-13 * (1.0 + abs(a)))
-            roots.append(polish(z))
+        if fa < 0.0 < fb or fb < 0.0 < fa:
+            roots.append(solve_bracketed(chi, a, b))
 
     if not roots and crit:
         # tangency: the hump maximum touching zero counts as a double root

@@ -131,8 +131,7 @@ def _best_eps(qb2: float, hi: float) -> float:
     cap the horizon increases all the way up to it.
     """
     a = 1.0 / abs(qb2)
-    r = solve_bracketed(lambda r: r + (1.0 + r) * math.log1p(r) - a, 0.0, a,
-                        tol=0.0)
+    r = solve_bracketed(lambda r: r + (1.0 + r) * math.log1p(r) - a, 0.0, a)
     return min(a / r - 1.0, hi * (1.0 - 1e-12))
 
 
@@ -300,4 +299,4 @@ def zeta_by_quadrature(params: ModelParams) -> float:
         return p * x * np.exp(s) * (1.0 + qb2 * x) * np.exp(-x)
 
     return ((1.0 + qb2) * math.exp(-params.tau)
-            + integrate_adaptive(f, -params.tau, 0.0, tol=1e-12))
+            + integrate_adaptive(f, -params.tau, 0.0))

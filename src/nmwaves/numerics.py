@@ -18,10 +18,11 @@ crossings, maxima (u' falling through 0) and fixed points, past level_tol.
 
 All routines are pure functions of their inputs, except that
 ToeplitzTridiagonal.solve writes into the array it is given (and into
-buffers of its own). The bracket
-solvers take ends lo < hi and stop at rounding level, once a bracket's
-midpoint rounds onto an end; solve_bracketed stops earlier at a width
-tol if tol > 0.
+buffers of its own). The bracket solvers take ends lo < hi and have one
+stopping rule, with no tolerance or step cap: a solve ends once its
+bracket's midpoint rounds onto an end, that is at adjacent floats, or
+once f is exactly 0 (solve_bracketed). Which half keeps the root is
+decided by signs alone, never by a product of two values of f.
 """
 
 from __future__ import annotations
@@ -83,30 +84,26 @@ def double_until(holds: Callable, start, what: str):
     return x
 
 
-def solve_bracketed(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-12, max_iter: int = 200) -> float:
+def solve_bracketed(f: Callable[[float], float], lo: float,
+                    hi: float) -> float:
     """Root of f inside a sign-changing bracket, by Chandrupatla's method.
 
     Each step evaluates f at a + t (b - a), where a is the newest point and
     b the opposite end of the bracket. t is the inverse quadratic
     interpolation through the last three points when that interpolant is
     monotone on the bracket, else 1/2 (T. R. Chandrupatla, Adv. Eng.
-    Software 28, 1997). Clamping t to [tl, 1 - tl], tl = tol / (2 |b - a|),
-    makes the step reach at least tol/2 past a, so the bracket collapses
-    once a is within tol/2 of the root. Equal function values fail the
-    interpolation test and bisect. Deterministic for fixed inputs.
+    Software 28, 1997). Equal function values fail the interpolation test
+    and bisect, and so does the step after one that rounds onto an end,
+    so at least every second step shrinks the bracket until the stop.
+    Deterministic for fixed inputs.
 
     Args:
         f: continuous scalar function.
         lo, hi: bracket ends, lo < hi, with f(lo)*f(hi) <= 0.
-        tol: terminate once the bracket width is <= tol, or once its
-            midpoint rounds onto an end (adjacent floats); tol = 0 runs
-            to that rounding level.
-        max_iter: hard iteration cap.
 
     Returns:
-        The midpoint of the final bracket; an exact zero of f as soon as
-        one is evaluated.
+        The midpoint of the final bracket, two adjacent floats; an exact
+        zero of f as soon as one is evaluated.
 
     Raises:
         ValueError: unless lo < hi.
@@ -123,13 +120,11 @@ def solve_bracketed(f: Callable[[float], float], lo: float, hi: float,
     if (fa < 0.0) == (fb < 0.0):
         raise NoSignChange(f"f({a})={fa} and f({b})={fb} have the same sign")
     t = 0.5
-    for _ in range(max_iter):
-        width = abs(b - a)
+    while True:
         mid = 0.5 * (a + b)
-        if width <= tol or mid == a or mid == b:
+        if mid == a or mid == b:
             return mid
-        tl = tol / (2.0 * width)
-        x = a + min(max(t, tl), 1.0 - tl) * (b - a)
+        x = a + t * (b - a)
         fx = f(x)
         if fx == 0.0:
             return x
@@ -147,7 +142,6 @@ def solve_bracketed(f: Callable[[float], float], lo: float, hi: float,
                  + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb))
         else:
             t = 0.5
-    return 0.5 * (a + b)
 
 
 def bisect_lockstep(g: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
@@ -155,37 +149,39 @@ def bisect_lockstep(g: Callable[[np.ndarray], np.ndarray], a: np.ndarray,
     """Sign changes of g on the brackets [a, b], bisected in lockstep.
 
     The array counterpart of solve_bracketed: g is evaluated on all
-    midpoints at once. ga holds g(a); each bracket keeps the end where g
-    has the sign of ga. Once every midpoint rounds onto an end of its
-    bracket, the step after is the last one that can change a bracket, so
-    the loop stops there, after at most 80 steps.
+    midpoints at once. Only the sign of ga = g(a) is read, as the left
+    ends keep it: a bracket (a <= b) keeps its left half where g at the
+    midpoint has the other sign or is 0, and a lane with g(a) = 0 returns
+    a. The step in which no midpoint lies strictly inside its bracket
+    (all are adjacent floats) is the last; each step before it halves
+    every open bracket, at most about 2,100 times (widths are below
+    2^1025, float spacings at least 2^-1074).
     """
-    for _ in range(80):
+    b = np.where(ga == 0.0, a, b)
+    negative = ga < 0.0
+    while True:
         m = 0.5 * (a + b)
-        done = bool(np.all((m == a) | (m == b)))
+        done = not np.any((a < m) & (m < b))
         gm = g(m)
-        left = ga * gm <= 0.0
+        left = np.where(negative, gm >= 0.0, gm <= 0.0)
         b = np.where(left, m, b)
         a = np.where(left, a, m)
-        ga = np.where(left, ga, gm)
         if done:
-            break
-    return 0.5 * (a + b)
+            return 0.5 * (a + b)
 
 
 def bracketed_roots(g: Callable, lo, hi):
     """Sign changes of g on the brackets [lo, hi], to rounding level.
 
     The one place that picks a bracket solver: a 0-d bracket (lo < hi)
-    goes to solve_bracketed with tol = 0 and gives a float, since a
-    one-lane bisect_lockstep pays numpy's call overhead on each of its
-    50-80 steps; arrays go to bisect_lockstep.
+    goes to solve_bracketed and gives a float, since a one-lane
+    bisect_lockstep pays numpy's call overhead on each of its 50 or more
+    steps; arrays go to bisect_lockstep.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     if lo.ndim == 0:
-        return solve_bracketed(lambda x: float(g(x)), float(lo), float(hi),
-                               tol=0.0)
+        return solve_bracketed(lambda x: float(g(x)), float(lo), float(hi))
     return bisect_lockstep(g, lo, hi, g(lo))
 
 
@@ -223,26 +219,30 @@ _K15_WEIGHTS = np.concatenate((_WGK[:-1], _WGK[::-1]))
 _G7_WEIGHTS = np.concatenate((_WG[:-1], _WG[::-1]))
 
 
+# integrate_adaptive's target, relative to 1 + |integral|, and halvings
+QUAD_TOL = 1e-12
+QUAD_MAX_DEPTH = 16
+
+
 def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
-                       b: float, tol: float = 1e-12,
-                       max_depth: int = 16) -> float:
+                       b: float) -> float:
     """Adaptive Gauss-Kronrod 7/15 integration of a smooth integrand on [a, b].
 
     f is a numpy integrand: it maps an array of abscissae to the array of
     integrand values. Every pass calls f once, on the 15 nodes of every
     subinterval not yet accepted. A subinterval is accepted when
     |K15 - G7|, the difference of its Kronrod and Gauss values, is within
-    its share of the target: tol (1 + |K|) times its width over b - a,
-    with K the first pass's Kronrod value. The others are halved for the
-    next pass. The accepted Kronrod values sum to a result with
-    |result - true| <= tol (1 + |result|) for integrands smooth enough
-    on the accepted subintervals.
+    its share of the target: QUAD_TOL (1 + |K|) times its width over
+    b - a, with K the first pass's Kronrod value. The others are halved
+    for the next pass. The accepted Kronrod values sum to a result with
+    |result - true| <= QUAD_TOL (1 + |result|) for integrands smooth
+    enough on the accepted subintervals.
 
     Raises:
         QuadratureError: subintervals were still unaccepted after
-            max_depth halvings; the exception carries the best estimate.
-            Each pass at most doubles the pending subintervals, so
-            max_depth also bounds the memory.
+            QUAD_MAX_DEPTH halvings; the exception carries the best
+            estimate. Each pass at most doubles the pending subintervals,
+            so QUAD_MAX_DEPTH also bounds the memory.
     """
     if a == b:
         return 0.0
@@ -252,19 +252,19 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
     lo, hi = np.array([a]), np.array([b])
     share = None
     total = 0.0
-    for depth in range(max_depth + 1):
+    for depth in range(QUAD_MAX_DEPTH + 1):
         half = 0.5 * (hi - lo)
         centre = 0.5 * (lo + hi)
         fx = f(centre[:, None] + half[:, None] * _GK_NODES)
         kronrod = half * (fx @ _K15_WEIGHTS)
         err = np.abs(kronrod - half * (fx @ _G7_WEIGHTS))
         if share is None:
-            share = tol * (1.0 + abs(float(kronrod[0]))) / (b - a)
+            share = QUAD_TOL * (1.0 + abs(float(kronrod[0]))) / (b - a)
         done = err <= share * (hi - lo)
         total += float(kronrod[done].sum())
         if done.all():
             return sign * total
-        if depth == max_depth:
+        if depth == QUAD_MAX_DEPTH:
             break
         lo, hi = lo[~done], hi[~done]
         mid = 0.5 * (lo + hi)
@@ -272,7 +272,7 @@ def integrate_adaptive(f: Callable[[np.ndarray], np.ndarray], a: float,
     pending = ~done
     raise QuadratureError(
         f"quadrature did not converge on {int(pending.sum())} subinterval(s) "
-        f"after {max_depth} halvings (worst local error estimate "
+        f"after {QUAD_MAX_DEPTH} halvings (worst local error estimate "
         f"{float(np.max(err[pending])):.3e})",
         estimate=sign * (total + float(kronrod[pending].sum())))
 

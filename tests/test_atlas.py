@@ -102,6 +102,24 @@ def test_T_star_value():
     assert abs(got - 0.0700) <= 1e-3
 
 
+@pytest.mark.parametrize("P", [1e60, 1e100, 1e200])
+def test_T_star_at_huge_P(P):
+    # the root of T e^T = 1/(e P), about 200 to 670 halvings below [0, 1]
+    with mp.workdps(40):
+        want = float(mp.lambertw(1 / (mp.e * mp.mpf(P))))
+    assert abs(T_star(P) / want - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("P", [1e60, 1e100, 1e200])
+def test_T_of_c_at_huge_P(P):
+    # the left side is e^2 (c tau)^2 / 4 up to a factor 1 + O(c^2 tau), so
+    # T(c) is 2/(e c sqrt(P)) to rounding here; float and array solves
+    cs = np.array([0.01, 50.0, 1000.0])
+    want = 2.0 / (math.e * cs * math.sqrt(P))
+    for got in (T_of_c(P, cs), [T_of_c(P, c) for c in cs.tolist()]):
+        assert np.all(np.abs(np.asarray(got) / want - 1.0) <= 1e-12)
+
+
 def test_T_of_c_limit_and_monotonicity():
     P = 4.8999
     assert abs(T_of_c(P, 1e3) - T_star(P)) <= 1e-3

@@ -1040,8 +1040,7 @@ def test_unconverged_zeta_quadrature_exits_1_with_one_line(
     quadrature = dirichlet.integrate_adaptive
     monkeypatch.setattr(
         dirichlet, "integrate_adaptive",
-        lambda f, a, b, tol: quadrature(lambda s: np.full_like(s, np.nan),
-                                        a, b, tol))
+        lambda f, a, b: quadrature(lambda s: np.full_like(s, np.nan), a, b))
     assert run_cli(*command) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: quadrature did not converge")
@@ -1242,6 +1241,24 @@ def test_boundaries_sweep_exits_0_cleanly_or_1_with_one_line(tmp_path):
                 P, f"{c_lo!r}:{c_hi!r}:3", tmp_path / f"b{lo}_{i}.csv"))
     # above P = 2^26 only the tau(c) column is NaN: every cell exits 0
     assert set(codes) == {0}
+
+
+def test_boundaries_at_huge_P_match_the_float_solves(tmp_path):
+    # T(c) at P = 1e60 is about 7e-29 / c, hundreds of halvings below the
+    # bracket [0, 1]. The T(c) cells are one array solve, whose final
+    # adjacent floats can differ from the float solve's, so they match it
+    # to a few ulps; T_star (a float solve) matches to the bit.
+    from nmwaves.atlas import T_of_c, T_star
+
+    out = tmp_path / "b.csv"
+    assert run_cli("boundaries", "--P", "1e60", "--c", "0.01:1000:5",
+                   "--out", str(out)) == 0
+    rows = read_csv(out)[1]
+    assert len(rows) == 5
+    for c, T_c, tau_c, _, T_s in rows:
+        assert T_c == pytest.approx(T_of_c(1e60, c), rel=1e-15, abs=0.0)
+        assert T_s == T_star(1e60)
+        assert math.isnan(tau_c)
 
 
 def test_boundaries_above_the_tau_cap_write_the_other_columns(tmp_path):

@@ -419,11 +419,11 @@ def test_zeta_by_quadrature_passes_at_the_example(monkeypatch):
     passes = []
     quadrature = dirichlet.integrate_adaptive
 
-    def counted(f, a, b, tol):
+    def counted(f, a, b):
         def f_counted(s):
             passes.append(1)
             return f(s)
-        return quadrature(f_counted, a, b, tol)
+        return quadrature(f_counted, a, b)
 
     monkeypatch.setattr(dirichlet, "integrate_adaptive", counted)
     zeta_by_quadrature(ModelParams(p=365.0, tau=0.07))

@@ -123,7 +123,7 @@ def test_two_fixed_points():
     xs = [1e-9 + (3.0 * params.kappa - 1e-9) * i / 4000 for i in range(4001)]
     crossings = [(a, b) for a, b in zip(xs[:-1], xs[1:]) if f(a) * f(b) < 0.0]
     assert len(crossings) == 1
-    root = solve_bracketed(f, *crossings[0], tol=1e-12)
+    root = solve_bracketed(f, *crossings[0])
     assert abs(root - params.kappa) <= 1e-9
 
 
